@@ -14,6 +14,8 @@ the test double.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import re
 import subprocess
 import threading
@@ -92,10 +94,15 @@ def normalize_triple(u: float, v: float, w: float) -> ClassProbabilities:
 
     The all-zero triple passes through as the unrelated encoding. Tiny
     negative components (backend noise) clamp to zero; genuinely negative
-    values are rejected.
+    values raise ValueError, and non-numeric or non-finite ones TypeError
+    or ValueError.
     """
     values = []
     for value in (u, v, w):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"non-numeric probability from backend: {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite probability from backend: {value}")
         if value < -1e-9:
             raise ValueError(f"negative probability from backend: {value}")
         values.append(max(0.0, float(value)))
@@ -323,12 +330,16 @@ class RemoteClassifier:
 
     @staticmethod
     def _parse_response(response: dict, expected: int) -> list[ClassProbabilities]:
+        if not isinstance(response, dict):
+            raise TransportError(f"malformed response: not an object: {response!r:.80}")
         rows = response.get("probabilities")
         if not isinstance(rows, list) or len(rows) != expected:
             raise TransportError(f"malformed response: expected {expected} probability rows")
         unrelated = response.get("unrelated")
-        if unrelated is not None and len(unrelated) != expected:
-            raise TransportError("malformed response: unrelated mask length mismatch")
+        if unrelated is not None and (not isinstance(unrelated, list)
+                                      or len(unrelated) != expected):
+            raise TransportError("malformed response: unrelated mask is not a list "
+                                 f"of {expected} flags")
         out = []
         for i, row in enumerate(rows):
             if unrelated is not None and unrelated[i]:
@@ -336,7 +347,10 @@ class RemoteClassifier:
                 continue
             if not isinstance(row, (list, tuple)) or len(row) != 3:
                 raise TransportError(f"malformed probability row: {row!r}")
-            out.append(normalize_triple(*row))
+            try:
+                out.append(normalize_triple(*row))
+            except (TypeError, ValueError) as exc:
+                raise TransportError(f"malformed probability row {row!r}: {exc}") from exc
         return out
 
     def _classify_chunk(self, chunk: Sequence[str]) -> tuple[list[ClassProbabilities], list[bool], int]:

@@ -46,13 +46,14 @@ from .corpus import (
 )
 from .econometrics import AlignedPair, GrangerResult, granger_sweep
 from .index import Normalization, SeriesResult, build_series, series_csv_rows
+from . import lexicon
 from .lexicon import (
     LexiconBackend,
     LexiconPolicy,
     audit_rows,
     occurrence_counts,
     rolling_lexicons,
-    tokenize,
+    tokenize,  # noqa: F401  (re-exported; the benchmark's tracer wraps it here)
 )
 from .report import (
     ChartError,
@@ -453,14 +454,18 @@ def stage_ingest(config: RunConfig) -> IngestResult:
         cache = None
         if not isinstance(translator, IdentityTranslator):
             cache = TranslationCache(Path(config.cache_dir) / "translate")
-        report = translate_all(
-            load.records, translator,
-            parallelism=config.translation_parallelism,
-            cache=cache,
-            source=config.translation_source,
-            target=config.translation_target,
-            batch_size=config.translation_batch_size,
-        )
+        try:
+            report = translate_all(
+                load.records, translator,
+                parallelism=config.translation_parallelism,
+                cache=cache,
+                source=config.translation_source,
+                target=config.translation_target,
+                batch_size=config.translation_batch_size,
+            )
+        finally:
+            if isinstance(translator, SubprocessTranslator):
+                translator.close()
         records = report.records
         write_survey(records, out / "stages" / "records.csv")
         write_wages(wages.levels, out / "stages" / "wages.csv")
@@ -514,21 +519,23 @@ def _classify_backend(backend: BackendConfig, grouped: Mapping[MonthKey, list[Su
     """Classify every month for one backend; returns (by month, wire calls, extras)."""
     extras: dict = {}
     if backend.kind == "lexicon":
-        lexicons = rolling_lexicons(grouped, wages, sorted(grouped), config.lexicon)
+        # Called on the module, where the benchmark's tracer wraps it.
+        counts = lexicon.monthly_term_counts(grouped)
+        lexicons = rolling_lexicons(grouped, wages, sorted(grouped), config.lexicon,
+                                    term_counts=counts)
         classified: ClassifiedMap = {}
         # Month-level word-count aggregate logged alongside the per-comment
-        # classification for comparison.
+        # classification for comparison; both use the same occurrence counts.
         wordcount_rows = ["as_of,positive_occurrences,negative_occurrences,wordcount_index"]
         for month in sorted(lexicons):
-            lex = lexicons[month]
-            adapter = LexiconBackend(lex, config.lexicon.smoothing,
+            records = grouped[month]
+            occurrences = {text: occurrence_counts(counts.tokens[text], lexicons[month])
+                           for text in {r.text for r in records}}
+            adapter = LexiconBackend(occurrences, config.lexicon.smoothing,
                                      backend_id=backend.backend_id)
-            classified[month] = classify_month(grouped[month], adapter)
-            p_total = n_total = 0
-            for record in grouped[month]:
-                p, n = occurrence_counts(tokenize(record.text), lex)
-                p_total += p
-                n_total += n
+            classified[month] = classify_month(records, adapter)
+            p_total = sum(occurrences[r.text][0] for r in records)
+            n_total = sum(occurrences[r.text][1] for r in records)
             ratio = ((p_total - n_total) / (p_total + n_total) * 100.0
                      if p_total + n_total else 0.0)
             wordcount_rows.append(f"{month},{p_total},{n_total},{ratio!r}")

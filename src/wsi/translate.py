@@ -105,6 +105,24 @@ class SubprocessTranslator:
             raise TranslationError("malformed translation response")
         return [str(t) for t in translations]
 
+    def close(self) -> None:
+        """Stop the child: close its input, wait up to ``timeout`` seconds
+        for it to exit, and kill it if it is still running."""
+        with self._lock:
+            proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()  # type: ignore[union-attr]
+        except OSError:
+            pass  # the child is gone already; wait() below reaps it
+        try:
+            proc.wait(timeout=self.timeout)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()  # type: ignore[union-attr]
+
 
 def text_digest(text: str, backend_id: str) -> str:
     """Stable 256-bit content key for one (source text, backend) pair."""

@@ -1,3 +1,5 @@
+import json
+import math
 import sys
 
 import pytest
@@ -74,6 +76,18 @@ class TestNormalize:
         assert got.u == 0.0
         with pytest.raises(ValueError):
             normalize_triple(-0.2, 0.6, 0.6)
+
+    @pytest.mark.parametrize("triple, error", [
+        ((math.nan, 1, 0), ValueError),
+        ((math.inf, 1, 0), ValueError),
+        ((0.5, -math.inf, 0), ValueError),
+        (("a", 1, 0), TypeError),
+        ((None, 1, 0), TypeError),
+        ((True, 0, 0), TypeError),
+    ])
+    def test_non_finite_and_non_numeric_rejected(self, triple, error):
+        with pytest.raises(error):
+            normalize_triple(*triple)
 
     @given(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)).filter(
         lambda t: sum(t) > 1e-6))
@@ -210,6 +224,39 @@ class TestClassifyBatch:
 
         result = classify_batch(["text"], spec(max_retries=0), transport=transport)
         assert result.failed == [True]
+
+    @pytest.mark.parametrize("body", [
+        {"probabilities": [[-0.5, 1, 0], [1, 0, 0]]},
+        {"probabilities": [[math.inf, 1, 0], [1, 0, 0]]},
+        {"probabilities": [["a", 1, 0], [1, 0, 0]]},
+        {"probabilities": [[0, 1, 0], [1, 0, 0]], "unrelated": 5},
+        {"probabilities": [[math.nan, 1, 0], [1, 0, 0]]},
+        [[0, 1, 0], [1, 0, 0]],
+    ], ids=["negative", "inf", "string", "unrelated-not-a-list", "nan", "not-an-object"])
+    def test_malformed_row_fails_the_attempt_and_is_not_cached(self, body, tmp_path):
+        from wsi.pipeline import CachedRemoteClassifier, ClassificationCache
+
+        def transport(payload):
+            if payload["model"] == "primary":
+                return json.loads(json.dumps(body))  # as it arrives off the wire
+            return {"probabilities": [[0.0, 0.0, 1.0]] * len(payload["comments"])}
+
+        texts = ["first comment", "second comment"]
+        cache = ClassificationCache(tmp_path / "cache")
+        failing = CachedRemoteClassifier(
+            RemoteClassifier(spec(max_retries=1), transport=transport), cache)
+        result = failing.classify_batch(texts)
+        assert result.failed == [True, True]
+        assert result.wire_calls == 2
+        assert all(p == UNRELATED for p in result.probs)
+        assert all(cache.get(t, "primary") is None for t in texts)
+        assert not list((tmp_path / "cache").rglob("*.json"))
+
+        rescued = RemoteClassifier(spec(fallback_model_id="backup", max_retries=1),
+                                   transport=transport).classify_batch(texts)
+        assert rescued.failed == [False, False]
+        assert rescued.wire_calls == 3  # two primary attempts, then the fallback
+        assert [p.as_tuple() for p in rescued.probs] == [(0.0, 0.0, 1.0)] * 2
 
     def test_empty_and_blank_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import wsi.lexicon
 from wsi.classify import HardLabel, UNRELATED
 from wsi.corpus import MonthKey, WageSeries, month_range
+from wsi.econometrics import UndefinedCorrelationError, pearson
 from wsi.lexicon import (
     Lexicon,
     LexiconPolicy,
@@ -14,9 +17,11 @@ from wsi.lexicon import (
     audit_rows,
     build_term_stats,
     lexicon_classify,
+    monthly_term_counts,
     occurrence_counts,
     rolling_lexicons,
     select_lexicon,
+    term_correlations,
     tokenize,
     window_for,
 )
@@ -143,9 +148,185 @@ class TestBuildTermStats:
         assert bonus.correlation == pytest.approx(num / den, abs=1e-12)
 
 
+def pearson_or_nan(xs, ys):
+    try:
+        return pearson(xs, ys)
+    except UndefinedCorrelationError:
+        return math.nan
+
+
+def assert_matches_pearson(freqs, growth):
+    got = term_correlations(freqs, growth)
+    assert got.shape == (len(freqs),)
+    for row, corr in zip(freqs, got):
+        expected = pearson_or_nan(row, growth)
+        if math.isnan(expected):
+            assert math.isnan(corr)
+        else:
+            assert abs(corr - expected) <= 1e-12
+            assert -1.0 <= corr <= 1.0
+
+
+class TestTermCorrelations:
+    def test_seeded_matrices_match_pearson(self):
+        rng = np.random.default_rng(17)
+        for width in (2, 3, 7, 24, 65, 200):
+            freqs = rng.integers(0, 30, size=(40, width))
+            freqs[3] = 0                     # all-zero row
+            freqs[5] = 9                     # constant row: zero variance
+            freqs[8] = freqs[11]             # duplicate rows
+            freqs[12, :] = rng.integers(0, 2, size=width) * 1000  # large counts
+            growth = rng.normal(2.0, 1.5, size=width)
+            assert_matches_pearson(freqs, growth)
+
+    @given(st.integers(2, 12).flatmap(lambda w: st.tuples(
+        st.lists(st.lists(st.integers(0, 50), min_size=w, max_size=w),
+                 min_size=1, max_size=8),
+        st.lists(st.floats(-20, 20, allow_nan=False), min_size=w, max_size=w))))
+    def test_random_matrices_match_pearson(self, case):
+        rows, growth = case
+        assert_matches_pearson(np.array(rows), growth)
+
+    def test_one_term_vocabulary(self):
+        assert_matches_pearson(np.array([[3, 8, 5, 9]]), [0.5, 1.5, 1.0, 2.5])
+
+    def test_zero_variance_growth_leaves_every_term_undefined(self):
+        got = term_correlations(np.array([[1, 5, 2], [0, 0, 0]]), [2.0, 2.0, 2.0])
+        assert np.isnan(got).all()
+
+    def test_identical_rows_get_bit_identical_correlations(self):
+        """Exact ties stay ties, so select_lexicon cuts them alphabetically."""
+        rng = np.random.default_rng(5)
+        for width in (5, 31, 64, 129):
+            base = rng.integers(0, 20, size=width)
+            freqs = np.vstack([rng.integers(0, 20, size=(13, width)), base,
+                               rng.integers(0, 20, size=(6, width)), base, base])
+            got = term_correlations(freqs, rng.normal(size=width))
+            assert got[13] == got[20] == got[21]
+
+    def test_empty_vocabulary(self):
+        assert term_correlations(np.zeros((0, 4)), [1.0, 2.0, 3.0, 5.0]).shape == (0,)
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError):
+            term_correlations(np.ones((2, 3)), [1.0, 2.0])
+        with pytest.raises(ValueError):
+            term_correlations(np.ones((2, 1)), [1.0])
+
+
+def random_corpus(seed, n_months=18, vocab=("bonus", "cut", "shop", "pay", "staff", "rare")):
+    rng = random.Random(seed)
+    months = month_range(START, START.plus(n_months - 1))
+    grouped = {}
+    for month in months:
+        if rng.random() < 0.1:
+            continue  # a month without comments
+        grouped[month] = [
+            make_record(month, " ".join(rng.choices(vocab, k=rng.randint(1, 6))))
+            for _ in range(rng.randint(3, 12))
+        ]
+    growth = {m: rng.uniform(-3.0, 3.0) for m in months}
+    return grouped, wages_with_growth(growth), months
+
+
+class TestTermCounts:
+    def test_matrix_matches_per_token_loop(self):
+        grouped, _, _ = random_corpus(3)
+        counts = monthly_term_counts(grouped)
+        expected = {}
+        for month, records in grouped.items():
+            for record in records:
+                for token in tokenize(record.text):
+                    expected[(token, month)] = expected.get((token, month), 0) + 1
+        assert list(counts.terms) == sorted({t for t, _ in expected})
+        assert len(counts) == len(counts.terms)
+        assert list(counts.months) == month_range(min(grouped), max(grouped))
+        for i, term in enumerate(counts.terms):
+            for j, month in enumerate(counts.months):
+                assert counts.matrix[i, j] == expected.get((term, month), 0)
+
+    def test_window_counts_zero_outside_the_corpus(self):
+        grouped = corpus_from_counts({"w": {START.plus(1): 2, START.plus(2): 3}})
+        counts = monthly_term_counts(grouped)
+        window = month_range(START, START.plus(3))
+        assert counts.terms == ("mentioned", "w")
+        assert counts.window_counts(window).tolist() == [[0, 2, 3, 0], [0, 2, 3, 0]]
+
+    def test_each_distinct_text_tokenized_once(self, monkeypatch):
+        calls = []
+
+        def counting_tokenize(text, stop_words=STOP_WORDS):
+            calls.append(text)
+            return tokenize(text, stop_words)
+
+        grouped, wages, months = build_planted_setup()
+        monkeypatch.setattr(wsi.lexicon, "tokenize", counting_tokenize)
+        counts = monthly_term_counts(grouped)
+        lexicons = rolling_lexicons(grouped, wages, months, term_counts=counts)
+        assert lexicons
+        texts = {r.text for records in grouped.values() for r in records}
+        assert sorted(calls) == sorted(texts)
+        assert set(counts.tokens) == texts
+
+
+def bare_corpus(counts_by_term):
+    """Grouped records whose comments are the bare terms, nothing else."""
+    grouped = {}
+    for term, monthly in counts_by_term.items():
+        for month, count in monthly.items():
+            grouped.setdefault(month, []).extend(make_record(month, term) for _ in range(count))
+    return grouped
+
+
+class TestTermStatsKernel:
+    def test_build_term_stats_matches_per_term_pearson_loop(self):
+        for seed in range(6):
+            grouped, wages, months = random_corpus(seed)
+            window = months[2:15]
+            for threshold in (0.0, 1.0, 2.5):
+                stats = build_term_stats(grouped, wages, window,
+                                         min_mean_frequency=threshold)
+                growth = [wages.yoy(m) for m in window]
+                expected = []
+                for term in sorted({t for m in window for r in grouped.get(m, [])
+                                    for t in tokenize(r.text)}):
+                    freqs = [sum(tokenize(r.text).count(term) for r in grouped.get(m, []))
+                             for m in window]
+                    mean = sum(freqs) / len(window)
+                    if mean >= threshold:
+                        expected.append((term, mean, pearson_or_nan(freqs, growth)))
+                assert [(s.term, s.mean_frequency) for s in stats] == \
+                    [(t, m) for t, m, _ in expected]
+                for s, (_, _, corr) in zip(stats, expected):
+                    if math.isnan(corr):
+                        assert s.correlation is None
+                    else:
+                        assert abs(s.correlation - corr) <= 1e-12
+
+    def test_varying_row_with_mean_exactly_at_threshold_is_ranked(self):
+        window = month_range(START, START.plus(3))
+        counts = {"atfive": dict(zip(window, (4, 6, 3, 7))),   # mean exactly 5
+                  "below": dict(zip(window, (4, 6, 3, 6)))}    # mean 4.75
+        stats = build_term_stats(bare_corpus(counts),
+                                 wages_with_growth({m: float(i) for i, m in enumerate(window)}),
+                                 window)
+        assert [s.term for s in stats] == ["atfive"]
+        assert stats[0].mean_frequency == 5.0
+        assert abs(stats[0].correlation - pearson([4, 6, 3, 7], [0.0, 1.0, 2.0, 3.0])) <= 1e-12
+
+    def test_one_term_vocabulary(self):
+        window = month_range(START, START.plus(5))
+        grouped = bare_corpus({"solo": dict(zip(window, (5, 7, 6, 9, 8, 10)))})
+        growth = {m: float(i) for i, m in enumerate(window)}
+        stats = build_term_stats(grouped, wages_with_growth(growth), window)
+        assert [s.term for s in stats] == ["solo"]
+        assert abs(stats[0].correlation
+                   - pearson([5, 7, 6, 9, 8, 10], list(growth.values()))) <= 1e-12
+
+
 def stats_from(corrs):
     return [
-        TermStats(term=t, monthly={}, mean_frequency=10.0, correlation=c)
+        TermStats(term=t, mean_frequency=10.0, correlation=c)
         for t, c in corrs.items()
     ]
 
@@ -187,6 +368,13 @@ class TestSelectLexicon:
         assert [t for t, _ in lex.positive] == ["pos"]
         assert [t for t, _ in lex.negative] == ["neg"]
 
+    def test_term_sets_built_once(self):
+        lex = lexicon_with(["bonus", "raise"], ["cut"])
+        assert lex.positive_terms is lex.positive_terms
+        assert lex.negative_terms is lex.negative_terms
+        assert lex.positive_terms == {"bonus", "raise"}
+        assert lex.negative_terms == {"cut"}
+
     def test_window_end_enforced(self):
         with pytest.raises(ValueError):
             Lexicon(as_of=MonthKey(2020, 6), window_end=MonthKey(2020, 5),
@@ -194,7 +382,7 @@ class TestSelectLexicon:
 
     def test_unranked_terms_ignored(self):
         stats = stats_from({"a": 0.5}) + [
-            TermStats(term="b", monthly={}, mean_frequency=10.0, correlation=None)
+            TermStats(term="b", mean_frequency=10.0, correlation=None)
         ]
         lex = select_lexicon(stats, MonthKey(2020, 6))
         assert [t for t, _ in lex.positive] == ["a"]

@@ -182,6 +182,29 @@ class TestWireBackendCaching:
         assert int(poisoned[7]) == int(clean[7]) - 2
 
 
+def test_cmd_translator_child_is_stopped_after_ingest(small_corpus, monkeypatch):
+    import subprocess
+    import sys
+
+    from conftest import WIRE_STUB
+
+    children = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            children.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    config = config_for(small_corpus, translation_backend=f"cmd:{sys.executable} {WIRE_STUB}",
+                        translation_parallelism=2)
+    result = run(config)
+    assert json.loads((result.out_dir / "stages" / "ingest.json").read_text())[
+        "translation_failed"] == 0
+    assert children
+    assert all(child.poll() is not None for child in children)
+
+
 class TestTwoBackends:
     def test_two_series_two_sweeps_one_comparison_table(self, small_corpus):
         backends = [
@@ -200,6 +223,36 @@ class TestTwoBackends:
         # lexicon audit artifacts ship alongside
         assert (out / "stages" / "lexicon_audit.csv").exists()
         assert (out / "stages" / "lexicon_wordcounts.csv").exists()
+
+    def test_lexicon_tokenizes_each_text_once_and_word_counts_agree(
+            self, small_corpus, monkeypatch):
+        import wsi.lexicon
+        from wsi.corpus import group_by_month, load_surveys
+
+        calls = []
+        real_tokenize = wsi.lexicon.tokenize
+
+        def counting_tokenize(text, *args):
+            calls.append(text)
+            return real_tokenize(text, *args)
+
+        monkeypatch.setattr(wsi.lexicon, "tokenize", counting_tokenize)
+        backends = [BackendConfig(backend_id="baseline", kind="lexicon")]
+        out = run(config_for(small_corpus, backends=backends)).out_dir
+        grouped = group_by_month(load_surveys([out / "stages" / "records.csv"]).records)
+        assert sorted(calls) == sorted({r.text for rs in grouped.values() for r in rs})
+
+        terms = {}
+        for line in (out / "stages" / "lexicon_audit.csv").read_text().splitlines()[1:]:
+            as_of, polarity, _, term, _ = line.split(",")
+            terms.setdefault((as_of, polarity), set()).add(term)
+        rows = (out / "stages" / "lexicon_wordcounts.csv").read_text().splitlines()[1:]
+        assert rows
+        for row in rows:
+            as_of, p_total, n_total, _ = row.split(",")
+            tokens = [t for r in grouped[MonthKey.parse(as_of)] for t in real_tokenize(r.text)]
+            assert int(p_total) == sum(t in terms.get((as_of, "positive"), ()) for t in tokens)
+            assert int(n_total) == sum(t in terms.get((as_of, "negative"), ()) for t in tokens)
 
     def test_lexicon_series_starts_after_warmup(self, small_corpus):
         backends = [BackendConfig(backend_id="baseline", kind="lexicon")]

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 
@@ -117,6 +118,34 @@ def test_subprocess_translator_round_trip():
     backend = SubprocessTranslator(f"{sys.executable} {WIRE_STUB}")
     out = backend.translate(["hello there", "second text"], "ja", "en")
     assert out == ["HELLO THERE", "SECOND TEXT"]
+
+
+def test_subprocess_translator_close_ends_the_child():
+    backend = SubprocessTranslator(f"{sys.executable} {WIRE_STUB}")
+    backend.translate(["hello"], "ja", "en")
+    child = backend._proc
+    backend.close()
+    assert child.returncode == 0  # saw end of input and exited on its own
+    backend.close()  # closing twice, or with no child started, does nothing
+    SubprocessTranslator(f"{sys.executable} {WIRE_STUB}").close()
+
+
+def test_subprocess_translator_close_kills_a_child_that_ignores_eof(tmp_path):
+    script = tmp_path / "stubborn.py"
+    script.write_text(
+        "import json, sys, time\n"
+        "for line in sys.stdin:\n"
+        "    texts = json.loads(line)['texts']\n"
+        "    print(json.dumps({'translations': texts}), flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    backend = SubprocessTranslator(f"exec {sys.executable} {script}", timeout=0.2)
+    assert backend.translate(["hello"], "ja", "en") == ["hello"]
+    child = backend._proc
+    started = time.perf_counter()
+    backend.close()
+    assert time.perf_counter() - started < 10.0
+    assert child.returncode is not None and child.returncode < 0  # killed
 
 
 def test_http_translator_round_trip(wire_server):
