@@ -6,28 +6,29 @@ speaking one JSON object per line):
     request  {"model": "...", "comments": ["..."], "labels": ["increase", "decrease", "neutral"]}
     response {"probabilities": [[u, v, w], ...], "unrelated": [bool, ...]?}
 
-The remote client adds batching, bounded retries with exponential backoff,
-and fallback-model switching. A deterministic keyword classifier serves as
-the test double.
+The transports and the retry loop live in ``wsi.wire``; the remote client
+adds batching and fallback-model switching on top of them. A deterministic
+keyword classifier serves as the test double.
 """
 
 from __future__ import annotations
 
-import json
+import logging
 import math
 import numbers
 import re
-import subprocess
-import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Iterable, Protocol, Sequence
 
+from . import wire
 from .corpus import SurveyRecord
+# HttpTransport is re-exported: the benchmark's tracer wraps it under this name.
+from .wire import HttpTransport, Transport, TransportError  # noqa: F401
+
+log = logging.getLogger("wsi")
 
 WIRE_LABELS = ("increase", "decrease", "neutral")
 PROMPT_VERSION = "v1"
@@ -129,8 +130,9 @@ class ClassifiedComment:
 class BackendSpec:
     """Remote classifier endpoint description.
 
-    ``endpoint`` is either an http(s) URL or a child-process command line;
-    transport is inferred from the prefix.
+    ``endpoint`` is either an http(s) URL or a child-process command line
+    (optionally written ``cmd:<command>``); ``wire.transport`` picks the
+    transport from the prefix.
     """
 
     endpoint: str
@@ -150,95 +152,18 @@ class BackendSpec:
             raise ValueError("max_retries must be >= 0")
 
 
-class TransportError(RuntimeError):
-    """A wire call failed (connection, timeout, or malformed response)."""
-
-
-Transport = Callable[[dict], dict]
-
-
-class HttpTransport:
-    def __init__(self, url: str, timeout: float):
-        self.url = url
-        self.timeout = timeout
-
-    def __call__(self, payload: dict) -> dict:
-        body = json.dumps(payload).encode("utf-8")
-        request = urllib.request.Request(
-            self.url, data=body, headers={"Content-Type": "application/json"}
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
-            raise TransportError(f"http call to {self.url} failed: {exc}") from exc
-
-
-class SubprocessTransport:
-    """Line-JSON protocol against a long-lived child process.
-
-    The request/response round trip is serialized; concurrent callers
-    queue on one lock rather than interleaving lines on the pipe.
-    """
-
-    def __init__(self, command: str, timeout: float):
-        self.command = command
-        self.timeout = timeout
-        self._proc: subprocess.Popen | None = None
-        self._lock = threading.Lock()
-
-    def _ensure_process(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
-            self._proc = subprocess.Popen(
-                self.command,
-                shell=True,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-            )
-        return self._proc
-
-    def __call__(self, payload: dict) -> dict:
-        with self._lock:
-            proc = self._ensure_process()
-            try:
-                assert proc.stdin is not None and proc.stdout is not None
-                proc.stdin.write(json.dumps(payload) + "\n")
-                proc.stdin.flush()
-                line = proc.stdout.readline()
-            except (OSError, ValueError) as exc:
-                raise TransportError(f"child process call failed: {exc}") from exc
-        if not line:
-            raise TransportError(f"child process {self.command!r} closed its output")
-        try:
-            return json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TransportError(f"malformed child process line: {exc}") from exc
-
-    def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()  # type: ignore[union-attr]
-            self._proc.wait(timeout=5)
-        self._proc = None
-
-
-def transport_for(spec: BackendSpec) -> Transport:
-    if spec.endpoint.startswith(("http://", "https://")):
-        return HttpTransport(spec.endpoint, spec.timeout)
-    return SubprocessTransport(spec.endpoint, spec.timeout)
-
-
 @dataclass
 class BatchResult:
-    """Position-aligned classification output for one list of comments."""
+    """Position-aligned classification output for one list of comments.
+
+    ``models`` names, for a remote classifier, the model that answered each
+    comment (None where it failed); local classifiers leave it empty.
+    """
 
     probs: list[ClassProbabilities]
     failed: list[bool]
     wire_calls: int = 0
-
-    @property
-    def failure_count(self) -> int:
-        return sum(self.failed)
+    models: list[str | None] = field(default_factory=list)
 
 
 class Classifier(Protocol):
@@ -284,13 +209,6 @@ class KeywordClassifier:
         return BatchResult(probs=probs, failed=[False] * len(probs), wire_calls=0)
 
 
-def mock_keyword_classifier(
-    rules: Sequence[tuple[Iterable[str], tuple[float, float, float]]],
-    backend_id: str = "keyword-mock",
-) -> KeywordClassifier:
-    return KeywordClassifier(rules, backend_id=backend_id)
-
-
 DEFAULT_KEYWORD_RULES: tuple[tuple[tuple[str, ...], tuple[float, float, float]], ...] = (
     (("raise", "raised", "raises", "bonus", "bonuses", "increase", "increased"), (1.0, 0.0, 0.0)),
     (("cut", "cuts", "reduction", "reduced", "decrease", "decreased"), (0.0, 1.0, 0.0)),
@@ -310,23 +228,15 @@ class RemoteClassifier:
                  sleep: Callable[[float], None] = time.sleep):
         self.spec = spec
         self.backend_id = backend_id or spec.model_id
-        self.transport = transport if transport is not None else transport_for(spec)
+        self.transport = transport if transport is not None else wire.transport(
+            spec.endpoint, spec.timeout)
         self._sleep = sleep
 
     def _call_model(self, comments: Sequence[str], model_id: str) -> tuple[list[ClassProbabilities] | None, int]:
         """One model's bounded attempts on one batch; returns (probs, calls)."""
-        calls = 0
         payload = {"model": model_id, "comments": list(comments), "labels": list(WIRE_LABELS)}
-        for attempt in range(self.spec.max_retries + 1):
-            if attempt > 0 and self.spec.retry_base_delay > 0:
-                self._sleep(self.spec.retry_base_delay * 2 ** (attempt - 1))
-            calls += 1
-            try:
-                response = self.transport(payload)
-                return self._parse_response(response, len(comments)), calls
-            except TransportError:
-                continue
-        return None, calls
+        return wire.retry(lambda: self._parse_response(self.transport(payload), len(comments)),
+                          self.spec.max_retries, self.spec.retry_base_delay, self._sleep)
 
     @staticmethod
     def _parse_response(response: dict, expected: int) -> list[ClassProbabilities]:
@@ -353,21 +263,24 @@ class RemoteClassifier:
                 raise TransportError(f"malformed probability row {row!r}: {exc}") from exc
         return out
 
-    def _classify_chunk(self, chunk: Sequence[str]) -> tuple[list[ClassProbabilities], list[bool], int]:
+    def _classify_chunk(self, chunk: Sequence[str]) -> BatchResult:
+        """One batch, primary model first; ``models`` names who answered."""
         calls = 0
         models = [self.spec.model_id]
         if self.spec.fallback_model_id:
             models.append(self.spec.fallback_model_id)
-        for model_id in models:
+        for i, model_id in enumerate(models):
+            if i > 0:
+                log.warning("model %s failed on a batch of %d comments; switching to "
+                            "fallback model %s", models[i - 1], len(chunk), model_id)
             probs, model_calls = self._call_model(chunk, model_id)
             calls += model_calls
             if probs is not None:
-                return probs, [False] * len(chunk), calls
-        return [UNRELATED] * len(chunk), [True] * len(chunk), calls
+                return BatchResult(probs, [False] * len(chunk), calls, [model_id] * len(chunk))
+        return BatchResult([UNRELATED] * len(chunk), [True] * len(chunk), calls,
+                           [None] * len(chunk))
 
     def classify_batch(self, comments: Sequence[str], parallelism: int = 1) -> BatchResult:
-        if not comments:
-            return BatchResult([], [], 0)
         if any(not c for c in comments):
             raise ValueError("comments must be non-empty")
         size = self.spec.batch_size
@@ -377,24 +290,13 @@ class RemoteClassifier:
                 outcomes = list(pool.map(self._classify_chunk, chunks))
         else:
             outcomes = [self._classify_chunk(chunk) for chunk in chunks]
-        probs: list[ClassProbabilities] = []
-        failed: list[bool] = []
-        calls = 0
-        for chunk_probs, chunk_failed, chunk_calls in outcomes:
-            probs.extend(chunk_probs)
-            failed.extend(chunk_failed)
-            calls += chunk_calls
-        return BatchResult(probs=probs, failed=failed, wire_calls=calls)
-
-
-def classify_batch(comments: Sequence[str], backend: BackendSpec,
-                   transport: Transport | None = None,
-                   parallelism: int = 1) -> BatchResult:
-    """Classify a list of comments against a remote backend spec."""
-    if not comments:
-        raise ValueError("comments must be non-empty")
-    client = RemoteClassifier(backend, transport=transport)
-    return client.classify_batch(comments, parallelism=parallelism)
+        result = BatchResult([], [])
+        for outcome in outcomes:
+            result.probs.extend(outcome.probs)
+            result.failed.extend(outcome.failed)
+            result.models.extend(outcome.models)
+            result.wire_calls += outcome.wire_calls
+        return result
 
 
 def classify_month(records: Sequence[SurveyRecord], classifier: Classifier,

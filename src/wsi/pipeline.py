@@ -15,8 +15,8 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -64,12 +64,12 @@ from .report import (
     summarize_corpus,
 )
 from .translate import (
-    HttpTranslator,
     IdentityTranslator,
-    SubprocessTranslator,
+    RemoteTranslator,
     TranslationCache,
     translate_all,
 )
+from .wire import ContentCache, atomic_write
 
 log = logging.getLogger("wsi")
 
@@ -90,58 +90,32 @@ class ConfigError(ValueError):
     """The run configuration is invalid."""
 
 
-def cache_key(comment: str, model_id: str, prompt_version: str = PROMPT_VERSION) -> str:
-    """Stable content digest for one classification request."""
-    payload = json.dumps([comment, model_id, prompt_version])
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+class ClassificationCache(ContentCache):
+    """Per-comment classification results keyed by (comment, model, prompt version)."""
 
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-class ClassificationCache:
-    """Per-comment classification results, one file per digest."""
-
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-
-    def _path(self, digest: str) -> Path:
-        return self.directory / digest[:2] / f"{digest}.json"
-
-    def get(self, comment: str, model_id: str,
-            prompt_version: str = PROMPT_VERSION) -> ClassProbabilities | None:
-        path = self._path(cache_key(comment, model_id, prompt_version))
-        if not path.exists():
-            return None
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-            return ClassProbabilities(entry["u"], entry["v"], entry["w"])
-        except (OSError, ValueError, KeyError):
-            return None
+    def get(self, comment: str, model_id: str, prompt_version: str = PROMPT_VERSION,
+            fallback_model_id: str | None = None) -> ClassProbabilities | None:
+        """The entry under ``model_id``, else the one under ``fallback_model_id``."""
+        for model in (model_id, fallback_model_id):
+            if model is not None:
+                probs = self.read((comment, model, prompt_version),
+                                  lambda e: ClassProbabilities(e["u"], e["v"], e["w"]))
+                if probs is not None:
+                    return probs
+        return None
 
     def put(self, comment: str, model_id: str, probs: ClassProbabilities,
             prompt_version: str = PROMPT_VERSION) -> None:
-        digest = cache_key(comment, model_id, prompt_version)
-        payload = json.dumps({"u": probs.u, "v": probs.v, "w": probs.w}, sort_keys=True)
-        with self._lock:
-            _atomic_write(self._path(digest), payload)
+        self.write((comment, model_id, prompt_version),
+                   json.dumps({"u": probs.u, "v": probs.v, "w": probs.w}, sort_keys=True))
 
 
 class CachedRemoteClassifier:
     """Remote classifier that consults the cache before the wire.
 
     Failures are never cached; duplicate comment texts hit the wire once.
+    Each answer is stored under the model that gave it, and a read tries
+    the primary model's entry before the fallback model's.
     ``wire_calls_total`` accumulates across batches for reporting.
     """
 
@@ -155,9 +129,10 @@ class CachedRemoteClassifier:
         self._calls_lock = threading.Lock()
 
     def classify_batch(self, comments: Sequence[str]) -> BatchResult:
-        model_id = self.inner.spec.model_id
+        spec = self.inner.spec
         probs: list[ClassProbabilities | None] = [
-            self.cache.get(c, model_id, self.prompt_version) for c in comments
+            self.cache.get(c, spec.model_id, self.prompt_version, spec.fallback_model_id)
+            for c in comments
         ]
         failed = [False] * len(comments)
         pending: dict[str, list[int]] = {}
@@ -169,12 +144,13 @@ class CachedRemoteClassifier:
             texts = list(pending)
             result = self.inner.classify_batch(texts)
             wire_calls = result.wire_calls
-            for text, p, was_failed in zip(texts, result.probs, result.failed):
+            for text, p, was_failed, model in zip(texts, result.probs, result.failed,
+                                                  result.models):
                 for i in pending[text]:
                     probs[i] = p
                     failed[i] = was_failed
                 if not was_failed:
-                    self.cache.put(text, model_id, p, self.prompt_version)
+                    self.cache.put(text, model, p, self.prompt_version)
         with self._calls_lock:
             self.wire_calls_total += wire_calls
         final = [p if p is not None else ClassProbabilities(0.0, 0.0, 0.0) for p in probs]
@@ -384,30 +360,26 @@ def _resolve_out(config: RunConfig, stage: str) -> Path:
 
 def _write_failed_marker(out: Path, stage: str, cause: str) -> None:
     try:
-        _atomic_write(out / "FAILED", f"stage: {stage}\ncause: {cause}\n")
+        atomic_write(out / "FAILED", f"stage: {stage}\ncause: {cause}\n")
     except OSError:
         pass
 
 
+@contextmanager
 def _stage(out: Path, name: str):
-    """Decorator-ish context: convert any stage exception into StageError."""
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                _write_failed_marker(out, name, str(exc))
-                raise StageError(name, str(exc)) from exc
-            if isinstance(exc, StageError):
-                _write_failed_marker(out, exc.stage, exc.cause)
-            return False
-
-    return _Ctx()
+    """Convert any stage exception into StageError and leave a FAILED marker."""
+    try:
+        yield
+    except StageError as exc:
+        _write_failed_marker(out, exc.stage, exc.cause)
+        raise
+    except BaseException as exc:
+        _write_failed_marker(out, name, str(exc))
+        raise StageError(name, str(exc)) from exc
 
 
 def _write_json(path: Path, data) -> None:
-    _atomic_write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _read_json(path: Path):
@@ -419,10 +391,8 @@ def _translator(config: RunConfig):
     spec = config.translation_backend
     if spec == "identity":
         return IdentityTranslator()
-    if spec.startswith("http:") and "//" in spec:
-        return HttpTranslator(spec)
-    if spec.startswith("cmd:"):
-        return SubprocessTranslator(spec[len("cmd:"):])
+    if spec.startswith(("http://", "https://", "cmd:")):
+        return RemoteTranslator(spec)
     raise ConfigError(f"unknown translation backend: {spec}")
 
 
@@ -464,15 +434,15 @@ def stage_ingest(config: RunConfig) -> IngestResult:
                 batch_size=config.translation_batch_size,
             )
         finally:
-            if isinstance(translator, SubprocessTranslator):
+            if isinstance(translator, RemoteTranslator):
                 translator.close()
         records = report.records
         write_survey(records, out / "stages" / "records.csv")
         write_wages(wages.levels, out / "stages" / "wages.csv")
         summary = summarize_corpus(records)
-        _atomic_write(out / "summary" / "judgment.csv", summary.judgment_csv())
-        _atomic_write(out / "summary" / "region.csv", summary.region_csv())
-        _atomic_write(out / "summary" / "month.csv", summary.month_csv())
+        atomic_write(out / "summary" / "judgment.csv", summary.judgment_csv())
+        atomic_write(out / "summary" / "region.csv", summary.region_csv())
+        atomic_write(out / "summary" / "month.csv", summary.month_csv())
         _write_json(out / "stages" / "ingest.json", {
             "records": len(records),
             "row_errors": len(load.errors),
@@ -545,17 +515,19 @@ def _classify_backend(backend: BackendConfig, grouped: Mapping[MonthKey, list[Su
 
     classifier = _build_classifier(backend, Path(config.cache_dir))
     months = sorted(grouped)
-    classified = {}
-    if config.classify_parallelism > 1 and len(months) > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    try:
+        if config.classify_parallelism > 1 and len(months) > 1:
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=config.classify_parallelism) as pool:
-            results = list(pool.map(lambda m: classify_month(grouped[m], classifier), months))
-        for month, month_result in zip(months, results):
-            classified[month] = month_result
-    else:
-        for month in months:
-            classified[month] = classify_month(grouped[month], classifier)
+            with ThreadPoolExecutor(max_workers=config.classify_parallelism) as pool:
+                results = list(pool.map(lambda m: classify_month(grouped[m], classifier),
+                                        months))
+        else:
+            results = [classify_month(grouped[month], classifier) for month in months]
+    finally:
+        if isinstance(classifier, CachedRemoteClassifier):
+            classifier.inner.transport.close()
+    classified = dict(zip(months, results))
     # Local classifiers never touch the wire; remote ones accumulate a total.
     return classified, getattr(classifier, "wire_calls_total", 0), extras
 
@@ -632,13 +604,13 @@ def stage_classify(config: RunConfig, ingest: IngestResult | None = None,
                 "failed_comments": failed,
                 "excluded_comments": excluded,
             }
-            _atomic_write(out / "stages" / "classified" / f"{backend.backend_id}.csv",
-                          _classified_csv(classified))
+            atomic_write(out / "stages" / "classified" / f"{backend.backend_id}.csv",
+                         _classified_csv(classified))
             if "lexicon_audit" in extras:
-                _atomic_write(out / "stages" / "lexicon_audit.csv",
-                              "\n".join(extras["lexicon_audit"]) + "\n")
-                _atomic_write(out / "stages" / "lexicon_wordcounts.csv",
-                              "\n".join(extras["lexicon_wordcounts"]) + "\n")
+                atomic_write(out / "stages" / "lexicon_audit.csv",
+                             "\n".join(extras["lexicon_audit"]) + "\n")
+                atomic_write(out / "stages" / "lexicon_wordcounts.csv",
+                             "\n".join(extras["lexicon_wordcounts"]) + "\n")
             log.info("classified %s: %d months, %d failures",
                      backend.backend_id, len(classified), failed)
         _write_json(out / "stages" / "classify.json", stats)
@@ -680,8 +652,8 @@ def stage_index(config: RunConfig,
                 log.warning("%s: every month empty after exclusions", backend_id)
                 continue
             series[backend_id] = result
-            _atomic_write(out / "series" / f"{backend_id}.csv",
-                          "\n".join(series_csv_rows(result.points)) + "\n")
+            atomic_write(out / "series" / f"{backend_id}.csv",
+                         "\n".join(series_csv_rows(result.points)) + "\n")
             stats[backend_id] = {
                 "points": len(result.points),
                 "skipped_months": [str(m) for m in result.skipped_months],
@@ -755,8 +727,8 @@ def stage_granger(config: RunConfig, series: dict[str, SeriesResult] | None = No
                     log.warning("granger %s/%s failed: %s", backend_id, kind, exc)
                     continue
                 sweeps[(backend_id, kind)] = results
-                _atomic_write(out / "granger" / f"{backend_id}_{kind}.csv",
-                              "\n".join(granger_csv_rows(backend_id, kind, results)) + "\n")
+                atomic_write(out / "granger" / f"{backend_id}_{kind}.csv",
+                             "\n".join(granger_csv_rows(backend_id, kind, results)) + "\n")
                 stats[f"{backend_id}_{kind}"] = {
                     "lags": len(results),
                     "span": [str(pair.months[0]), str(pair.months[-1])],
@@ -794,7 +766,7 @@ def stage_report(config: RunConfig, ingest: IngestResult | None = None,
             except ChartError as exc:
                 chart_failures[f"{backend_id}_chart"] = str(exc)
                 continue
-            _atomic_write(out / "charts" / f"{backend_id}.svg", svg)
+            atomic_write(out / "charts" / f"{backend_id}.svg", svg)
 
         for fmt, suffix in (("markdown", "md"), ("latex", "tex")):
             sections = []
@@ -804,7 +776,7 @@ def stage_report(config: RunConfig, ingest: IngestResult | None = None,
                     continue
                 title = f"Granger causality on the {kind} sentiment index"
                 sections.append(render_granger_grid(by_backend, title, fmt))
-            _atomic_write(out / "tables" / f"granger.{suffix}", "\n".join(sections))
+            atomic_write(out / "tables" / f"granger.{suffix}", "\n".join(sections))
 
         ingest_stats = _read_json(out / "stages" / "ingest.json") \
             if (out / "stages" / "ingest.json").exists() else {}

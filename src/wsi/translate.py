@@ -1,33 +1,28 @@
 """Pluggable comment translation with a content-addressed on-disk cache.
 
-Backends speak the same JSON shape over HTTP or a line-JSON child process:
+Remote backends speak one JSON shape over either ``wsi.wire`` transport
+(an http(s) URL, or ``cmd:<command>`` for a line-JSON child process):
 request ``{"texts": [...], "source": "...", "target": "..."}``, response
 ``{"translations": [...]}``. An identity backend ships for offline runs
-and tests. Cached translations are keyed by the source text digest plus
-the backend identifier, one file per digest.
+and tests. Cached translations are keyed by (source text, backend,
+source language, target language), one file per key.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import subprocess
-import tempfile
-import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
+from . import wire
 from .corpus import SurveyRecord
 
 
-class TranslationError(RuntimeError):
-    """A translation call failed after bounded retries."""
+# A translation call failed or returned a malformed response; retried.
+TranslationError = wire.TransportError
 
 
 class TranslationBackend(Protocol):
@@ -45,128 +40,43 @@ class IdentityTranslator:
         return list(texts)
 
 
-class HttpTranslator:
-    def __init__(self, url: str, timeout: float = 30.0, backend_id: str | None = None):
-        self.url = url
-        self.timeout = timeout
-        self.backend_id = backend_id or f"http:{url}"
+class RemoteTranslator:
+    """A translation backend behind one ``wire.transport`` endpoint."""
+
+    def __init__(self, endpoint: str, timeout: float = 30.0):
+        self.backend_id = endpoint
+        self.transport = wire.transport(endpoint, timeout)
 
     def translate(self, texts: Sequence[str], source: str, target: str) -> list[str]:
-        payload = json.dumps({"texts": list(texts), "source": source, "target": target})
-        request = urllib.request.Request(
-            self.url, data=payload.encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                body = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
-            raise TranslationError(f"translation call to {self.url} failed: {exc}") from exc
-        translations = body.get("translations")
-        if not isinstance(translations, list) or len(translations) != len(texts):
-            raise TranslationError("malformed translation response")
-        return [str(t) for t in translations]
-
-
-class SubprocessTranslator:
-    """Line-JSON protocol against a child process, one request per line."""
-
-    def __init__(self, command: str, timeout: float = 30.0, backend_id: str | None = None):
-        self.command = command
-        self.timeout = timeout
-        self.backend_id = backend_id or f"cmd:{command}"
-        self._proc: subprocess.Popen | None = None
-        self._lock = threading.Lock()
-
-    def translate(self, texts: Sequence[str], source: str, target: str) -> list[str]:
-        payload = json.dumps({"texts": list(texts), "source": source, "target": target})
-        with self._lock:
-            if self._proc is None or self._proc.poll() is not None:
-                self._proc = subprocess.Popen(
-                    self.command, shell=True, stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE, text=True,
-                )
-            proc = self._proc
-            try:
-                assert proc.stdin is not None and proc.stdout is not None
-                proc.stdin.write(payload + "\n")
-                proc.stdin.flush()
-                line = proc.stdout.readline()
-            except OSError as exc:
-                raise TranslationError(f"child translator failed: {exc}") from exc
-        if not line:
-            raise TranslationError("child translator closed its output")
-        try:
-            body = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TranslationError(f"malformed translator line: {exc}") from exc
-        translations = body.get("translations")
+        body = self.transport({"texts": list(texts), "source": source, "target": target})
+        translations = body.get("translations") if isinstance(body, dict) else None
         if not isinstance(translations, list) or len(translations) != len(texts):
             raise TranslationError("malformed translation response")
         return [str(t) for t in translations]
 
     def close(self) -> None:
-        """Stop the child: close its input, wait up to ``timeout`` seconds
-        for it to exit, and kill it if it is still running."""
-        with self._lock:
-            proc, self._proc = self._proc, None
-        if proc is None:
-            return
-        try:
-            proc.stdin.close()  # type: ignore[union-attr]
-        except OSError:
-            pass  # the child is gone already; wait() below reaps it
-        try:
-            proc.wait(timeout=self.timeout)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()  # type: ignore[union-attr]
+        self.transport.close()
 
 
-def text_digest(text: str, backend_id: str) -> str:
-    """Stable 256-bit content key for one (source text, backend) pair."""
-    return hashlib.sha256(json.dumps([text, backend_id]).encode("utf-8")).hexdigest()
+# The benchmark's tracer wraps ``SubprocessTranslator.translate`` by this name.
+SubprocessTranslator = RemoteTranslator
 
 
-class TranslationCache:
-    """One file per digest; safe for concurrent readers, serialized writes."""
+class TranslationCache(wire.ContentCache):
+    """Translations keyed by (source text, backend, source, target language)."""
 
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._write_lock = threading.Lock()
+    def get(self, text: str, backend_id: str, source: str, target: str) -> str | None:
+        return self.read((text, backend_id, source, target), lambda entry: entry["translation"])
 
-    def _path(self, digest: str) -> Path:
-        return self.directory / f"{digest}.json"
-
-    def get(self, text: str, backend_id: str) -> str | None:
-        path = self._path(text_digest(text, backend_id))
-        if not path.exists():
-            return None
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-        return entry.get("translation")
-
-    def put(self, text: str, backend_id: str, translation: str) -> None:
-        digest = text_digest(text, backend_id)
+    def put(self, text: str, backend_id: str, source: str, target: str,
+            translation: str) -> None:
         entry = {
             "source_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
             "backend": backend_id,
             "translation": translation,
         }
-        payload = json.dumps(entry, ensure_ascii=False, sort_keys=True)
-        with self._write_lock:
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(payload)
-                os.replace(tmp, self._path(digest))
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+        self.write((text, backend_id, source, target),
+                   json.dumps(entry, ensure_ascii=False, sort_keys=True))
 
 
 @dataclass
@@ -194,7 +104,7 @@ def translate_all(records: Sequence[SurveyRecord], backend: TranslationBackend,
     if cache is not None:
         for record in records:
             if record.comment not in translations:
-                hit = cache.get(record.comment, backend.backend_id)
+                hit = cache.get(record.comment, backend.backend_id, source, target)
                 if hit is not None:
                     translations[record.comment] = hit
     cache_hits = len(translations)
@@ -207,35 +117,23 @@ def translate_all(records: Sequence[SurveyRecord], backend: TranslationBackend,
             pending.append(record.comment)
     batches = [pending[i: i + batch_size] for i in range(0, len(pending), batch_size)]
 
-    calls = 0
-    calls_lock = threading.Lock()
+    def run_batch(batch: list[str]) -> tuple[list[str] | None, int]:
+        return wire.retry(lambda: backend.translate(batch, source, target),
+                          max_retries, retry_base_delay, sleep)
 
-    def run_batch(batch: list[str]) -> list[str] | None:
-        nonlocal calls
-        for attempt in range(max_retries + 1):
-            if attempt > 0 and retry_base_delay > 0:
-                sleep(retry_base_delay * 2 ** (attempt - 1))
-            with calls_lock:
-                calls += 1
-            try:
-                return backend.translate(batch, source, target)
-            except TranslationError:
-                continue
-        return None
-
-    if batches:
-        if parallelism > 1 and len(batches) > 1:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                outcomes = list(pool.map(run_batch, batches))
-        else:
-            outcomes = [run_batch(batch) for batch in batches]
-        for batch, outcome in zip(batches, outcomes):
-            if outcome is None:
-                continue
-            for text, translated in zip(batch, outcome):
-                translations[text] = translated
-                if cache is not None:
-                    cache.put(text, backend.backend_id, translated)
+    if parallelism > 1 and len(batches) > 1:
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            outcomes = list(pool.map(run_batch, batches))
+    else:
+        outcomes = [run_batch(batch) for batch in batches]
+    calls = sum(attempts for _, attempts in outcomes)
+    for batch, (outcome, _) in zip(batches, outcomes):
+        if outcome is None:
+            continue
+        for text, translated in zip(batch, outcome):
+            translations[text] = translated
+            if cache is not None:
+                cache.put(text, backend.backend_id, source, target, translated)
 
     out: list[SurveyRecord] = []
     failed: list[int] = []

@@ -1,27 +1,27 @@
 import json
 import math
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from wsi.classify import (
     BackendSpec,
+    BatchResult,
     ClassProbabilities,
     HardLabel,
     KeywordClassifier,
     RemoteClassifier,
-    SubprocessTransport,
     TransportError,
     UNRELATED,
-    classify_batch,
     classify_month,
     default_keyword_classifier,
-    mock_keyword_classifier,
     normalize_triple,
     prompt_template,
 )
 from wsi.corpus import MonthKey
+from wsi.wire import SubprocessTransport
 
 from conftest import WIRE_STUB, make_record
 
@@ -106,18 +106,18 @@ class TestKeywordClassifier:
         assert mock.classify_one("the weather was pleasant").as_tuple() == (0.0, 0.0, 0.0)
 
     def test_rule_keyword_set(self):
-        mock = mock_keyword_classifier([({"raise", "bonus"}, (1.0, 0.0, 0.0))])
+        mock = KeywordClassifier([({"raise", "bonus"}, (1.0, 0.0, 0.0))])
         assert mock.classify_one("a bonus was paid").as_tuple() == (1.0, 0.0, 0.0)
 
     def test_first_rule_wins_in_declared_order(self):
-        mock = mock_keyword_classifier([
+        mock = KeywordClassifier([
             ({"cut"}, (0.0, 1.0, 0.0)),
             ({"raise"}, (1.0, 0.0, 0.0)),
         ])
         assert mock.classify_one("raise then cut").as_tuple() == (0.0, 1.0, 0.0)
 
     def test_matches_tokens_not_substrings(self):
-        mock = mock_keyword_classifier([({"raise"}, (1.0, 0.0, 0.0))])
+        mock = KeywordClassifier([({"raise"}, (1.0, 0.0, 0.0))])
         assert mock.classify_one("the fundraiser went well") == UNRELATED
 
 
@@ -165,7 +165,8 @@ class TestClassifyBatch:
         texts = [f"item {i} {'up' if i % 3 == 0 else 'down' if i % 3 == 1 else 'flat'}"
                  for i in range(60)]
         random.Random(9).shuffle(texts)
-        result = classify_batch(texts, spec(batch_size=7), transport=FakeTransport())
+        result = RemoteClassifier(spec(batch_size=7), transport=FakeTransport()).classify_batch(
+            texts)
         for text, probs in zip(texts, result.probs):
             expected = {"up": (1.0, 0.0, 0.0), "down": (0.0, 1.0, 0.0),
                         "flat": (0.0, 0.0, 1.0)}[text.split()[2]]
@@ -173,23 +174,25 @@ class TestClassifyBatch:
 
     def test_wire_call_count_is_batch_ceiling(self):
         transport = FakeTransport()
-        result = classify_batch(["up"] * 5, spec(batch_size=2), transport=transport)
+        result = RemoteClassifier(spec(batch_size=2), transport=transport).classify_batch(
+            ["up"] * 5)
         assert result.wire_calls == 3  # ceil(5 / 2)
         assert transport.calls == 3
 
     def test_batching_invariance(self):
         texts = [f"comment {i} {'up' if i % 2 else 'down'}" for i in range(21)]
-        small = classify_batch(texts, spec(batch_size=1), transport=FakeTransport())
-        large = classify_batch(texts, spec(batch_size=50), transport=FakeTransport())
+        small = RemoteClassifier(spec(batch_size=1), transport=FakeTransport()).classify_batch(
+            texts)
+        large = RemoteClassifier(spec(batch_size=50), transport=FakeTransport()).classify_batch(
+            texts)
         assert [p.as_tuple() for p in small.probs] == [p.as_tuple() for p in large.probs]
 
     def test_retry_bound_then_fallback_then_failure(self):
         transport = FakeTransport(fail_models={"primary", "backup"})
-        result = classify_batch(
-            ["up", "down"],
+        result = RemoteClassifier(
             spec(model_id="primary", fallback_model_id="backup", max_retries=3),
             transport=transport,
-        )
+        ).classify_batch(["up", "down"])
         # (max_retries + 1) attempts per model, both models, one batch
         assert transport.calls == 8
         models_tried = [p["model"] for p in transport.payloads]
@@ -199,15 +202,15 @@ class TestClassifyBatch:
 
     def test_fallback_rescues_batch(self):
         transport = FakeTransport(fail_models={"primary"})
-        result = classify_batch(
-            ["up"], spec(model_id="primary", fallback_model_id="backup"),
-            transport=transport)
+        result = RemoteClassifier(spec(model_id="primary", fallback_model_id="backup"),
+                                  transport=transport).classify_batch(["up"])
         assert result.failed == [False]
         assert result.probs[0].as_tuple() == (1.0, 0.0, 0.0)
 
     def test_transient_failure_retried_to_success(self):
         transport = FakeTransport(fail_times=2)
-        result = classify_batch(["up"], spec(max_retries=2), transport=transport)
+        result = RemoteClassifier(spec(max_retries=2), transport=transport).classify_batch(
+            ["up"])
         assert transport.calls == 3
         assert result.failed == [False]
 
@@ -215,14 +218,15 @@ class TestClassifyBatch:
         def transport(payload):
             return {"probabilities": [[0.5, 0.3, 0.2]], "unrelated": [True]}
 
-        result = classify_batch(["anything"], spec(), transport=transport)
+        result = RemoteClassifier(spec(), transport=transport).classify_batch(["anything"])
         assert result.probs[0] == UNRELATED
 
     def test_malformed_response_counts_as_failure(self):
         def transport(payload):
             return {"probabilities": [[0.5, 0.5]]}  # wrong arity
 
-        result = classify_batch(["text"], spec(max_retries=0), transport=transport)
+        result = RemoteClassifier(spec(max_retries=0), transport=transport).classify_batch(
+            ["text"])
         assert result.failed == [True]
 
     @pytest.mark.parametrize("body", [
@@ -259,16 +263,19 @@ class TestClassifyBatch:
         assert [p.as_tuple() for p in rescued.probs] == [(0.0, 0.0, 1.0)] * 2
 
     def test_empty_and_blank_inputs_rejected(self):
+        transport = FakeTransport()
+        client = RemoteClassifier(spec(), transport=transport)
+        assert client.classify_batch([]) == BatchResult([], [], 0)
         with pytest.raises(ValueError):
-            classify_batch([], spec(), transport=FakeTransport())
-        with pytest.raises(ValueError):
-            classify_batch(["ok", ""], spec(), transport=FakeTransport())
+            client.classify_batch(["ok", ""])
+        assert transport.calls == 0
 
     def test_parallel_chunks_keep_order(self):
         texts = [f"n{i} {'up' if i % 2 else 'down'}" for i in range(40)]
-        serial = classify_batch(texts, spec(batch_size=5), transport=FakeTransport())
-        parallel = classify_batch(texts, spec(batch_size=5),
-                                  transport=FakeTransport(), parallelism=8)
+        serial = RemoteClassifier(spec(batch_size=5), transport=FakeTransport()).classify_batch(
+            texts)
+        parallel = RemoteClassifier(spec(batch_size=5), transport=FakeTransport()).classify_batch(
+            texts, parallelism=8)
         assert [p.as_tuple() for p in serial.probs] == [p.as_tuple() for p in parallel.probs]
 
 
@@ -303,28 +310,29 @@ class TestClassifyMonth:
 class TestWireTransports:
     def test_subprocess_round_trip(self):
         transport = SubprocessTransport(f"{sys.executable} {WIRE_STUB}", timeout=10.0)
-        result = classify_batch(["prices went up", "hours went down", "nothing here"],
-                                spec(), transport=transport)
+        result = RemoteClassifier(spec(), transport=transport).classify_batch(
+            ["prices went up", "hours went down", "nothing here"])
         assert [p.as_tuple() for p in result.probs] == [
             (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)]
         transport.close()
 
     def test_subprocess_malformed_reply_fails_batch(self):
         transport = SubprocessTransport(f"{sys.executable} {WIRE_STUB}", timeout=10.0)
-        result = classify_batch(["whatever"], spec(model_id="always-fails", max_retries=0),
-                                transport=transport)
+        result = RemoteClassifier(spec(model_id="always-fails", max_retries=0),
+                                  transport=transport).classify_batch(["whatever"])
         assert result.failed == [True]
         transport.close()
 
     def test_http_round_trip(self, wire_server):
-        result = classify_batch(["went up today", "went down today"],
-                                spec(endpoint=wire_server.url))
+        result = RemoteClassifier(spec(endpoint=wire_server.url)).classify_batch(
+            ["went up today", "went down today"])
         assert [p.as_tuple() for p in result.probs] == [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
         assert wire_server.requests[-1]["labels"] == ["increase", "decrease", "neutral"]
 
     def test_http_down_marks_failures(self, wire_server):
         wire_server.set_fail_all(True)
-        result = classify_batch(["up"], spec(endpoint=wire_server.url, max_retries=1))
+        result = RemoteClassifier(spec(endpoint=wire_server.url, max_retries=1)).classify_batch(
+            ["up"])
         assert result.failed == [True]
         assert result.wire_calls == 2
 
@@ -332,3 +340,56 @@ class TestWireTransports:
 def test_prompt_template_ships_with_placeholder():
     template = prompt_template()
     assert "{comment}" in template
+
+
+def test_retries_and_fallback_switch_are_logged(caplog):
+    transport = FakeTransport(fail_models={"primary"})
+    client = RemoteClassifier(spec(fallback_model_id="backup", max_retries=1),
+                              transport=transport)
+    with caplog.at_level("WARNING", logger="wsi"):
+        result = client.classify_batch(["up", "down"])
+    assert result.failed == [False, False]
+    assert result.models == ["backup", "backup"]
+    messages = [r.getMessage() for r in caplog.records if r.name == "wsi"]
+    assert messages == [
+        "wire attempt 1 of 2 failed: induced failure",
+        "wire attempt 2 of 2 failed: induced failure",
+        "model primary failed on a batch of 2 comments; switching to fallback model backup",
+    ]
+
+
+HUNG_CHILD = "import sys, time\nsys.stdin.readline()\ntime.sleep(60)\n"
+
+
+def test_hung_subprocess_classifier_fails_within_its_timeout(tmp_path, monkeypatch):
+    import subprocess
+
+    from wsi.pipeline import BackendConfig, CachedRemoteClassifier, ClassificationCache
+
+    children = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            children.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    script = tmp_path / "hung.py"
+    script.write_text(HUNG_CHILD)
+    backend = BackendConfig(backend_id="hung", kind="subprocess", model_id="m",
+                            endpoint=f"exec {sys.executable} {script}",
+                            timeout=0.5, max_retries=0)
+    remote = RemoteClassifier(backend.to_spec())
+    classifier = CachedRemoteClassifier(remote, ClassificationCache(tmp_path / "cache"))
+    records = [make_record(comment=f"wages went up {i}") for i in range(3)]
+    for call in range(2):  # the second call starts a new child
+        started = time.perf_counter()
+        out = classify_month(records, classifier)
+        assert time.perf_counter() - started < 0.5 + 2.0
+        assert all(c.failed and c.excluded for c in out)
+        assert len(children) == call + 1
+        child = children[-1]
+        assert child.returncode is not None  # killed and reaped
+        assert child.stdin.closed and child.stdout.closed
+    remote.transport.close()
+    assert not list((tmp_path / "cache").rglob("*.json"))

@@ -1,5 +1,7 @@
 import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,6 @@ from wsi.pipeline import (
     ConfigError,
     RunConfig,
     StageError,
-    cache_key,
     compute_run_id,
     run,
     run_dir,
@@ -20,8 +21,10 @@ from wsi.pipeline import (
     stage_ingest,
     stage_report,
 )
-from wsi.classify import ClassProbabilities
+from wsi.classify import ClassProbabilities, TransportError
 from wsi.synthetic import SyntheticSpec, generate_synthetic
+
+from conftest import WIRE_STUB
 
 
 def tree_bytes(root):
@@ -49,6 +52,10 @@ def config_for(base, backends=None, **kw):
     return RunConfig(**defaults)
 
 
+def cache_key(comment, model_id, prompt_version):
+    return ClassificationCache.digest((comment, model_id, prompt_version))
+
+
 class TestCacheKey:
     def test_stable(self):
         assert cache_key("text", "model", "v1") == cache_key("text", "model", "v1")
@@ -71,6 +78,44 @@ class TestCacheKey:
         cache.put("a comment", "model-x", probs)
         assert cache.get("a comment", "model-x") == probs
         assert cache.get("a comment", "other-model") is None
+        # the digest, path and bytes of an entry are those of earlier
+        # releases, so an existing cache directory keeps serving hits
+        digest = "ae50012be27d4d843e8cf7d284f169fea659e6110fd7ef940cc452f88500c639"
+        assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()] == [
+            Path(digest[:2]) / f"{digest}.json"]
+        assert (tmp_path / digest[:2] / f"{digest}.json").read_bytes() == \
+            b'{"u": 0.5, "v": 0.25, "w": 0.25}'
+
+    def test_fallback_answer_is_cached_under_the_fallback_model(self, tmp_path):
+        from wsi.classify import BackendSpec, RemoteClassifier
+        from wsi.pipeline import CachedRemoteClassifier
+
+        calls = []
+
+        def transport(payload):
+            calls.append(payload["model"])
+            if payload["model"] == "primary":
+                raise TransportError("primary is down")
+            return {"probabilities": [[0.0, 1.0, 0.0]] * len(payload["comments"])}
+
+        def classifier(fallback):
+            spec = BackendSpec(endpoint="http://unused/", model_id="primary",
+                               fallback_model_id=fallback, max_retries=0)
+            return CachedRemoteClassifier(RemoteClassifier(spec, transport=transport), cache)
+
+        cache = ClassificationCache(tmp_path)
+        cold = classifier("backup").classify_batch(["a comment"])
+        assert cold.failed == [False] and cold.wire_calls == 2
+        assert cache.get("a comment", "primary") is None
+        assert cache.get("a comment", "backup") == ClassProbabilities(0.0, 1.0, 0.0)
+
+        calls.clear()
+        warm = classifier("backup").classify_batch(["a comment"])
+        assert warm.probs == cold.probs and warm.wire_calls == 0 and calls == []
+
+        # without that fallback, the primary model is asked, not served its answer
+        alone = classifier(None).classify_batch(["a comment"])
+        assert alone.failed == [True] and calls == ["primary"]
 
 
 class TestRunSmoke:
@@ -181,12 +226,22 @@ class TestWireBackendCaching:
         assert int(poisoned[6]) == 2
         assert int(poisoned[7]) == int(clean[7]) - 2
 
+    def test_subprocess_backend_child_is_stopped_after_classify(
+            self, tmp_path, recorded_children):
+        self.make_wire_corpus(tmp_path)
+        backend = BackendConfig(backend_id="child", kind="subprocess", model_id="m",
+                                endpoint=f"{sys.executable} {WIRE_STUB}")
+        result = run(config_for(tmp_path, backends=[backend], classify_parallelism=4))
+        manifest = json.loads((result.out_dir / "manifest.json").read_text())
+        assert manifest["classify"]["child"]["failed_comments"] == 0
+        assert "child" in result.bundle.series
+        assert_all_stopped(recorded_children)
 
-def test_cmd_translator_child_is_stopped_after_ingest(small_corpus, monkeypatch):
+
+@pytest.fixture
+def recorded_children(monkeypatch):
+    """Every child process started through ``subprocess.Popen``."""
     import subprocess
-    import sys
-
-    from conftest import WIRE_STUB
 
     children = []
 
@@ -196,13 +251,38 @@ def test_cmd_translator_child_is_stopped_after_ingest(small_corpus, monkeypatch)
             children.append(self)
 
     monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    return children
+
+
+def assert_all_stopped(children):
+    assert children
+    assert all(child.poll() is not None for child in children)
+    assert all(child.stdin.closed and child.stdout.closed for child in children)
+
+
+def test_cmd_translator_child_is_stopped_after_ingest(small_corpus, recorded_children):
     config = config_for(small_corpus, translation_backend=f"cmd:{sys.executable} {WIRE_STUB}",
                         translation_parallelism=2)
     result = run(config)
     assert json.loads((result.out_dir / "stages" / "ingest.json").read_text())[
         "translation_failed"] == 0
-    assert children
-    assert all(child.poll() is not None for child in children)
+    assert_all_stopped(recorded_children)
+
+
+def test_translation_endpoint_is_a_url_or_a_command(small_corpus):
+    from wsi.pipeline import _translator
+    from wsi.wire import HttpTransport, SubprocessTransport
+
+    for url in ("http://localhost:1/", "https://translate.example/v1"):
+        translator = _translator(config_for(small_corpus, translation_backend=url))
+        assert isinstance(translator.transport, HttpTransport)
+        assert translator.transport.url == url
+    translator = _translator(config_for(small_corpus, translation_backend="cmd:tr a-z A-Z"))
+    assert isinstance(translator.transport, SubprocessTransport)
+    assert translator.transport.command == "tr a-z A-Z"
+    for bad in ("http:https://translate.example", "ftp://host/", "deepl"):
+        with pytest.raises(ConfigError):
+            _translator(config_for(small_corpus, translation_backend=bad))
 
 
 class TestTwoBackends:

@@ -5,12 +5,10 @@ import pytest
 
 from wsi.corpus import MonthKey
 from wsi.translate import (
-    HttpTranslator,
     IdentityTranslator,
-    SubprocessTranslator,
+    RemoteTranslator,
     TranslationCache,
     TranslationError,
-    text_digest,
     translate_all,
 )
 
@@ -57,7 +55,7 @@ def test_warm_cache_with_offline_backend_makes_zero_calls(tmp_path):
     backend = CountingTranslator(fail_always=True)
     inputs = records(8)
     for r in inputs:
-        cache.put(r.comment, backend.backend_id, r.comment.upper())
+        cache.put(r.comment, backend.backend_id, "ja", "en", r.comment.upper())
     report = translate_all(inputs, backend, cache=cache, retry_base_delay=0.0)
     assert backend.calls == 0
     assert report.failed_indices == []
@@ -94,13 +92,26 @@ def test_duplicate_texts_translated_once():
 
 def test_cache_round_trip_and_layout(tmp_path):
     cache = TranslationCache(tmp_path)
-    cache.put("hello", "b1", "HELLO")
-    assert cache.get("hello", "b1") == "HELLO"
-    assert cache.get("hello", "other-backend") is None
-    digest = text_digest("hello", "b1")
-    assert (tmp_path / f"{digest}.json").exists()
-    # one file per digest, nothing else
-    assert [p.name for p in tmp_path.iterdir()] == [f"{digest}.json"]
+    cache.put("hello", "b1", "ja", "en", "HELLO")
+    assert cache.get("hello", "b1", "ja", "en") == "HELLO"
+    assert cache.get("hello", "other-backend", "ja", "en") is None
+    assert cache.get("hello", "b1", "ja", "de") is None  # a changed target misses
+    assert cache.get("hello", "b1", "ko", "en") is None  # so does a changed source
+    digest = TranslationCache.digest(("hello", "b1", "ja", "en"))
+    # one file per entry, in the classification cache's fan-out layout
+    assert [str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()] == [
+        f"{digest[:2]}/{digest}.json"]
+
+
+def test_changed_target_language_is_translated_again(tmp_path):
+    cache = TranslationCache(tmp_path)
+    backend = CountingTranslator()
+    inputs = records(4)
+    translate_all(inputs, backend, cache=cache, target="en")
+    assert backend.calls == 1
+    report = translate_all(inputs, backend, cache=cache, target="de")
+    assert backend.calls == 2
+    assert report.cache_hits == 0
 
 
 def test_cache_fills_after_cold_run(tmp_path):
@@ -115,19 +126,21 @@ def test_cache_fills_after_cold_run(tmp_path):
 
 
 def test_subprocess_translator_round_trip():
-    backend = SubprocessTranslator(f"{sys.executable} {WIRE_STUB}")
+    backend = RemoteTranslator(f"cmd:{sys.executable} {WIRE_STUB}")
     out = backend.translate(["hello there", "second text"], "ja", "en")
     assert out == ["HELLO THERE", "SECOND TEXT"]
+    backend.close()
 
 
 def test_subprocess_translator_close_ends_the_child():
-    backend = SubprocessTranslator(f"{sys.executable} {WIRE_STUB}")
+    backend = RemoteTranslator(f"cmd:{sys.executable} {WIRE_STUB}")
     backend.translate(["hello"], "ja", "en")
-    child = backend._proc
+    child = backend.transport._proc
     backend.close()
     assert child.returncode == 0  # saw end of input and exited on its own
+    assert child.stdin.closed and child.stdout.closed
     backend.close()  # closing twice, or with no child started, does nothing
-    SubprocessTranslator(f"{sys.executable} {WIRE_STUB}").close()
+    RemoteTranslator(f"cmd:{sys.executable} {WIRE_STUB}").close()
 
 
 def test_subprocess_translator_close_kills_a_child_that_ignores_eof(tmp_path):
@@ -139,17 +152,18 @@ def test_subprocess_translator_close_kills_a_child_that_ignores_eof(tmp_path):
         "    print(json.dumps({'translations': texts}), flush=True)\n"
         "time.sleep(60)\n"
     )
-    backend = SubprocessTranslator(f"exec {sys.executable} {script}", timeout=0.2)
+    backend = RemoteTranslator(f"cmd:exec {sys.executable} {script}", timeout=0.2)
     assert backend.translate(["hello"], "ja", "en") == ["hello"]
-    child = backend._proc
+    child = backend.transport._proc
     started = time.perf_counter()
     backend.close()
     assert time.perf_counter() - started < 10.0
     assert child.returncode is not None and child.returncode < 0  # killed
+    assert child.stdout.closed
 
 
 def test_http_translator_round_trip(wire_server):
-    backend = HttpTranslator(wire_server.url)
+    backend = RemoteTranslator(wire_server.url)
     out = backend.translate(["hello", "world"], "ja", "en")
     assert out == ["HELLO", "WORLD"]
     assert wire_server.requests[-1]["source"] == "ja"
@@ -157,6 +171,35 @@ def test_http_translator_round_trip(wire_server):
 
 def test_http_translator_failure_raises(wire_server):
     wire_server.set_fail_all(True)
-    backend = HttpTranslator(wire_server.url)
+    backend = RemoteTranslator(wire_server.url)
     with pytest.raises(TranslationError):
         backend.translate(["hello"], "ja", "en")
+
+
+def test_hung_cmd_translator_fails_within_its_timeout(tmp_path):
+    script = tmp_path / "hung.py"
+    script.write_text("import sys, time\nsys.stdin.readline()\ntime.sleep(60)\n")
+    backend = RemoteTranslator(f"cmd:exec {sys.executable} {script}", timeout=0.5)
+    cache = TranslationCache(tmp_path / "cache")
+    inputs = records(3)
+    started = time.perf_counter()
+    report = translate_all(inputs, backend, cache=cache, max_retries=1, retry_base_delay=0.0)
+    assert time.perf_counter() - started < 2 * 0.5 + 2.0  # two attempts, each timed out
+    assert report.backend_calls == 2
+    assert report.failed_indices == [0, 1, 2]
+    assert all(r.comment_translated is None for r in report.records)
+    assert not list((tmp_path / "cache").rglob("*.json"))
+    assert backend.transport._proc is None  # the hung child was killed
+    backend.close()
+
+
+@pytest.mark.parametrize("reply", ["[1, 2]", '{"translations": ["one"]}'])
+def test_malformed_translation_reply_is_a_failed_attempt(tmp_path, reply):
+    script = tmp_path / "malformed.py"
+    script.write_text(f"import sys\nfor line in sys.stdin:\n    print({reply!r}, flush=True)\n")
+    backend = RemoteTranslator(f"cmd:exec {sys.executable} {script}")
+    with pytest.raises(TranslationError):
+        backend.translate(["hello", "world"], "ja", "en")
+    report = translate_all(records(2), backend, max_retries=0)
+    assert report.failed_indices == [0, 1]
+    backend.close()
