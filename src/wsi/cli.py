@@ -13,13 +13,13 @@ import argparse
 import json
 import logging
 import sys
+from pathlib import Path
 
 from .corpus import MonthKey
 from .pipeline import (
     RunConfig,
     StageError,
     run,
-    run_dir,
     stage_classify,
     stage_granger,
     stage_index,
@@ -117,7 +117,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{key}: FAILED ({reason})")
         elif args.command == "report":
             bundle = stage_report(config)
-            print(f"report written to {run_dir(config)} (run {bundle.run_id})")
+            out = Path(config.output_dir) / bundle.run_id
+            print(f"report written to {out} (run {bundle.run_id})")
         elif args.command == "run":
             result = run(config)
             print(f"run {result.bundle.run_id} complete: {result.out_dir}")

@@ -9,8 +9,11 @@ judgment labels are remappable through :class:`SurveySchema`.
 from __future__ import annotations
 
 import csv
+import functools
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -160,6 +163,17 @@ class SurveyLoad:
     skipped_empty: int = 0
 
 
+def _parse_month(text: str) -> MonthKey | None:
+    try:
+        return MonthKey.parse(text)
+    except ValueError:
+        return None
+
+
+# Orders records as ``record.month`` does, without calling MonthKey.__lt__.
+_MONTH_ORDER = attrgetter("month.year", "month.month")
+
+
 def load_survey(path: str | Path, schema: SurveySchema = DEFAULT_SCHEMA) -> SurveyLoad:
     """Load one canonical survey CSV.
 
@@ -167,6 +181,10 @@ def load_survey(path: str | Path, schema: SurveySchema = DEFAULT_SCHEMA) -> Surv
     with its line number); empty comments skip the row with a count. The
     surviving records are sorted by month, preserving input order within
     each month.
+
+    Rows read as ``csv.DictReader`` reads them: blank lines are skipped and
+    not numbered, missing trailing fields are empty, extra fields are
+    ignored, and a column named twice is read from its last position.
     """
     path = Path(path)
     if not path.exists():
@@ -174,43 +192,54 @@ def load_survey(path: str | Path, schema: SurveySchema = DEFAULT_SCHEMA) -> Surv
     records: list[SurveyRecord] = []
     errors: list[RowError] = []
     skipped_empty = 0
+    # one parse per distinct raw month and label, not per row
+    month_of = functools.cache(_parse_month)
+    judgment_of = functools.cache(schema.resolve_judgment)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise LoadError(f"empty survey file: {path}")
         required = [schema.month, schema.region, schema.industry, schema.judgment, schema.comment]
-        missing = [c for c in required if c not in reader.fieldnames]
+        missing = [c for c in required if c not in header]
         if missing:
             raise LoadError(f"{path}: missing columns {missing}")
-        has_translated = schema.translated in reader.fieldnames
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                month = MonthKey.parse(row[schema.month] or "")
-            except ValueError:
+        position = {name: i for i, name in enumerate(header)}
+        month_at, region_at, industry_at, judgment_at, comment_at = (
+            position[c] for c in required)
+        translated_at = position.get(schema.translated)
+        width = len(header)
+        lineno = 1
+        for row in reader:
+            if not row:
+                continue
+            lineno += 1
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            month = month_of(row[month_at])
+            if month is None:
                 errors.append(RowError(str(path), lineno, "invalid month"))
                 continue
-            judgment = schema.resolve_judgment(row[schema.judgment] or "")
+            judgment = judgment_of(row[judgment_at])
             if judgment is None:
                 errors.append(RowError(str(path), lineno, "unknown judgment"))
                 continue
-            comment = (row[schema.comment] or "").strip()
+            comment = row[comment_at].strip()
             if not comment:
                 skipped_empty += 1
                 continue
-            translated = row.get(schema.translated) if has_translated else None
-            if translated is not None:
-                translated = translated or None
             records.append(
                 SurveyRecord(
                     month=month,
-                    region=(row[schema.region] or "").strip(),
-                    industry=(row[schema.industry] or "").strip(),
+                    region=row[region_at].strip(),
+                    industry=row[industry_at].strip(),
                     judgment=judgment,
                     comment=comment,
-                    comment_translated=translated,
+                    comment_translated=(row[translated_at] or None
+                                        if translated_at is not None else None),
                 )
             )
-    records.sort(key=lambda r: r.month)  # stable: input order kept within month
+    records.sort(key=_MONTH_ORDER)  # stable: input order kept within month
     return SurveyLoad(records, errors, skipped_empty)
 
 
@@ -222,7 +251,7 @@ def load_surveys(paths: Iterable[str | Path], schema: SurveySchema = DEFAULT_SCH
         merged.records.extend(part.records)
         merged.errors.extend(part.errors)
         merged.skipped_empty += part.skipped_empty
-    merged.records.sort(key=lambda r: r.month)
+    merged.records.sort(key=_MONTH_ORDER)
     return merged
 
 
@@ -257,6 +286,8 @@ class WageSeries:
             if cur != expected:
                 raise LoadError(f"gap in wage series: missing {expected}")
         for m in months:
+            if not math.isfinite(levels[m]):
+                raise LoadError(f"non-finite wage level at {m}: {levels[m]}")
             if not levels[m] > 0:
                 raise LoadError(f"non-positive wage level at {m}: {levels[m]}")
         self._levels: dict[MonthKey, float] = {m: float(levels[m]) for m in months}
@@ -291,10 +322,6 @@ class WageSeries:
     def __repr__(self) -> str:
         months = self.months
         return f"WageSeries({months[0]}..{months[-1]}, {len(months)} months)"
-
-
-def yoy(series: WageSeries, t: MonthKey) -> float | None:
-    return series.yoy(t)
 
 
 def load_wages(path: str | Path) -> WageSeries:

@@ -19,7 +19,6 @@ classification and the month-level word-count audit.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -27,13 +26,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classify import ClassProbabilities, UNRELATED
+from .classify import _TOKEN_RE, ClassProbabilities, UNRELATED
 from .corpus import MonthKey, SurveyRecord, WageSeries, month_range
 # Re-exported: ``term_correlations`` is the row-wise form of ``pearson``, and
 # the benchmark's tracer (perfbench/tracing.py) wraps ``wsi.lexicon.pearson``.
 from .econometrics import pearson  # noqa: F401
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 def _load_stop_words() -> frozenset[str]:

@@ -69,7 +69,7 @@ from .translate import (
     TranslationCache,
     translate_all,
 )
-from .wire import ContentCache, atomic_write
+from .wire import ContentCache, atomic_write, endpoint_identity
 
 log = logging.getLogger("wsi")
 
@@ -91,22 +91,27 @@ class ConfigError(ValueError):
 
 
 class ClassificationCache(ContentCache):
-    """Per-comment classification results keyed by (comment, model, prompt version)."""
+    """Per-comment classification results keyed by (comment, endpoint, model, prompt version).
 
-    def get(self, comment: str, model_id: str, prompt_version: str = PROMPT_VERSION,
+    The endpoint enters the key as ``wire.endpoint_identity`` spells it.
+    """
+
+    def get(self, comment: str, endpoint: str, model_id: str,
+            prompt_version: str = PROMPT_VERSION,
             fallback_model_id: str | None = None) -> ClassProbabilities | None:
         """The entry under ``model_id``, else the one under ``fallback_model_id``."""
+        endpoint = endpoint_identity(endpoint)
         for model in (model_id, fallback_model_id):
             if model is not None:
-                probs = self.read((comment, model, prompt_version),
+                probs = self.read((comment, endpoint, model, prompt_version),
                                   lambda e: ClassProbabilities(e["u"], e["v"], e["w"]))
                 if probs is not None:
                     return probs
         return None
 
-    def put(self, comment: str, model_id: str, probs: ClassProbabilities,
+    def put(self, comment: str, endpoint: str, model_id: str, probs: ClassProbabilities,
             prompt_version: str = PROMPT_VERSION) -> None:
-        self.write((comment, model_id, prompt_version),
+        self.write((comment, endpoint_identity(endpoint), model_id, prompt_version),
                    json.dumps({"u": probs.u, "v": probs.v, "w": probs.w}, sort_keys=True))
 
 
@@ -114,8 +119,8 @@ class CachedRemoteClassifier:
     """Remote classifier that consults the cache before the wire.
 
     Failures are never cached; duplicate comment texts hit the wire once.
-    Each answer is stored under the model that gave it, and a read tries
-    the primary model's entry before the fallback model's.
+    Each answer is stored under the endpoint and the model that gave it,
+    and a read tries the primary model's entry before the fallback model's.
     ``wire_calls_total`` accumulates across batches for reporting.
     """
 
@@ -131,7 +136,8 @@ class CachedRemoteClassifier:
     def classify_batch(self, comments: Sequence[str]) -> BatchResult:
         spec = self.inner.spec
         probs: list[ClassProbabilities | None] = [
-            self.cache.get(c, spec.model_id, self.prompt_version, spec.fallback_model_id)
+            self.cache.get(c, spec.endpoint, spec.model_id, self.prompt_version,
+                           spec.fallback_model_id)
             for c in comments
         ]
         failed = [False] * len(comments)
@@ -150,7 +156,7 @@ class CachedRemoteClassifier:
                     probs[i] = p
                     failed[i] = was_failed
                 if not was_failed:
-                    self.cache.put(text, model, p, self.prompt_version)
+                    self.cache.put(text, spec.endpoint, model, p, self.prompt_version)
         with self._calls_lock:
             self.wire_calls_total += wire_calls
         final = [p if p is not None else ClassProbabilities(0.0, 0.0, 0.0) for p in probs]
@@ -350,14 +356,6 @@ def run_dir(config: RunConfig) -> Path:
     return Path(config.output_dir) / compute_run_id(config)
 
 
-def _resolve_out(config: RunConfig, stage: str) -> Path:
-    """Locate the run directory; unreadable inputs fail the stage by name."""
-    try:
-        return run_dir(config)
-    except (LoadError, OSError) as exc:
-        raise StageError(stage, str(exc)) from exc
-
-
 def _write_failed_marker(out: Path, stage: str, cause: str) -> None:
     try:
         atomic_write(out / "FAILED", f"stage: {stage}\ncause: {cause}\n")
@@ -406,9 +404,115 @@ class IngestResult:
     translation_calls: int
 
 
-def stage_ingest(config: RunConfig) -> IngestResult:
+ClassifiedMap = dict[MonthKey, list[ClassifiedComment]]
+IndexByKind = dict[str, dict[MonthKey, float]]  # index kind -> value by month
+
+
+class StagedRun:
+    """One run directory and its staged artifacts, each loaded at most once.
+
+    A stage asks for what it needs (the records and wages ingest wrote, the
+    records grouped by month, one backend's classified comments, the index
+    series). Each comes from memory when a stage sharing this object has
+    produced or loaded it, and is otherwise read from ``out/<run-id>/`` on
+    first use; a missing file fails the stage that asked for it. ``run``
+    passes one instance through every stage, and ``stage_report`` hands its
+    own to the ``stage_index`` and ``stage_granger`` it calls. Every stage
+    enters through ``for_stage``, the one place where data a caller passes
+    in memory (``ingest=``, ``classified=``, ``series=``, ``wages=``) is
+    taken in.
+    """
+
+    def __init__(self, config: RunConfig, run_id: str):
+        self.config = config
+        self.run_id = run_id
+        self.out = Path(config.output_dir) / run_id
+        self.records: list[SurveyRecord] | None = None
+        self.wages: WageSeries | None = None
+        self.grouped: dict[MonthKey, list[SurveyRecord]] | None = None
+        self.classified: dict[str, ClassifiedMap] = {}
+        self.series: dict[str, SeriesResult] | None = None
+
+    @classmethod
+    def for_stage(cls, config: RunConfig, stage: str, staged: StagedRun | None,
+                  *, ingest: IngestResult | None = None,
+                  classified: dict[str, ClassifiedMap] | None = None,
+                  series: dict[str, SeriesResult] | None = None,
+                  wages: WageSeries | None = None) -> StagedRun:
+        """``staged``, else the run directory ``config`` names (unreadable
+        inputs fail ``stage``), holding what the caller passed in memory;
+        a passed value replaces whatever ``staged`` held or would load."""
+        if staged is None:
+            try:
+                staged = cls(config, compute_run_id(config))
+            except (LoadError, OSError) as exc:
+                raise StageError(stage, str(exc)) from exc
+        if ingest is not None:
+            staged.keep_ingest(ingest)
+        if wages is not None:
+            staged.wages = wages
+        if classified is not None:
+            staged.classified.update(classified)
+        if series is not None:
+            staged.series = series
+        return staged
+
+    def keep_ingest(self, ingest: IngestResult) -> None:
+        """Use the records and wages of an ingest held in memory."""
+        self.records, self.wages, self.grouped = ingest.records, ingest.wages, None
+
+    def _ingest_file(self, name: str, stage: str) -> Path:
+        path = self.out / "stages" / name
+        if not path.exists():
+            raise StageError(stage, "ingest artifacts missing; run `wsi ingest` first")
+        return path
+
+    def get_wages(self, stage: str) -> WageSeries:
+        if self.wages is None:
+            self.wages = load_wages(self._ingest_file("wages.csv", stage))
+        return self.wages
+
+    def get_grouped(self, stage: str) -> dict[MonthKey, list[SurveyRecord]]:
+        """The ingested records by month, ascending."""
+        if self.grouped is None:
+            if self.records is None:
+                self.records = load_surveys([self._ingest_file("records.csv", stage)]).records
+            self.grouped = group_by_month(self.records)
+        return self.grouped
+
+    def get_classified(self, backend_id: str, stage: str) -> ClassifiedMap:
+        if backend_id not in self.classified:
+            path = self.out / "stages" / "classified" / f"{backend_id}.csv"
+            if not path.exists():
+                raise StageError(stage, f"no classified comments for {backend_id};"
+                                        " run `wsi classify` first")
+            self.classified[backend_id] = _read_classified_csv(
+                path, self.get_grouped(stage), backend_id)
+        return self.classified[backend_id]
+
+    def get_index(self, stage: str) -> dict[str, IndexByKind]:
+        """Each indexed backend's series by kind; a recorded index failure is left out."""
+        if self.series is not None:
+            return _by_kind(self.series)
+        index_json = self.out / "stages" / "index.json"
+        index_failures = (_read_json(index_json).get("failures", {})
+                          if index_json.exists() else {})
+        index: dict[str, IndexByKind] = {}
+        for backend in self.config.backends:
+            path = self.out / "series" / f"{backend.backend_id}.csv"
+            if not path.exists():
+                if backend.backend_id in index_failures:
+                    continue  # recorded index failure, nothing to sweep
+                raise StageError(stage, f"no series for {backend.backend_id};"
+                                        " run `wsi index` first")
+            index[backend.backend_id] = _read_series_csv(path)
+        return index
+
+
+def stage_ingest(config: RunConfig, *, staged: StagedRun | None = None) -> IngestResult:
     """Load surveys and wages, translate comments, persist normalized inputs."""
-    out = _resolve_out(config, "ingest")
+    staged = StagedRun.for_stage(config, "ingest", staged)
+    out = staged.out
     with _stage(out, "ingest"):
         surveys = expand_survey_paths(config.survey_paths)
         if not surveys:
@@ -449,7 +553,7 @@ def stage_ingest(config: RunConfig) -> IngestResult:
             "skipped_empty": load.skipped_empty,
             "translation_failed": len(report.failed_indices),
         })
-        return IngestResult(
+        result = IngestResult(
             records=records,
             wages=wages,
             row_errors=len(load.errors),
@@ -457,16 +561,8 @@ def stage_ingest(config: RunConfig) -> IngestResult:
             translation_failed=len(report.failed_indices),
             translation_calls=report.backend_calls,
         )
-
-
-def _load_staged_records(config: RunConfig) -> tuple[list[SurveyRecord], WageSeries]:
-    out = run_dir(config)
-    records_path = out / "stages" / "records.csv"
-    wages_path = out / "stages" / "wages.csv"
-    if not records_path.exists() or not wages_path.exists():
-        raise StageError("classify", "ingest artifacts missing; run `wsi ingest` first")
-    load = load_surveys([records_path])
-    return load.records, load_wages(wages_path)
+        staged.keep_ingest(result)
+        return result
 
 
 def _build_classifier(backend: BackendConfig, cache_dir: Path):
@@ -479,9 +575,6 @@ def _build_classifier(backend: BackendConfig, cache_dir: Path):
         cache = ClassificationCache(cache_dir / "classify")
         return CachedRemoteClassifier(remote, cache)
     raise ConfigError(f"no classifier for kind {backend.kind}")
-
-
-ClassifiedMap = dict[MonthKey, list[ClassifiedComment]]
 
 
 def _classify_backend(backend: BackendConfig, grouped: Mapping[MonthKey, list[SurveyRecord]],
@@ -549,27 +642,48 @@ def _classified_csv(classified: ClassifiedMap) -> str:
 def _read_classified_csv(path: Path, grouped: Mapping[MonthKey, list[SurveyRecord]],
                          backend_id: str) -> ClassifiedMap:
     classified: ClassifiedMap = {}
+    # yyyymm text -> (that month's records, its classified comments)
+    months: dict[str, tuple[list[SurveyRecord], list[ClassifiedComment]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            month = MonthKey.parse(row["yyyymm"])
-            ordinal = int(row["ordinal"])
-            record = grouped[month][ordinal]
-            probs = ClassProbabilities(float(row["u"]), float(row["v"]), float(row["w"]))
-            classified.setdefault(month, []).append(
+        reader = csv.reader(fh)
+        if next(reader, None) != CLASSIFIED_HEADER.split(","):
+            raise ValueError(f"{path}: header is not {CLASSIFIED_HEADER}")
+        for raw_month, ordinal, u, v, w, label, failed in reader:
+            month_of = months.get(raw_month)
+            if month_of is None:
+                month = MonthKey.parse(raw_month)
+                month_of = months[raw_month] = (grouped[month], classified.setdefault(month, []))
+            records, comments = month_of
+            comments.append(
                 ClassifiedComment(
-                    record=record,
-                    probs=probs,
+                    record=records[int(ordinal)],
+                    probs=ClassProbabilities(float(u), float(v), float(w)),
                     backend_id=backend_id,
-                    hard_label=row["label"],
-                    failed=bool(int(row["failed"])),
+                    hard_label=label,
+                    failed=bool(int(failed)),
                 )
             )
     return classified
 
 
+def _read_series_csv(path: Path) -> IndexByKind:
+    index: IndexByKind = {kind: {} for kind in INDEX_KINDS}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            month = MonthKey.parse(row["yyyymm"])
+            for kind in INDEX_KINDS:
+                index[kind][month] = float(row[f"wsi_{kind}"])
+    return index
+
+
+def _by_kind(series: Mapping[str, SeriesResult]) -> dict[str, IndexByKind]:
+    return {backend_id: {"standard": result.standard_by_month(),
+                         "weighted": result.weighted_by_month()}
+            for backend_id, result in series.items()}
+
+
 def stage_classify(config: RunConfig, ingest: IngestResult | None = None,
-                   only_backend: str | None = None
+                   only_backend: str | None = None, *, staged: StagedRun | None = None
                    ) -> tuple[dict[str, ClassifiedMap], dict[str, int]]:
     """Classify all months for every configured backend (or one of them).
 
@@ -577,13 +691,11 @@ def stage_classify(config: RunConfig, ingest: IngestResult | None = None,
     Wire calls are reported in memory only; the persisted artifacts stay
     byte-identical between cold-cache and warm-cache runs.
     """
-    out = _resolve_out(config, "classify")
+    staged = StagedRun.for_stage(config, "classify", staged, ingest=ingest)
+    out = staged.out
     with _stage(out, "classify"):
-        if ingest is None:
-            records, wages = _load_staged_records(config)
-        else:
-            records, wages = ingest.records, ingest.wages
-        grouped = group_by_month(records)
+        grouped = staged.get_grouped("classify")
+        wages = staged.get_wages("classify")
         stats: dict = {}
         if (out / "stages" / "classify.json").exists():
             stats = _read_json(out / "stages" / "classify.json")
@@ -593,7 +705,7 @@ def stage_classify(config: RunConfig, ingest: IngestResult | None = None,
             if only_backend is not None and backend.backend_id != only_backend:
                 continue
             classified, wire_calls, extras = _classify_backend(backend, grouped, wages, config)
-            results[backend.backend_id] = classified
+            results[backend.backend_id] = staged.classified[backend.backend_id] = classified
             wire_stats[backend.backend_id] = wire_calls
             failed = sum(c.failed for month in classified.values() for c in month)
             excluded = sum(c.excluded for month in classified.values() for c in month)
@@ -617,27 +729,20 @@ def stage_classify(config: RunConfig, ingest: IngestResult | None = None,
         return results, wire_stats
 
 
-def stage_index(config: RunConfig,
-                classified: dict[str, ClassifiedMap] | None = None) -> dict[str, SeriesResult]:
+def stage_index(config: RunConfig, classified: dict[str, ClassifiedMap] | None = None,
+                *, staged: StagedRun | None = None) -> dict[str, SeriesResult]:
     """Build per-backend index series and export the series CSVs.
 
     A backend that classified nothing (for example a lexicon baseline on a
     corpus too short for any selection window) is recorded as a failure
     rather than aborting the other backends.
     """
-    out = _resolve_out(config, "index")
+    staged = StagedRun.for_stage(config, "index", staged, classified=classified)
+    out = staged.out
     with _stage(out, "index"):
-        if classified is None:
-            records, _ = _load_staged_records(config)
-            grouped = group_by_month(records)
-            classified = {}
-            for backend in config.backends:
-                path = out / "stages" / "classified" / f"{backend.backend_id}.csv"
-                if not path.exists():
-                    raise StageError("index", f"no classified comments for {backend.backend_id};"
-                                              " run `wsi classify` first")
-                classified[backend.backend_id] = _read_classified_csv(
-                    path, grouped, backend.backend_id)
+        backend_ids = (list(classified) if classified is not None
+                       else [backend.backend_id for backend in config.backends])
+        classified = {b: staged.get_classified(b, "index") for b in backend_ids}
         series: dict[str, SeriesResult] = {}
         stats: dict[str, dict] = {}
         failures: dict[str, str] = {}
@@ -663,55 +768,24 @@ def stage_index(config: RunConfig,
                             backend_id, len(result.skipped_months))
         _write_json(out / "stages" / "index.json",
                     {"series": stats, "failures": failures})
+        staged.series = series
         return series
-
-
-def _read_series_csv(path: Path) -> tuple[dict[MonthKey, float], dict[MonthKey, float]]:
-    standard: dict[MonthKey, float] = {}
-    weighted: dict[MonthKey, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            month = MonthKey.parse(row["yyyymm"])
-            standard[month] = float(row["wsi_standard"])
-            weighted[month] = float(row["wsi_weighted"])
-    return standard, weighted
 
 
 SweepMap = dict[tuple[str, str], list[GrangerResult]]
 
 
 def stage_granger(config: RunConfig, series: dict[str, SeriesResult] | None = None,
-                  wages: WageSeries | None = None,
-                  max_lag: int | None = None) -> tuple[SweepMap, dict[str, str]]:
+                  wages: WageSeries | None = None, max_lag: int | None = None,
+                  *, staged: StagedRun | None = None) -> tuple[SweepMap, dict[str, str]]:
     """Granger sweeps for every backend and index kind against wage growth."""
-    out = _resolve_out(config, "granger")
+    staged = StagedRun.for_stage(config, "granger", staged, series=series, wages=wages)
+    out = staged.out
     with _stage(out, "granger"):
-        if wages is None:
-            wages = load_wages(out / "stages" / "wages.csv")
-        yoy_map = wages.yoy_map
+        yoy_map = staged.get_wages("granger").yoy_map
         if max_lag is None:
             max_lag = config.max_lag
-        per_backend: dict[str, dict[str, dict[MonthKey, float]]] = {}
-        if series is not None:
-            for backend_id, result in series.items():
-                per_backend[backend_id] = {
-                    "standard": result.standard_by_month(),
-                    "weighted": result.weighted_by_month(),
-                }
-        else:
-            index_json = out / "stages" / "index.json"
-            index_failures = (_read_json(index_json).get("failures", {})
-                              if index_json.exists() else {})
-            for backend in config.backends:
-                path = out / "series" / f"{backend.backend_id}.csv"
-                if not path.exists():
-                    if backend.backend_id in index_failures:
-                        continue  # recorded index failure, nothing to sweep
-                    raise StageError("granger", f"no series for {backend.backend_id};"
-                                                " run `wsi index` first")
-                standard, weighted = _read_series_csv(path)
-                per_backend[backend.backend_id] = {"standard": standard, "weighted": weighted}
+        per_backend = staged.get_index("granger")
         sweeps: SweepMap = {}
         failures: dict[str, str] = {}
         stats = {}
@@ -741,19 +815,20 @@ def stage_granger(config: RunConfig, series: dict[str, SeriesResult] | None = No
 def stage_report(config: RunConfig, ingest: IngestResult | None = None,
                  series: dict[str, SeriesResult] | None = None,
                  sweeps: SweepMap | None = None,
-                 failures: dict[str, str] | None = None) -> ReportBundle:
+                 failures: dict[str, str] | None = None,
+                 *, staged: StagedRun | None = None) -> ReportBundle:
     """Render charts and comparison tables, then write the manifest."""
-    out = _resolve_out(config, "report")
+    staged = StagedRun.for_stage(config, "report", staged, ingest=ingest, series=series)
+    out = staged.out
     with _stage(out, "report"):
-        if ingest is None:
-            records, wages = _load_staged_records(config)
-        else:
-            records, wages = ingest.records, ingest.wages
-        if series is None:
-            series = stage_index(config)
-        if sweeps is None or failures is None:
-            sweeps, failures = stage_granger(config, series=series, wages=wages)
+        grouped = staged.get_grouped("report")
+        wages = staged.get_wages("report")
         yoy_map = wages.yoy_map
+        series = staged.series
+        if series is None:
+            series = stage_index(config, staged=staged)
+        if sweeps is None or failures is None:
+            sweeps, failures = stage_granger(config, staged=staged)
 
         chart_failures: dict[str, str] = dict(failures)
         index_json = out / "stages" / "index.json"
@@ -787,10 +862,9 @@ def stage_report(config: RunConfig, ingest: IngestResult | None = None,
         granger_stats = _read_json(out / "stages" / "granger.json") \
             if (out / "stages" / "granger.json").exists() else {}
 
-        record_months = sorted({r.month for r in records})
-        run_id = compute_run_id(config)
+        record_months = list(grouped)  # ascending
         metadata = {
-            "run_id": run_id,
+            "run_id": staged.run_id,
             "code_version": __version__,
             "config": config.identity_dict(),
             "config_digest": hashlib.sha256(
@@ -813,7 +887,7 @@ def stage_report(config: RunConfig, ingest: IngestResult | None = None,
         _write_json(out / "manifest.json", manifest)
 
         bundle = ReportBundle(
-            run_id=run_id,
+            run_id=staged.run_id,
             metadata=metadata,
             series={b: r.points for b, r in series.items()},
             sweeps={key: results for key, results in sweeps.items()},
@@ -831,17 +905,17 @@ class RunResult:
 
 def run(config: RunConfig) -> RunResult:
     """Execute every stage; artifacts land under out/<run-id>/."""
-    out = run_dir(config)
+    staged = StagedRun(config, compute_run_id(config))
+    out = staged.out
     out.mkdir(parents=True, exist_ok=True)
     failed_marker = out / "FAILED"
     if failed_marker.exists():
         failed_marker.unlink()
-    ingest = stage_ingest(config)
-    classified, wire_stats = stage_classify(config, ingest=ingest)
-    series = stage_index(config, classified=classified)
-    sweeps, failures = stage_granger(config, series=series, wages=ingest.wages)
-    bundle = stage_report(config, ingest=ingest, series=series,
-                          sweeps=sweeps, failures=failures)
+    ingest = stage_ingest(config, staged=staged)
+    _, wire_stats = stage_classify(config, staged=staged)
+    stage_index(config, staged=staged)
+    sweeps, failures = stage_granger(config, staged=staged)
+    bundle = stage_report(config, sweeps=sweeps, failures=failures, staged=staged)
     stats = {
         "translation_calls": ingest.translation_calls,
         "translation_failed": ingest.translation_failed,

@@ -156,6 +156,14 @@ def transport(endpoint: str, timeout: float) -> HttpTransport | SubprocessTransp
     return SubprocessTransport(endpoint.removeprefix("cmd:"), timeout)
 
 
+def endpoint_identity(endpoint: str) -> str:
+    """The backend ``transport(endpoint)`` talks to, one spelling per backend:
+    a URL without its trailing slashes, a command line without ``cmd:``."""
+    if endpoint.startswith(("http://", "https://")):
+        return endpoint.rstrip("/")
+    return endpoint.removeprefix("cmd:")
+
+
 def retry(call: Callable[[], T], max_retries: int, base_delay: float,
           sleep: Callable[[float], None] = time.sleep) -> tuple[T | None, int]:
     """Run ``call`` until it returns, at most ``max_retries + 1`` times.

@@ -253,7 +253,7 @@ class TestClassifyBatch:
         assert result.failed == [True, True]
         assert result.wire_calls == 2
         assert all(p == UNRELATED for p in result.probs)
-        assert all(cache.get(t, "primary") is None for t in texts)
+        assert all(cache.get(t, "http://unused/", "primary") is None for t in texts)
         assert not list((tmp_path / "cache").rglob("*.json"))
 
         rescued = RemoteClassifier(spec(fallback_model_id="backup", max_retries=1),

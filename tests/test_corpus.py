@@ -1,12 +1,19 @@
+import csv
+import io
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from wsi.corpus import (
+    DEFAULT_SCHEMA,
     Judgment,
     LoadError,
     MonthKey,
+    RowError,
+    SurveyLoad,
+    SurveyRecord,
     group_by_month,
     load_survey,
     load_surveys,
@@ -14,7 +21,6 @@ from wsi.corpus import (
     month_range,
     write_survey,
     write_wages,
-    yoy,
     WageSeries,
 )
 
@@ -155,6 +161,123 @@ class TestLoadSurvey:
         assert reloaded.records == records
 
 
+def _dictreader_load_survey(path, schema=DEFAULT_SCHEMA):
+    """Reference: ``load_survey`` as written on ``csv.DictReader``, one parse per row."""
+    path = Path(path)
+    records, errors, skipped_empty = [], [], 0
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise LoadError(f"empty survey file: {path}")
+        required = [schema.month, schema.region, schema.industry, schema.judgment, schema.comment]
+        missing = [c for c in required if c not in reader.fieldnames]
+        if missing:
+            raise LoadError(f"{path}: missing columns {missing}")
+        has_translated = schema.translated in reader.fieldnames
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                month = MonthKey.parse(row[schema.month] or "")
+            except ValueError:
+                errors.append(RowError(str(path), lineno, "invalid month"))
+                continue
+            judgment = schema.resolve_judgment(row[schema.judgment] or "")
+            if judgment is None:
+                errors.append(RowError(str(path), lineno, "unknown judgment"))
+                continue
+            comment = (row[schema.comment] or "").strip()
+            if not comment:
+                skipped_empty += 1
+                continue
+            translated = row.get(schema.translated) if has_translated else None
+            if translated is not None:
+                translated = translated or None
+            records.append(SurveyRecord(
+                month=month, region=(row[schema.region] or "").strip(),
+                industry=(row[schema.industry] or "").strip(), judgment=judgment,
+                comment=comment, comment_translated=translated))
+    records.sort(key=lambda r: r.month)
+    return SurveyLoad(records, errors, skipped_empty)
+
+
+def _outcome(load, path):
+    """Records, errors and skip count of ``load(path)``, or the LoadError it raised."""
+    try:
+        result = load(path)
+    except LoadError as exc:
+        return ("LoadError", str(exc))
+    return (result.records, result.errors, result.skipped_empty)
+
+
+def _csv_text(rows):
+    """``rows`` as csv.writer writes them; an empty row is a blank line."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+COLUMNS = ["yyyymm", "region", "industry", "judgment", "comment", "comment_translated", "note"]
+CELLS = st.one_of(
+    st.sampled_from(["202001", "2020-02", " 202003 ", "201912", "202013", "20201", "2020-1x",
+                     "", "abc"]),
+    st.sampled_from(["Good", "bad", "Slightly_Bad", "yaya warui", " UNCHANGED ", "Stellar"]),
+    st.text(alphabet=st.sampled_from(list('ab ,"-\n\r\t')), max_size=8),
+)
+
+
+class TestFastRowParser:
+    """``load_survey`` reads exactly what a ``csv.DictReader`` reads."""
+
+    @given(header=st.lists(st.sampled_from(COLUMNS), max_size=9),
+           rows=st.lists(st.lists(CELLS, max_size=9), max_size=12))
+    def test_matches_dictreader_reference(self, tmp_path_factory, header, rows):
+        path = tmp_path_factory.mktemp("survey") / "s.csv"
+        path.write_text(_csv_text([header] + rows), encoding="utf-8")
+        outcome = _outcome(load_survey, path)
+        assert outcome == _outcome(_dictreader_load_survey, path)
+        if outcome[0] != "LoadError":
+            merged = sorted(outcome[0] * 2, key=lambda r: r.month)
+            assert load_surveys([path, path]).records == merged
+
+    @pytest.mark.parametrize("text", [
+        # blank lines anywhere: skipped, not numbered
+        "yyyymm,region,industry,judgment,comment\n\n202001,K,r,Good,a\n\n\n2020x,K,r,Good,b\n",
+        # a short row reads its missing fields as empty, a long row drops the extra ones
+        "yyyymm,region,industry,judgment,comment\n202001,K,r,Good\n202001,K,r,Good,a,x,y\n"
+        "202001,K\n202002\n",
+        # a duplicated column name reads its last column, or empty past the row's end
+        "yyyymm,comment,region,industry,judgment,comment\n202001,first,K,r,Good,last\n"
+        "202001,first,K,r,Good\n",
+        # quoted fields span lines and count as one row
+        'yyyymm,region,industry,judgment,comment\n202001,K,r,Good,"two\nlines"\n'
+        '202001,"K\n",r,Good,"a, ""quoted"" comma"\n2020-13,K,r,Good,bad month\n',
+        # bad months, unknown labels and empty comments, each with its line number
+        "yyyymm,region,industry,judgment,comment\n2020-13,K,r,Good,a\n202001,K,r,Stellar,b\n"
+        "202001,K,r,Good,   \n,K,r,Good,c\n202001,K,r,,d\n202001,K,r,yaya yoi,e\n",
+        # an empty comment_translated reads as untranslated; a filled one is kept
+        "yyyymm,region,industry,judgment,comment,comment_translated\n"
+        "202001,K,r,Good,a,\n202001,K,r,Good,b,B\n202001,K,r,Good,c\n",
+        # header problems stay hard errors with the same messages
+        "",
+        "\nyyyymm,region,industry,judgment,comment\n202001,K,r,Good,a\n",
+        "yyyymm,region,judgment\n202001,K,Good\n",
+    ], ids=["blank-lines", "short-and-long-rows", "duplicated-header", "quoted-newlines",
+            "row-errors", "empty-translation", "empty-file", "blank-header", "missing-columns"])
+    def test_fixed_cases_match_dictreader_reference(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(load_survey, path) == _outcome(_dictreader_load_survey, path)
+
+    def test_fixed_cases_read_what_they_say(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("yyyymm,comment,region,industry,judgment,comment,comment_translated\n"
+                        "\n202001,first,K,r,Good,last,\n202001,first,K,r,Good\n"
+                        "2020-13,x,K,r,Good,y\n", encoding="utf-8")
+        load = load_survey(path)
+        assert [(r.comment, r.comment_translated) for r in load.records] == [("last", None)]
+        assert load.skipped_empty == 1
+        assert load.errors == [RowError(str(path), 4, "invalid month")]
+
+
 class TestWages:
     def test_yoy_trivials(self, tmp_path):
         rows = ["yyyymm,level"]
@@ -167,7 +290,7 @@ class TestWages:
         series = load_wages(path)
         assert series.yoy(MonthKey(2020, 1)) == pytest.approx(2.0)
         assert series.yoy(MonthKey(2019, 12)) is None
-        assert yoy(series, MonthKey(2020, 1)) == pytest.approx(2.0)
+        assert series.yoy_map[MonthKey(2020, 1)] == pytest.approx(2.0)
 
     def test_flat_series_has_zero_growth(self):
         levels = {MonthKey(2019, 1).plus(i): 100.0 for i in range(13)}
@@ -185,6 +308,13 @@ class TestWages:
     def test_non_positive_level_is_hard_error(self):
         with pytest.raises(LoadError, match="non-positive"):
             WageSeries({MonthKey(2020, 1): 0.0})
+
+    @pytest.mark.parametrize("level", ["inf", "1e309", "-inf", "nan"])
+    def test_non_finite_level_is_hard_error(self, tmp_path, level):
+        path = tmp_path / "w.csv"
+        path.write_text(f"yyyymm,level\n202001,100\n202002,{level}\n")
+        with pytest.raises(LoadError, match="non-finite wage level at 202002"):
+            load_wages(path)
 
     def test_duplicate_month_rejected(self, tmp_path):
         path = tmp_path / "w.csv"

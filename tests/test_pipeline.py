@@ -52,35 +52,39 @@ def config_for(base, backends=None, **kw):
     return RunConfig(**defaults)
 
 
-def cache_key(comment, model_id, prompt_version):
-    return ClassificationCache.digest((comment, model_id, prompt_version))
+def cache_key(comment, endpoint, model_id, prompt_version):
+    return ClassificationCache.digest((comment, endpoint, model_id, prompt_version))
 
 
 class TestCacheKey:
     def test_stable(self):
-        assert cache_key("text", "model", "v1") == cache_key("text", "model", "v1")
+        assert cache_key("text", "e", "model", "v1") == cache_key("text", "e", "model", "v1")
 
     def test_any_input_change_changes_key(self):
-        base = cache_key("text", "model", "v1")
-        assert cache_key("text2", "model", "v1") != base
-        assert cache_key("text", "model2", "v1") != base
-        assert cache_key("text", "model", "v2") != base
+        base = cache_key("text", "e", "model", "v1")
+        assert cache_key("text2", "e", "model", "v1") != base
+        assert cache_key("text", "e2", "model", "v1") != base
+        assert cache_key("text", "e", "model2", "v1") != base
+        assert cache_key("text", "e", "model", "v2") != base
 
     def test_no_collisions_over_100k_inputs(self):
         seen = set()
         for i in range(100_000):
-            seen.add(cache_key(f"comment number {i}", "m", "v1"))
+            seen.add(cache_key(f"comment number {i}", "e", "m", "v1"))
         assert len(seen) == 100_000
 
     def test_classification_cache_round_trip(self, tmp_path):
         cache = ClassificationCache(tmp_path)
         probs = ClassProbabilities(0.5, 0.25, 0.25)
-        cache.put("a comment", "model-x", probs)
-        assert cache.get("a comment", "model-x") == probs
-        assert cache.get("a comment", "other-model") is None
-        # the digest, path and bytes of an entry are those of earlier
-        # releases, so an existing cache directory keeps serving hits
-        digest = "ae50012be27d4d843e8cf7d284f169fea659e6110fd7ef940cc452f88500c639"
+        endpoint = "http://localhost:1/"
+        cache.put("a comment", endpoint, "model-x", probs)
+        assert cache.get("a comment", endpoint, "model-x") == probs
+        assert cache.get("a comment", endpoint, "other-model") is None
+        assert cache.get("a comment", "cmd:other-endpoint", "model-x") is None
+        # the key is [comment, endpoint as the transport reads it, model,
+        # prompt version]; the entry's fan-out path and bytes are pinned so
+        # a format change shows here
+        digest = "e8eebdb2f69e77f76e66fd12e4e257cc4a9a70018d443d47485d99e37734a4a8"
         assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()] == [
             Path(digest[:2]) / f"{digest}.json"]
         assert (tmp_path / digest[:2] / f"{digest}.json").read_bytes() == \
@@ -106,8 +110,9 @@ class TestCacheKey:
         cache = ClassificationCache(tmp_path)
         cold = classifier("backup").classify_batch(["a comment"])
         assert cold.failed == [False] and cold.wire_calls == 2
-        assert cache.get("a comment", "primary") is None
-        assert cache.get("a comment", "backup") == ClassProbabilities(0.0, 1.0, 0.0)
+        assert cache.get("a comment", "http://unused/", "primary") is None
+        assert cache.get("a comment", "http://unused/", "backup") == \
+            ClassProbabilities(0.0, 1.0, 0.0)
 
         calls.clear()
         warm = classifier("backup").classify_batch(["a comment"])
@@ -201,15 +206,19 @@ class TestWireBackendCaching:
         warm = run(config)
         assert cold.bundle == warm.bundle
 
-    def test_classification_failures_reduce_n_and_are_itemized(
-            self, tmp_path, wire_server):
-        self.make_wire_corpus(tmp_path)
-        # poison two comments in one month; batch_size=1 isolates the failures
+    def poison_two_comments(self, tmp_path):
+        """Two comments in one month that the HTTP wire server fails with a 500."""
         month_file = tmp_path / "data" / "surveys" / "201804.csv"
         lines = month_file.read_text().splitlines()
         lines[1] = lines[1].rsplit(",", 1)[0] + ",poison pill one"
         lines[2] = lines[2].rsplit(",", 1)[0] + ",poison pill two"
         month_file.write_text("\n".join(lines) + "\n")
+
+    def test_classification_failures_reduce_n_and_are_itemized(
+            self, tmp_path, wire_server):
+        self.make_wire_corpus(tmp_path)
+        # batch_size=1 isolates the failures
+        self.poison_two_comments(tmp_path)
 
         config = config_for(
             tmp_path,
@@ -225,6 +234,46 @@ class TestWireBackendCaching:
         # excluded column picks up exactly the 2 failures; n drops by 2
         assert int(poisoned[6]) == 2
         assert int(poisoned[7]) == int(clean[7]) - 2
+
+    def test_backends_naming_one_model_do_not_share_cache_entries(
+            self, tmp_path, wire_server):
+        self.make_wire_corpus(tmp_path)
+        self.poison_two_comments(tmp_path)  # the child answers them, the server fails them
+        shared_cache = str(tmp_path / "shared-cache")
+        child = BackendConfig(backend_id="child", kind="subprocess", model_id="m1",
+                              endpoint=f"{sys.executable} {WIRE_STUB}")
+        run(config_for(tmp_path, backends=[child], cache_dir=shared_cache,
+                       output_dir=str(tmp_path / "out-child")))
+
+        remote = [self.backend(wire_server, model_id="m1", batch_size=1, max_retries=0)]
+        shared = run(config_for(tmp_path, backends=remote, cache_dir=shared_cache,
+                                output_dir=str(tmp_path / "out-shared")))
+        fresh = run(config_for(tmp_path, backends=remote, cache_dir=str(tmp_path / "empty"),
+                               output_dir=str(tmp_path / "out-fresh")))
+        assert fresh.stats["classify"]["remote"]["failed_comments"] == 2
+        assert tree_bytes(shared.out_dir) == tree_bytes(fresh.out_dir)
+
+    def test_spellings_of_one_endpoint_share_cache_entries(self, tmp_path):
+        self.make_wire_corpus(tmp_path)
+        command = f"{sys.executable} {WIRE_STUB}"
+
+        def run_with(endpoint):
+            backend = BackendConfig(backend_id="child", kind="subprocess", model_id="m",
+                                    endpoint=endpoint)
+            return run(config_for(tmp_path, backends=[backend]))
+
+        cold = run_with(f"cmd:{command}")
+        warm = run_with(command)
+        assert cold.stats["wire_calls"]["child"] > 0
+        assert warm.stats["wire_calls"]["child"] == 0
+        # the manifest names the endpoint as configured; the results match
+        assert tree_bytes(warm.out_dir / "series") == tree_bytes(cold.out_dir / "series")
+
+        cache = ClassificationCache(tmp_path / "cache")
+        probs = ClassProbabilities(0.5, 0.25, 0.25)
+        cache.put("a comment", "http://h/", "m", probs)
+        assert cache.get("a comment", "http://h", "m") == probs
+        assert cache.get("a comment", "http://h:81", "m") is None
 
     def test_subprocess_backend_child_is_stopped_after_classify(
             self, tmp_path, recorded_children):
@@ -416,6 +465,65 @@ class TestStageSequencing:
         with pytest.raises(StageError):
             stage_index(config, classified=None)
         assert (run_dir(config) / "FAILED").exists()
+
+
+class TestStagedArtifacts:
+    @pytest.mark.parametrize("stage, missing", [
+        ("classify", "records.csv"),
+        ("index", "records.csv"),
+        ("granger", "wages.csv"),
+        ("report", "records.csv"),
+    ])
+    def test_missing_ingest_artifact_fails_the_stage_that_asked(
+            self, small_corpus, stage, missing):
+        config = config_for(small_corpus)
+        out = run(config).out_dir
+        (out / "stages" / missing).unlink()
+        stage_fn = {"classify": stage_classify, "index": stage_index,
+                    "granger": stage_granger, "report": stage_report}[stage]
+        with pytest.raises(StageError, match="ingest artifacts missing") as err:
+            stage_fn(config)
+        assert err.value.stage == stage
+        assert (out / "FAILED").read_text().startswith(f"stage: {stage}\n")
+
+    def test_stages_handed_results_in_memory_write_the_run_tree(self, small_corpus):
+        backends = [BackendConfig(backend_id="mock", kind="keyword"),
+                    BackendConfig(backend_id="baseline", kind="lexicon")]
+        config = config_for(small_corpus, backends=backends)
+        out = run(config).out_dir
+        expected = tree_bytes(out)
+        for path in out.rglob("*"):
+            if path.is_file():
+                path.unlink()
+
+        ingest = stage_ingest(config)
+        classified, _ = stage_classify(config, ingest=ingest)
+        series = stage_index(config, classified=classified)
+        sweeps, failures = stage_granger(config, series=series, wages=ingest.wages)
+        stage_report(config, ingest=ingest, series=series, sweeps=sweeps, failures=failures)
+        assert tree_bytes(out) == expected
+
+    def test_report_rerun_parses_records_once_and_keeps_the_tree(
+            self, small_corpus, monkeypatch):
+        import wsi.pipeline
+
+        backends = [BackendConfig(backend_id="mock", kind="keyword"),
+                    BackendConfig(backend_id="baseline", kind="lexicon")]
+        config = config_for(small_corpus, backends=backends)
+        out = run(config).out_dir
+        before = tree_bytes(out)
+
+        calls = []
+        real_load_surveys = wsi.pipeline.load_surveys
+
+        def counting_load_surveys(paths, *args):
+            calls.append(list(paths))
+            return real_load_surveys(calls[-1], *args)
+
+        monkeypatch.setattr(wsi.pipeline, "load_surveys", counting_load_surveys)
+        stage_report(config).validate()
+        assert calls == [[out / "stages" / "records.csv"]]
+        assert tree_bytes(out) == before
 
 
 class TestConfig:
