@@ -4,7 +4,9 @@ Subcommands mirror the pipeline stages (``ingest``, ``classify``, ``index``,
 ``granger``, ``report``), ``run`` executes all of them, and ``synth``
 generates a synthetic corpus with a known causal lead. Stage commands share
 one JSON config file (see README for the schema); later stages read the
-artifacts earlier stages wrote under ``out/<run-id>/``.
+artifacts earlier stages wrote under ``out/<run-id>/``. The analysis
+settings, ``max_lag`` included, come from the config file alone, so each
+stage command lands in the run directory the earlier ones wrote.
 """
 
 from __future__ import annotations
@@ -33,13 +35,6 @@ def _add_config_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="JSON run configuration file")
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig.from_file(args.config)
-    if getattr(args, "max_lag", None) is not None:
-        config.max_lag = args.max_lag
-    return config
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wsi", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
@@ -56,6 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, description in (
         ("ingest", "load, validate, and translate the inputs"),
         ("index", "compute index series from classified comments"),
+        ("granger", "run the Granger sweeps"),
         ("report", "render charts, tables, and the manifest"),
         ("run", "execute every stage"),
     ):
@@ -65,10 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify comments for one or all backends")
     _add_config_argument(p)
     p.add_argument("--backend", help="classify only this backend id")
-
-    p = sub.add_parser("granger", help="run the Granger sweeps")
-    _add_config_argument(p)
-    p.add_argument("--max-lag", type=int, default=None)
 
     return parser
 
@@ -91,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {len(survey_paths)} survey files and {wage_path}")
             return 0
 
-        config = _load_config(args)
+        config = RunConfig.from_file(args.config)
         if args.command == "ingest":
             result = stage_ingest(config)
             print(f"ingested {len(result.records)} records "
@@ -108,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
             for backend_id, result in series.items():
                 print(f"{backend_id}: {len(result.points)} index points")
         elif args.command == "granger":
-            sweeps, failures = stage_granger(config, max_lag=args.max_lag)
+            sweeps, failures = stage_granger(config)
             for (backend_id, kind), results in sorted(sweeps.items()):
                 significant = sum(1 for r in results if r.stars)
                 print(f"{backend_id}/{kind}: {len(results)} lags, "

@@ -17,6 +17,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .wire import atomic_open
+
 
 class LoadError(ValueError):
     """An input file violates the canonical format (hard failure)."""
@@ -257,14 +259,12 @@ def load_surveys(paths: Iterable[str | Path], schema: SurveySchema = DEFAULT_SCH
 
 def write_survey(records: Sequence[SurveyRecord], path: str | Path,
                  schema: SurveySchema = DEFAULT_SCHEMA) -> None:
-    """Write records back to the canonical CSV format (round-trip safe)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write records back to the canonical CSV format (round-trip safe), atomically."""
     include_translated = any(r.comment_translated is not None for r in records)
     header = [schema.month, schema.region, schema.industry, schema.judgment, schema.comment]
     if include_translated:
         header.append(schema.translated)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with atomic_open(Path(path), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in records:
@@ -351,9 +351,7 @@ def load_wages(path: str | Path) -> WageSeries:
 
 
 def write_wages(levels: Mapping[MonthKey, float], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with atomic_open(Path(path), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["yyyymm", "level"])
         for m in sorted(levels):

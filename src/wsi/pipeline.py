@@ -2,7 +2,10 @@
 
 Stages run ingest -> translate -> classify -> index -> granger -> report.
 Each stage persists its artifacts under ``out/<run-id>/`` so stages can also
-be re-run individually from the CLI. The run id is a digest of the semantic
+be re-run individually from the CLI. Every ``stage_*`` takes the config and
+an optional ``StagedRun``, the one hand-over between stages: results a stage
+produced stay on it for the next, and a stage called without one reads what
+it needs back from ``out/<run-id>/``. The run id is a digest of the semantic
 configuration, the input file digests, and the code version; execution
 knobs (parallelism, directories) deliberately do not change it, so reruns
 of the same analysis land in the same place with identical bytes.
@@ -385,6 +388,12 @@ def _read_json(path: Path):
         return json.load(fh)
 
 
+def _read_stage_stats(out: Path, stage: str) -> dict:
+    """``stages/<stage>.json``, empty when that stage has not run."""
+    path = out / "stages" / f"{stage}.json"
+    return _read_json(path) if path.exists() else {}
+
+
 def _translator(config: RunConfig):
     spec = config.translation_backend
     if spec == "identity":
@@ -397,7 +406,6 @@ def _translator(config: RunConfig):
 @dataclass
 class IngestResult:
     records: list[SurveyRecord]
-    wages: WageSeries
     row_errors: int
     skipped_empty: int
     translation_failed: int
@@ -406,21 +414,21 @@ class IngestResult:
 
 ClassifiedMap = dict[MonthKey, list[ClassifiedComment]]
 IndexByKind = dict[str, dict[MonthKey, float]]  # index kind -> value by month
+SweepMap = dict[tuple[str, str], list[GrangerResult]]
 
 
 class StagedRun:
-    """One run directory and its staged artifacts, each loaded at most once.
+    """One run directory and the results its stages hand to each other.
 
-    A stage asks for what it needs (the records and wages ingest wrote, the
-    records grouped by month, one backend's classified comments, the index
-    series). Each comes from memory when a stage sharing this object has
-    produced or loaded it, and is otherwise read from ``out/<run-id>/`` on
-    first use; a missing file fails the stage that asked for it. ``run``
-    passes one instance through every stage, and ``stage_report`` hands its
-    own to the ``stage_index`` and ``stage_granger`` it calls. Every stage
-    enters through ``for_stage``, the one place where data a caller passes
-    in memory (``ingest=``, ``classified=``, ``series=``, ``wages=``) is
-    taken in.
+    This is the only way results travel from one stage to the next. Each
+    stage records what it produced here (ingest the records and wages,
+    classify each backend's comments, index the series and the contents of
+    ``stages/index.json``, granger the sweeps and their failures). A later
+    stage asks for what it needs and gets it from memory when a stage
+    sharing this object produced or loaded it, else from ``out/<run-id>/``
+    on first use; a missing file fails the stage that asked for it. ``run``
+    passes one instance through every stage, and ``stage_report`` runs
+    index or granger on its own instance only when it lacks their results.
     """
 
     def __init__(self, config: RunConfig, run_id: str):
@@ -432,34 +440,20 @@ class StagedRun:
         self.grouped: dict[MonthKey, list[SurveyRecord]] | None = None
         self.classified: dict[str, ClassifiedMap] = {}
         self.series: dict[str, SeriesResult] | None = None
+        self.index_stats: dict | None = None
+        self.sweeps: SweepMap | None = None
+        self.granger_failures: dict[str, str] | None = None
 
     @classmethod
-    def for_stage(cls, config: RunConfig, stage: str, staged: StagedRun | None,
-                  *, ingest: IngestResult | None = None,
-                  classified: dict[str, ClassifiedMap] | None = None,
-                  series: dict[str, SeriesResult] | None = None,
-                  wages: WageSeries | None = None) -> StagedRun:
-        """``staged``, else the run directory ``config`` names (unreadable
-        inputs fail ``stage``), holding what the caller passed in memory;
-        a passed value replaces whatever ``staged`` held or would load."""
-        if staged is None:
-            try:
-                staged = cls(config, compute_run_id(config))
-            except (LoadError, OSError) as exc:
-                raise StageError(stage, str(exc)) from exc
-        if ingest is not None:
-            staged.keep_ingest(ingest)
-        if wages is not None:
-            staged.wages = wages
-        if classified is not None:
-            staged.classified.update(classified)
-        if series is not None:
-            staged.series = series
-        return staged
-
-    def keep_ingest(self, ingest: IngestResult) -> None:
-        """Use the records and wages of an ingest held in memory."""
-        self.records, self.wages, self.grouped = ingest.records, ingest.wages, None
+    def for_stage(cls, config: RunConfig, stage: str, staged: StagedRun | None) -> StagedRun:
+        """``staged``, else one opened for the run directory ``config``
+        names; inputs the run id cannot be computed from fail ``stage``."""
+        if staged is not None:
+            return staged
+        try:
+            return cls(config, compute_run_id(config))
+        except (LoadError, OSError) as exc:
+            raise StageError(stage, str(exc)) from exc
 
     def _ingest_file(self, name: str, stage: str) -> Path:
         path = self.out / "stages" / name
@@ -490,13 +484,17 @@ class StagedRun:
                 path, self.get_grouped(stage), backend_id)
         return self.classified[backend_id]
 
+    def get_index_stats(self) -> dict:
+        """``stages/index.json``, empty before the index stage has run."""
+        if self.index_stats is None:
+            self.index_stats = _read_stage_stats(self.out, "index")
+        return self.index_stats
+
     def get_index(self, stage: str) -> dict[str, IndexByKind]:
         """Each indexed backend's series by kind; a recorded index failure is left out."""
         if self.series is not None:
             return _by_kind(self.series)
-        index_json = self.out / "stages" / "index.json"
-        index_failures = (_read_json(index_json).get("failures", {})
-                          if index_json.exists() else {})
+        index_failures = self.get_index_stats().get("failures", {})
         index: dict[str, IndexByKind] = {}
         for backend in self.config.backends:
             path = self.out / "series" / f"{backend.backend_id}.csv"
@@ -553,16 +551,14 @@ def stage_ingest(config: RunConfig, *, staged: StagedRun | None = None) -> Inges
             "skipped_empty": load.skipped_empty,
             "translation_failed": len(report.failed_indices),
         })
-        result = IngestResult(
+        staged.records, staged.wages, staged.grouped = records, wages, None
+        return IngestResult(
             records=records,
-            wages=wages,
             row_errors=len(load.errors),
             skipped_empty=load.skipped_empty,
             translation_failed=len(report.failed_indices),
             translation_calls=report.backend_calls,
         )
-        staged.keep_ingest(result)
-        return result
 
 
 def _build_classifier(backend: BackendConfig, cache_dir: Path):
@@ -682,8 +678,8 @@ def _by_kind(series: Mapping[str, SeriesResult]) -> dict[str, IndexByKind]:
             for backend_id, result in series.items()}
 
 
-def stage_classify(config: RunConfig, ingest: IngestResult | None = None,
-                   only_backend: str | None = None, *, staged: StagedRun | None = None
+def stage_classify(config: RunConfig, only_backend: str | None = None, *,
+                   staged: StagedRun | None = None
                    ) -> tuple[dict[str, ClassifiedMap], dict[str, int]]:
     """Classify all months for every configured backend (or one of them).
 
@@ -691,14 +687,12 @@ def stage_classify(config: RunConfig, ingest: IngestResult | None = None,
     Wire calls are reported in memory only; the persisted artifacts stay
     byte-identical between cold-cache and warm-cache runs.
     """
-    staged = StagedRun.for_stage(config, "classify", staged, ingest=ingest)
+    staged = StagedRun.for_stage(config, "classify", staged)
     out = staged.out
     with _stage(out, "classify"):
         grouped = staged.get_grouped("classify")
         wages = staged.get_wages("classify")
-        stats: dict = {}
-        if (out / "stages" / "classify.json").exists():
-            stats = _read_json(out / "stages" / "classify.json")
+        stats = _read_stage_stats(out, "classify")
         results: dict[str, ClassifiedMap] = {}
         wire_stats: dict[str, int] = {}
         for backend in config.backends:
@@ -729,20 +723,19 @@ def stage_classify(config: RunConfig, ingest: IngestResult | None = None,
         return results, wire_stats
 
 
-def stage_index(config: RunConfig, classified: dict[str, ClassifiedMap] | None = None,
-                *, staged: StagedRun | None = None) -> dict[str, SeriesResult]:
+def stage_index(config: RunConfig, *, staged: StagedRun | None = None
+                ) -> dict[str, SeriesResult]:
     """Build per-backend index series and export the series CSVs.
 
     A backend that classified nothing (for example a lexicon baseline on a
     corpus too short for any selection window) is recorded as a failure
     rather than aborting the other backends.
     """
-    staged = StagedRun.for_stage(config, "index", staged, classified=classified)
+    staged = StagedRun.for_stage(config, "index", staged)
     out = staged.out
     with _stage(out, "index"):
-        backend_ids = (list(classified) if classified is not None
-                       else [backend.backend_id for backend in config.backends])
-        classified = {b: staged.get_classified(b, "index") for b in backend_ids}
+        classified = {b.backend_id: staged.get_classified(b.backend_id, "index")
+                      for b in config.backends}
         series: dict[str, SeriesResult] = {}
         stats: dict[str, dict] = {}
         failures: dict[str, str] = {}
@@ -766,25 +759,19 @@ def stage_index(config: RunConfig, classified: dict[str, ClassifiedMap] | None =
             if result.skipped_months:
                 log.warning("%s: %d months had no classifiable comments",
                             backend_id, len(result.skipped_months))
-        _write_json(out / "stages" / "index.json",
-                    {"series": stats, "failures": failures})
+        staged.index_stats = {"series": stats, "failures": failures}
+        _write_json(out / "stages" / "index.json", staged.index_stats)
         staged.series = series
         return series
 
 
-SweepMap = dict[tuple[str, str], list[GrangerResult]]
-
-
-def stage_granger(config: RunConfig, series: dict[str, SeriesResult] | None = None,
-                  wages: WageSeries | None = None, max_lag: int | None = None,
-                  *, staged: StagedRun | None = None) -> tuple[SweepMap, dict[str, str]]:
+def stage_granger(config: RunConfig, *, staged: StagedRun | None = None
+                  ) -> tuple[SweepMap, dict[str, str]]:
     """Granger sweeps for every backend and index kind against wage growth."""
-    staged = StagedRun.for_stage(config, "granger", staged, series=series, wages=wages)
+    staged = StagedRun.for_stage(config, "granger", staged)
     out = staged.out
     with _stage(out, "granger"):
         yoy_map = staged.get_wages("granger").yoy_map
-        if max_lag is None:
-            max_lag = config.max_lag
         per_backend = staged.get_index("granger")
         sweeps: SweepMap = {}
         failures: dict[str, str] = {}
@@ -793,7 +780,7 @@ def stage_granger(config: RunConfig, series: dict[str, SeriesResult] | None = No
             for kind in INDEX_KINDS:
                 try:
                     pair = AlignedPair.from_series(kinds[kind], yoy_map)
-                    results = granger_sweep(pair, max_lag)
+                    results = granger_sweep(pair, config.max_lag)
                     if not results:
                         raise ValueError("no feasible lag")
                 except (ValueError, ArithmeticError) as exc:
@@ -809,31 +796,30 @@ def stage_granger(config: RunConfig, series: dict[str, SeriesResult] | None = No
                 }
         _write_json(out / "stages" / "granger.json",
                     {"sweeps": stats, "failures": failures})
+        staged.sweeps, staged.granger_failures = sweeps, failures
         return sweeps, failures
 
 
-def stage_report(config: RunConfig, ingest: IngestResult | None = None,
-                 series: dict[str, SeriesResult] | None = None,
-                 sweeps: SweepMap | None = None,
-                 failures: dict[str, str] | None = None,
-                 *, staged: StagedRun | None = None) -> ReportBundle:
-    """Render charts and comparison tables, then write the manifest."""
-    staged = StagedRun.for_stage(config, "report", staged, ingest=ingest, series=series)
+def stage_report(config: RunConfig, *, staged: StagedRun | None = None) -> ReportBundle:
+    """Render charts and comparison tables, then write the manifest.
+
+    Index and granger run first when ``staged`` lacks their results.
+    """
+    staged = StagedRun.for_stage(config, "report", staged)
     out = staged.out
     with _stage(out, "report"):
         grouped = staged.get_grouped("report")
         wages = staged.get_wages("report")
         yoy_map = wages.yoy_map
-        series = staged.series
-        if series is None:
-            series = stage_index(config, staged=staged)
-        if sweeps is None or failures is None:
-            sweeps, failures = stage_granger(config, staged=staged)
+        if staged.series is None:
+            stage_index(config, staged=staged)
+        if staged.sweeps is None:
+            stage_granger(config, staged=staged)
+        series, sweeps = staged.series, staged.sweeps
 
-        chart_failures: dict[str, str] = dict(failures)
-        index_json = out / "stages" / "index.json"
-        if index_json.exists():
-            chart_failures.update(_read_json(index_json).get("failures", {}))
+        index_stats = staged.get_index_stats()
+        chart_failures: dict[str, str] = dict(staged.granger_failures)
+        chart_failures.update(index_stats.get("failures", {}))
         for backend_id, result in series.items():
             try:
                 svg = render_series_chart(result.points, yoy_map,
@@ -853,15 +839,6 @@ def stage_report(config: RunConfig, ingest: IngestResult | None = None,
                 sections.append(render_granger_grid(by_backend, title, fmt))
             atomic_write(out / "tables" / f"granger.{suffix}", "\n".join(sections))
 
-        ingest_stats = _read_json(out / "stages" / "ingest.json") \
-            if (out / "stages" / "ingest.json").exists() else {}
-        classify_stats = _read_json(out / "stages" / "classify.json") \
-            if (out / "stages" / "classify.json").exists() else {}
-        index_stats = _read_json(out / "stages" / "index.json") \
-            if (out / "stages" / "index.json").exists() else {}
-        granger_stats = _read_json(out / "stages" / "granger.json") \
-            if (out / "stages" / "granger.json").exists() else {}
-
         record_months = list(grouped)  # ascending
         metadata = {
             "run_id": staged.run_id,
@@ -878,10 +855,10 @@ def stage_report(config: RunConfig, ingest: IngestResult | None = None,
         }
         manifest = dict(metadata)
         manifest.update({
-            "ingest": ingest_stats,
-            "classify": classify_stats,
+            "ingest": _read_stage_stats(out, "ingest"),
+            "classify": _read_stage_stats(out, "classify"),
             "index": index_stats,
-            "granger": granger_stats,
+            "granger": _read_stage_stats(out, "granger"),
             "failures": chart_failures,
         })
         _write_json(out / "manifest.json", manifest)
@@ -914,8 +891,8 @@ def run(config: RunConfig) -> RunResult:
     ingest = stage_ingest(config, staged=staged)
     _, wire_stats = stage_classify(config, staged=staged)
     stage_index(config, staged=staged)
-    sweeps, failures = stage_granger(config, staged=staged)
-    bundle = stage_report(config, sweeps=sweeps, failures=failures, staged=staged)
+    stage_granger(config, staged=staged)
+    bundle = stage_report(config, staged=staged)
     stats = {
         "translation_calls": ingest.translation_calls,
         "translation_failed": ingest.translation_failed,

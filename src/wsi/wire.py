@@ -18,8 +18,9 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Iterator, TextIO, TypeVar
 
 log = logging.getLogger("wsi")
 
@@ -183,18 +184,27 @@ def retry(call: Callable[[], T], max_retries: int, base_delay: float,
     return None, attempts
 
 
-def atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file and a rename, so
-    readers see the old content or the new one, never a partial file."""
+@contextmanager
+def atomic_open(path: Path, newline: str | None = None) -> Iterator[TextIO]:
+    """A text file to stream into that replaces ``path`` through a rename
+    when the block ends, so readers see the old content or the new one,
+    never a partial file. A block that raises leaves ``path`` as it was
+    and no temporary file behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all (see ``atomic_open``)."""
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 class ContentCache:

@@ -38,14 +38,26 @@ def test_synth_writes_corpus(tmp_path, capsys):
 
 def test_stage_commands_in_sequence(workspace, capsys):
     tmp_path, config_path = workspace
-    for command in (["ingest"], ["classify"], ["index"],
-                    ["granger", "--max-lag", "6"], ["report"]):
-        assert main([command[0], "--config", str(config_path)] + command[1:]) == 0
+    for command in ("ingest", "classify", "index", "granger", "report"):
+        assert main([command, "--config", str(config_path)]) == 0
     out_root = run_dir(RunConfig.from_file(config_path))
+    assert list((tmp_path / "out").iterdir()) == [out_root]
     assert (out_root / "manifest.json").exists()
     assert (out_root / "tables" / "granger.tex").exists()
+    assert json.loads((out_root / "manifest.json").read_text())["config"]["max_lag"] == 6
     output = capsys.readouterr().out
     assert "mock" in output
+
+
+def test_granger_takes_max_lag_from_the_config_only(workspace, capsys):
+    tmp_path, config_path = workspace
+    assert main(["ingest", "--config", str(config_path)]) == 0
+    before = sorted((tmp_path / "out").iterdir())
+    with pytest.raises(SystemExit) as exit_:
+        main(["granger", "--config", str(config_path), "--max-lag", "4"])
+    assert exit_.value.code != 0
+    assert "--max-lag" in capsys.readouterr().err
+    assert sorted((tmp_path / "out").iterdir()) == before
 
 
 def test_classify_single_backend_filter(workspace, capsys):

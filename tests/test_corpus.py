@@ -351,6 +351,37 @@ class TestWages:
         assert load_wages(path).levels == pytest.approx(levels)
 
 
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("interrupted")
+
+
+class TestInterruptedWrites:
+    """A write that fails part-way keeps the previous file and leaves no temp file."""
+
+    def test_write_survey(self, tmp_path):
+        path = tmp_path / "stages" / "records.csv"
+        write_survey([make_record(comment="the old file")], path)
+        old = path.read_bytes()
+        records = [make_record(comment=f"row {i}") for i in range(500)]
+        records.append(make_record(month=_Unprintable()))
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_survey(records, path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in path.parent.iterdir()) == ["records.csv"]
+
+    def test_write_wages(self, tmp_path):
+        path = tmp_path / "stages" / "wages.csv"
+        write_wages({MonthKey(2020, 1): 100.0}, path)
+        old = path.read_bytes()
+        levels = {MonthKey(2020, 1).plus(i): 100.0 + i for i in range(500)}
+        levels[MonthKey(2030, 1)] = "not a level"
+        with pytest.raises(ValueError):
+            write_wages(levels, path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in path.parent.iterdir()) == ["wages.csv"]
+
+
 class TestGroupByMonth:
     def test_empty(self):
         assert group_by_month([]) == {}

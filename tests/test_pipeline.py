@@ -11,6 +11,7 @@ from wsi.pipeline import (
     ClassificationCache,
     ConfigError,
     RunConfig,
+    StagedRun,
     StageError,
     compute_run_id,
     run,
@@ -150,6 +151,11 @@ class TestRunSmoke:
         assert manifest["run_id"] == result.bundle.run_id
         assert manifest["config_digest"]
         assert "mock" in manifest["classify"]
+
+    def test_identity_translation_reports_no_translation_calls(self, small_corpus):
+        stats = run(config_for(small_corpus, translation_batch_size=7)).stats
+        assert stats["translation_calls"] == 0
+        assert stats["translation_failed"] == 0
 
     def test_run_id_ignores_execution_knobs(self, small_corpus):
         a = config_for(small_corpus, classify_parallelism=1)
@@ -416,8 +422,8 @@ class TestTwoBackends:
             BackendConfig(backend_id="baseline", kind="lexicon"),
         ]
         config = config_for(tmp_path, backends=backends, max_lag=2)
-        ingest = stage_ingest(config)
-        stage_classify(config, ingest=ingest)
+        stage_ingest(config)
+        stage_classify(config)
         stage_index(config)
         # granger from disk must skip the failed backend, not abort
         sweeps, failures = stage_granger(config)
@@ -434,12 +440,28 @@ class TestStageSequencing:
         import shutil
 
         shutil.rmtree(full.out_dir)
-        ingest = stage_ingest(config)
-        stage_classify(config, ingest=ingest)
+        stage_ingest(config)
+        stage_classify(config)
         stage_index(config)
         stage_granger(config)
         stage_report(config)
         assert tree_bytes(run_dir(config)) == full_tree
+
+    def test_stages_take_the_config_and_a_staged_run_only(self):
+        import inspect
+
+        def params(f):
+            return [(p.name, p.kind.name, p.default)
+                    for p in inspect.signature(f).parameters.values()]
+
+        config = ("config", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty)
+        staged = ("staged", "KEYWORD_ONLY", None)
+        for stage in (stage_ingest, stage_index, stage_granger, stage_report):
+            assert params(stage) == [config, staged], stage.__name__
+        assert params(stage_classify) == [
+            config, ("only_backend", "POSITIONAL_OR_KEYWORD", None), staged]
+        assert [name for name, _, _ in params(StagedRun.for_stage)] == [
+            "config", "stage", "staged"]
 
     def test_classify_without_ingest_fails_loud(self, small_corpus):
         config = config_for(small_corpus)
@@ -463,7 +485,7 @@ class TestStageSequencing:
         staged = run_dir(config) / "stages" / "records.csv"
         staged.write_text("yyyymm,region\n")
         with pytest.raises(StageError):
-            stage_index(config, classified=None)
+            stage_index(config)
         assert (run_dir(config) / "FAILED").exists()
 
 
@@ -486,7 +508,9 @@ class TestStagedArtifacts:
         assert err.value.stage == stage
         assert (out / "FAILED").read_text().startswith(f"stage: {stage}\n")
 
-    def test_stages_handed_results_in_memory_write_the_run_tree(self, small_corpus):
+    def test_stages_handed_results_in_memory_write_the_run_tree(self, small_corpus, monkeypatch):
+        import wsi.pipeline
+
         backends = [BackendConfig(backend_id="mock", kind="keyword"),
                     BackendConfig(backend_id="baseline", kind="lexicon")]
         config = config_for(small_corpus, backends=backends)
@@ -496,12 +520,40 @@ class TestStagedArtifacts:
             if path.is_file():
                 path.unlink()
 
-        ingest = stage_ingest(config)
-        classified, _ = stage_classify(config, ingest=ingest)
-        series = stage_index(config, classified=classified)
-        sweeps, failures = stage_granger(config, series=series, wages=ingest.wages)
-        stage_report(config, ingest=ingest, series=series, sweeps=sweeps, failures=failures)
+        staged = StagedRun(config, compute_run_id(config))
+        stage_ingest(config, staged=staged)
+        # every later stage is served from memory, never from stages/
+        monkeypatch.setattr(wsi.pipeline, "load_surveys", None)
+        monkeypatch.setattr(wsi.pipeline, "load_wages", None)
+        for backend in backends:
+            classified, _ = stage_classify(config, only_backend=backend.backend_id,
+                                           staged=staged)
+            assert list(classified) == [backend.backend_id]
+        series = stage_index(config, staged=staged)
+        sweeps, failures = stage_granger(config, staged=staged)
+        bundle = stage_report(config, staged=staged)
+        assert (staged.series, staged.sweeps, staged.granger_failures) == (
+            series, sweeps, failures)
+        assert bundle.sweeps == sweeps
         assert tree_bytes(out) == expected
+
+    def test_report_on_a_swept_staged_run_reuses_its_results(self, small_corpus, monkeypatch):
+        import wsi.pipeline
+
+        config = config_for(small_corpus)
+        staged = StagedRun(config, compute_run_id(config))
+        for stage in (stage_ingest, stage_classify, stage_index, stage_granger):
+            stage(config, staged=staged)
+        before = tree_bytes(staged.out)
+        read = []
+        real_read_json = wsi.pipeline._read_json
+        monkeypatch.setattr(wsi.pipeline, "_read_json",
+                            lambda path: read.append(path.name) or real_read_json(path))
+        monkeypatch.setattr(wsi.pipeline, "build_series", None)
+        monkeypatch.setattr(wsi.pipeline, "granger_sweep", None)
+        stage_report(config, staged=staged).validate()
+        assert "index.json" not in read
+        assert tree_bytes(staged.out).items() >= before.items()
 
     def test_report_rerun_parses_records_once_and_keeps_the_tree(
             self, small_corpus, monkeypatch):

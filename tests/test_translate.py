@@ -40,6 +40,7 @@ def test_identity_backend_is_pure_annotation():
     assert [r.comment for r in report.records] == [r.comment for r in inputs]
     assert all(r.comment_translated == r.comment for r in report.records)
     assert report.failed_indices == []
+    assert report.backend_calls == 0  # answered in process, not a backend call
 
 
 def test_output_order_matches_input_order_any_parallelism():
@@ -78,7 +79,7 @@ def test_retry_then_success():
     backend = CountingTranslator(fail_times=2)
     report = translate_all(records(3), backend, max_retries=2, batch_size=50,
                            retry_base_delay=0.0)
-    assert backend.calls == 3
+    assert report.backend_calls == backend.calls == 3
     assert report.failed_indices == []
 
 
