@@ -18,7 +18,6 @@ import math
 import numbers
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Iterable, Protocol, Sequence
@@ -146,7 +145,7 @@ class BackendSpec:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # NaN too
             raise ValueError("timeout must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
@@ -281,17 +280,12 @@ class RemoteClassifier:
                            [None] * len(chunk))
 
     def classify_batch(self, comments: Sequence[str], parallelism: int = 1) -> BatchResult:
+        """``comments`` in batches of ``spec.batch_size``, ``parallelism`` at a time."""
         if any(not c for c in comments):
             raise ValueError("comments must be non-empty")
-        size = self.spec.batch_size
-        chunks = [comments[i: i + size] for i in range(0, len(comments), size)]
-        if parallelism > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                outcomes = list(pool.map(self._classify_chunk, chunks))
-        else:
-            outcomes = [self._classify_chunk(chunk) for chunk in chunks]
         result = BatchResult([], [])
-        for outcome in outcomes:
+        for _, outcome in wire.map_batches(comments, self.spec.batch_size, parallelism,
+                                           self._classify_chunk):
             result.probs.extend(outcome.probs)
             result.failed.extend(outcome.failed)
             result.models.extend(outcome.models)
@@ -299,32 +293,33 @@ class RemoteClassifier:
         return result
 
 
-def classify_month(records: Sequence[SurveyRecord], classifier: Classifier,
-                   **kwargs) -> list[ClassifiedComment]:
-    """Classify one month's records; failed items are annotated and tallied.
-
-    Failed comments carry the unrelated triple plus ``failed=True`` so the
-    index stage can exclude and report them separately.
+def classify_records(records: Sequence[SurveyRecord], classifier: Classifier
+                     ) -> tuple[list[ClassifiedComment], int]:
+    """Classify each distinct text once, in first-appearance order, and give
+    every record its text's answer; returns them in record order, with the
+    wire calls made. Failed comments carry the unrelated triple plus
+    ``failed=True`` so the index stage can exclude and report them.
     """
-    if not records:
-        return []
+    texts = list(dict.fromkeys(r.text for r in records))
+    result = classifier.classify_batch(texts)
+    answers = {text: (probs, HardLabel.UNRELATED if failed else probs.hard_label(), failed)
+               for text, probs, failed in zip(texts, result.probs, result.failed)}
+    classified = []
+    for record in records:
+        probs, label, failed = answers[record.text]
+        classified.append(ClassifiedComment(record=record, probs=probs,
+                                            backend_id=classifier.backend_id,
+                                            hard_label=label, failed=failed))
+    return classified, result.wire_calls
+
+
+def classify_month(records: Sequence[SurveyRecord],
+                   classifier: Classifier) -> list[ClassifiedComment]:
+    """``classify_records`` for one month's records; several months raise ValueError."""
     months = {r.month for r in records}
     if len(months) > 1:
         raise ValueError(f"records span several months: {sorted(map(str, months))}")
-    result = classifier.classify_batch([r.text for r in records], **kwargs)
-    classified = []
-    for record, probs, failed in zip(records, result.probs, result.failed):
-        label = HardLabel.UNRELATED if failed else probs.hard_label()
-        classified.append(
-            ClassifiedComment(
-                record=record,
-                probs=probs,
-                backend_id=classifier.backend_id,
-                hard_label=label,
-                failed=failed,
-            )
-        )
-    return classified
+    return classify_records(records, classifier)[0]
 
 
 def prompt_template() -> str:

@@ -18,9 +18,9 @@ import hashlib
 import json
 import logging
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -34,6 +34,7 @@ from .classify import (
     RemoteClassifier,
     PROMPT_VERSION,
     classify_month,
+    classify_records,
     default_keyword_classifier,
 )
 from .corpus import (
@@ -121,20 +122,20 @@ class ClassificationCache(ContentCache):
 class CachedRemoteClassifier:
     """Remote classifier that consults the cache before the wire.
 
-    Failures are never cached; duplicate comment texts hit the wire once.
-    Each answer is stored under the endpoint and the model that gave it,
-    and a read tries the primary model's entry before the fallback model's.
-    ``wire_calls_total`` accumulates across batches for reporting.
+    One cache pass over the comments, then the misses go to the inner
+    client in its fixed batches, ``parallelism`` batches at a time; the
+    caller passes distinct texts. Failures are never cached. Each answer is
+    stored under the endpoint and the model that gave it, and a read tries
+    the primary model's entry before the fallback model's.
     """
 
     def __init__(self, inner: RemoteClassifier, cache: ClassificationCache,
-                 prompt_version: str = PROMPT_VERSION):
+                 prompt_version: str = PROMPT_VERSION, parallelism: int = 1):
         self.inner = inner
         self.cache = cache
         self.prompt_version = prompt_version
+        self.parallelism = parallelism
         self.backend_id = inner.backend_id
-        self.wire_calls_total = 0
-        self._calls_lock = threading.Lock()
 
     def classify_batch(self, comments: Sequence[str]) -> BatchResult:
         spec = self.inner.spec
@@ -143,27 +144,14 @@ class CachedRemoteClassifier:
                            spec.fallback_model_id)
             for c in comments
         ]
+        misses = [i for i, p in enumerate(probs) if p is None]
         failed = [False] * len(comments)
-        pending: dict[str, list[int]] = {}
-        for i, p in enumerate(probs):
-            if p is None:
-                pending.setdefault(comments[i], []).append(i)
-        wire_calls = 0
-        if pending:
-            texts = list(pending)
-            result = self.inner.classify_batch(texts)
-            wire_calls = result.wire_calls
-            for text, p, was_failed, model in zip(texts, result.probs, result.failed,
-                                                  result.models):
-                for i in pending[text]:
-                    probs[i] = p
-                    failed[i] = was_failed
-                if not was_failed:
-                    self.cache.put(text, spec.endpoint, model, p, self.prompt_version)
-        with self._calls_lock:
-            self.wire_calls_total += wire_calls
-        final = [p if p is not None else ClassProbabilities(0.0, 0.0, 0.0) for p in probs]
-        return BatchResult(probs=final, failed=failed, wire_calls=wire_calls)
+        result = self.inner.classify_batch([comments[i] for i in misses], self.parallelism)
+        for i, p, was_failed, model in zip(misses, result.probs, result.failed, result.models):
+            probs[i], failed[i] = p, was_failed
+            if not was_failed:
+                self.cache.put(comments[i], spec.endpoint, model, p, self.prompt_version)
+        return BatchResult(probs=probs, failed=failed, wire_calls=result.wire_calls)
 
 
 @dataclass(frozen=True)
@@ -190,6 +178,10 @@ class BackendConfig:
             raise ConfigError(f"unknown backend kind: {self.kind}")
         if self.kind in ("http", "subprocess") and not self.endpoint:
             raise ConfigError(f"backend {self.backend_id}: kind {self.kind} needs an endpoint")
+        try:
+            self.to_spec()  # batch_size, max_retries and timeout
+        except ValueError as exc:
+            raise ConfigError(f"backend {self.backend_id}: {exc}") from exc
 
     def to_spec(self) -> BackendSpec:
         return BackendSpec(
@@ -254,6 +246,10 @@ class RunConfig:
             raise ConfigError("max_lag must be >= 1")
         if self.normalization not in ("per_comment", "raw_sum"):
             raise ConfigError(f"unknown normalization: {self.normalization}")
+        for knob in ("classify_parallelism", "translation_parallelism",
+                     "translation_batch_size"):
+            if getattr(self, knob) < 1:
+                raise ConfigError(f"{knob} must be >= 1")
         ids = [b.backend_id for b in self.backends]
         if len(ids) != len(set(ids)):
             raise ConfigError("backend ids must be unique")
@@ -561,21 +557,26 @@ def stage_ingest(config: RunConfig, *, staged: StagedRun | None = None) -> Inges
         )
 
 
-def _build_classifier(backend: BackendConfig, cache_dir: Path):
+def _build_classifier(backend: BackendConfig, config: RunConfig):
     if backend.kind == "keyword":
         if backend.rules is not None:
             return KeywordClassifier(backend.rules, backend_id=backend.backend_id)
         return default_keyword_classifier(backend_id=backend.backend_id)
     if backend.kind in ("http", "subprocess"):
         remote = RemoteClassifier(backend.to_spec(), backend_id=backend.backend_id)
-        cache = ClassificationCache(cache_dir / "classify")
-        return CachedRemoteClassifier(remote, cache)
+        cache = ClassificationCache(Path(config.cache_dir) / "classify")
+        return CachedRemoteClassifier(remote, cache, parallelism=config.classify_parallelism)
     raise ConfigError(f"no classifier for kind {backend.kind}")
 
 
 def _classify_backend(backend: BackendConfig, grouped: Mapping[MonthKey, list[SurveyRecord]],
                       wages: WageSeries, config: RunConfig) -> tuple[ClassifiedMap, int, dict]:
-    """Classify every month for one backend; returns (by month, wire calls, extras)."""
+    """Classify every month for one backend; returns (by month, wire calls, extras).
+
+    A lexicon backend classifies month by month, under each month's lexicon;
+    any other classifies the whole corpus through ``classify_records``, each
+    distinct text once in one fixed batch order (month, then ordinal).
+    """
     extras: dict = {}
     if backend.kind == "lexicon":
         # Called on the module, where the benchmark's tracer wraps it.
@@ -602,23 +603,17 @@ def _classify_backend(backend: BackendConfig, grouped: Mapping[MonthKey, list[Su
         extras["lexicon_wordcounts"] = wordcount_rows
         return classified, 0, extras
 
-    classifier = _build_classifier(backend, Path(config.cache_dir))
+    classifier = _build_classifier(backend, config)
     months = sorted(grouped)
     try:
-        if config.classify_parallelism > 1 and len(months) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=config.classify_parallelism) as pool:
-                results = list(pool.map(lambda m: classify_month(grouped[m], classifier),
-                                        months))
-        else:
-            results = [classify_month(grouped[month], classifier) for month in months]
+        comments, wire_calls = classify_records(
+            [r for month in months for r in grouped[month]], classifier)
     finally:
         if isinstance(classifier, CachedRemoteClassifier):
             classifier.inner.transport.close()
-    classified = dict(zip(months, results))
-    # Local classifiers never touch the wire; remote ones accumulate a total.
-    return classified, getattr(classifier, "wire_calls_total", 0), extras
+    answers = iter(comments)
+    return ({month: list(islice(answers, len(grouped[month]))) for month in months},
+            wire_calls, extras)
 
 
 CLASSIFIED_HEADER = "yyyymm,ordinal,u,v,w,label,failed"

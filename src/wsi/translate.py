@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
@@ -98,38 +97,25 @@ def translate_all(records: Sequence[SurveyRecord], backend: TranslationBackend,
     that still fails after ``max_retries`` retries leaves its records
     untranslated and reports their indices; the pipeline continues.
     """
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
+    texts = list(dict.fromkeys(record.comment for record in records))
     translations: dict[str, str] = {}
     if cache is not None:
-        for record in records:
-            if record.comment not in translations:
-                hit = cache.get(record.comment, backend.backend_id, source, target)
-                if hit is not None:
-                    translations[record.comment] = hit
+        for text in texts:
+            hit = cache.get(text, backend.backend_id, source, target)
+            if hit is not None:
+                translations[text] = hit
     cache_hits = len(translations)
+    pending = [text for text in texts if text not in translations]
 
-    pending: list[str] = []
-    seen: set[str] = set(translations)
-    for record in records:
-        if record.comment not in seen:
-            seen.add(record.comment)
-            pending.append(record.comment)
-    batches = [pending[i: i + batch_size] for i in range(0, len(pending), batch_size)]
-
-    def run_batch(batch: list[str]) -> tuple[list[str] | None, int]:
+    def run_batch(batch: Sequence[str]) -> tuple[list[str] | None, int]:
         return wire.retry(lambda: backend.translate(batch, source, target),
                           max_retries, retry_base_delay, sleep)
 
-    if parallelism > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(run_batch, batches))
-    else:
-        outcomes = [run_batch(batch) for batch in batches]
+    outcomes = wire.map_batches(pending, batch_size, parallelism, run_batch)
     # The identity backend answers in process, so its batches make no backend calls.
     calls = (0 if isinstance(backend, IdentityTranslator)
-             else sum(attempts for _, attempts in outcomes))
-    for batch, (outcome, _) in zip(batches, outcomes):
+             else sum(attempts for _, (_, attempts) in outcomes))
+    for batch, (outcome, _) in outcomes:
         if outcome is None:
             continue
         for text, translated in zip(batch, outcome):

@@ -1,4 +1,4 @@
-"""The one wire layer: transports, the retry loop and the content cache.
+"""The one wire layer: transports, the retry loop, the batch map and the content cache.
 
 Every remote backend, classifier or translator, is reached through a
 transport: a callable ``payload -> dict`` that raises ``TransportError``
@@ -18,13 +18,15 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator, TextIO, TypeVar
+from typing import Any, Callable, Iterator, Sequence, TextIO, TypeVar
 
 log = logging.getLogger("wsi")
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 class TransportError(RuntimeError):
@@ -182,6 +184,22 @@ def retry(call: Callable[[], T], max_retries: int, base_delay: float,
         except TransportError as exc:
             log.warning("wire attempt %d of %d failed: %s", attempt + 1, attempts, exc)
     return None, attempts
+
+
+def map_batches(items: Sequence[T], batch_size: int, parallelism: int,
+                call: Callable[[Sequence[T]], R]) -> list[tuple[Sequence[T], R]]:
+    """Cut ``items`` into consecutive batches of ``batch_size`` and run
+    ``call`` on each, at most ``parallelism`` at a time. Returns (batch,
+    outcome) pairs in batch order: the batches, and so the wire bodies,
+    depend only on ``items`` and ``batch_size``, never on thread timing.
+    """
+    if batch_size < 1 or parallelism < 1:
+        raise ValueError("batch_size and parallelism must be >= 1")
+    batches = [items[i: i + batch_size] for i in range(0, len(items), batch_size)]
+    if parallelism > 1 and len(batches) > 1:
+        with ThreadPoolExecutor(max_workers=min(parallelism, len(batches))) as pool:
+            return list(zip(batches, pool.map(call, batches)))
+    return [(batch, call(batch)) for batch in batches]
 
 
 @contextmanager

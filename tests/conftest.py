@@ -38,7 +38,8 @@ class _WireHandler(BaseHTTPRequestHandler):
 
     Classification mimics the keyword stub: 'up' -> increase, 'down' ->
     decrease, 'flat' -> neutral, anything else unrelated. Comments
-    containing 'poison' draw a 500 response (for failure-path tests).
+    containing 'poison' draw a 500 response (for failure-path tests), as
+    does any comment list the server's ``fail_batch`` rule picks.
     """
 
     def do_POST(self):
@@ -49,7 +50,9 @@ class _WireHandler(BaseHTTPRequestHandler):
             self.send_error(500, "induced failure")
             return
         if "comments" in payload:
-            if any("poison" in c for c in payload["comments"]):
+            rule = self.server.fail_batch
+            if (any("poison" in c for c in payload["comments"])
+                    or rule is not None and rule(payload["comments"])):
                 self.send_error(500, "poisoned batch")
                 return
             rows = []
@@ -82,6 +85,7 @@ class WireServer:
         self.httpd = HTTPServer(("127.0.0.1", 0), _WireHandler)
         self.httpd.requests = []
         self.httpd.fail_all = False
+        self.httpd.fail_batch = None
         self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
         self.thread.start()
 
@@ -96,6 +100,10 @@ class WireServer:
 
     def set_fail_all(self, value):
         self.httpd.fail_all = value
+
+    def set_fail_batch(self, rule):
+        """``rule(comments) -> bool`` picks the comment lists to fail."""
+        self.httpd.fail_batch = rule
 
     def close(self):
         self.httpd.shutdown()

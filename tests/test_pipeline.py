@@ -1,9 +1,12 @@
+import hashlib
 import json
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wsi.corpus import MonthKey
 from wsi.pipeline import (
@@ -291,6 +294,108 @@ class TestWireBackendCaching:
         assert manifest["classify"]["child"]["failed_comments"] == 0
         assert "child" in result.bundle.series
         assert_all_stopped(recorded_children)
+
+
+def fail_by_digest(modulus, residue):
+    """A server rule failing a comment list by the digest of its contents."""
+    def fails(comments):
+        return hashlib.sha256(json.dumps(comments).encode()).digest()[0] % modulus == residue
+    return fails
+
+
+class TestWireBatchPlan:
+    """Each distinct text is classified once per run, in batches that
+    depend only on the corpus and the batch size, not on parallelism."""
+
+    def make_repeating_corpus(self, base, months=24, per_month=15, pool=40):
+        """Every month draws its comments from one pool of texts."""
+        surveys = base / "data" / "surveys"
+        surveys.mkdir(parents=True)
+        start = MonthKey(2018, 1)
+        wage_rows = ["yyyymm,level"]
+        for i in range(months):
+            month = start.plus(i)
+            rows = ["yyyymm,region,industry,judgment,comment"]
+            for j in range(per_month):
+                k = (i * 7 + j) % pool
+                direction = ("up", "down", "flat", "steady")[k % 4]
+                rows.append(f"{month},Kanto,retail,Good,pay went {direction} case {k}")
+            (surveys / f"{month}.csv").write_text("\n".join(rows) + "\n")
+            wage_rows.append(f"{month},{100.0 + i * 0.3 + (i % 5) * 0.1}")
+        (base / "data" / "wages.csv").write_text("\n".join(wage_rows) + "\n")
+
+    def run_at(self, base, wire_server, parallelism, name, **backend):
+        fields = dict(backend_id="remote", kind="http", endpoint=wire_server.url,
+                      model_id="m1", fallback_model_id="m2", batch_size=7, max_retries=0)
+        fields.update(backend)
+        return run(config_for(base, backends=[BackendConfig(**fields)],
+                              classify_parallelism=parallelism,
+                              output_dir=str(base / name / "out"),
+                              cache_dir=str(base / name / "cache")))
+
+    def assert_parallelism_blind(self, base, wire_server, name, **backend):
+        serial = self.run_at(base, wire_server, 1, f"{name}-p1", **backend)
+        parallel = [self.run_at(base, wire_server, 8, f"{name}-p8-{i}", **backend)
+                    for i in range(2)]
+        for result in parallel:
+            assert result.stats["wire_calls"] == serial.stats["wire_calls"]
+            assert tree_bytes(result.out_dir) == tree_bytes(serial.out_dir)
+        return serial
+
+    def test_content_failing_server_writes_one_tree_at_any_parallelism(
+            self, tmp_path, wire_server):
+        self.make_repeating_corpus(tmp_path)
+        wire_server.set_fail_batch(fail_by_digest(3, 0))
+        serial = self.assert_parallelism_blind(tmp_path, wire_server, "digest")
+        assert serial.stats["classify"]["remote"]["failed_comments"] > 0
+        # 40 distinct texts in batches of 7: 6 batches, each asked of m1 and,
+        # when m1 fails it, of m2
+        assert 6 <= serial.stats["wire_calls"]["remote"] <= 12
+
+    @settings(max_examples=8, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(modulus=st.integers(2, 5), residue=st.integers(0, 4), batch_size=st.integers(1, 12))
+    def test_any_content_rule_and_batch_size_give_one_tree(
+            self, tmp_path_factory, wire_server, modulus, residue, batch_size):
+        base = tmp_path_factory.mktemp("plan")
+        self.make_repeating_corpus(base, months=16, per_month=10, pool=25)
+        wire_server.set_fail_batch(fail_by_digest(modulus, residue % modulus))
+        self.assert_parallelism_blind(base, wire_server, "rule", batch_size=batch_size)
+
+    def test_cold_run_sends_each_text_once_per_model(self, tmp_path, wire_server):
+        self.make_repeating_corpus(tmp_path)
+        backend = BackendConfig(backend_id="remote", kind="http", endpoint=wire_server.url,
+                                model_id="m1", batch_size=4)
+        run(config_for(tmp_path, backends=[backend], classify_parallelism=8,
+                       translation_backend=wire_server.url, translation_parallelism=8,
+                       translation_batch_size=4))
+        sent: dict[str, list[str]] = {}
+        for body in wire_server.requests:
+            if "comments" in body:
+                sent.setdefault(body["model"], []).extend(body["comments"])
+            else:
+                sent.setdefault("translator", []).extend(body["texts"])
+        assert set(sent) == {"m1", "translator"}
+        for texts in sent.values():
+            assert len(texts) == len(set(texts)) == 40
+
+    def test_keyword_backend_classifies_each_distinct_text_once(
+            self, small_corpus, monkeypatch):
+        from wsi.classify import KeywordClassifier
+        from wsi.corpus import load_surveys
+
+        seen = []
+        classify_one = KeywordClassifier.classify_one
+
+        def counting(self, comment):
+            seen.append(comment)
+            return classify_one(self, comment)
+
+        monkeypatch.setattr(KeywordClassifier, "classify_one", counting)
+        result = run(config_for(small_corpus, classify_parallelism=8))
+        records = load_surveys([result.out_dir / "stages" / "records.csv"]).records
+        distinct = {r.text for r in records}
+        assert len(distinct) < len(records)
+        assert sorted(seen) == sorted(distinct)
 
 
 @pytest.fixture
@@ -616,6 +721,34 @@ class TestConfig:
             ])
         with pytest.raises(ConfigError):
             BackendConfig(backend_id="r", kind="http")  # endpoint required
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("classify_parallelism", 0, "http"),
+        ("classify_parallelism", -3, "http"),
+        ("translation.parallelism", 0, "http"),
+        ("translation.batch_size", 0, "http"),
+        ("backend.batch_size", 0, "keyword"),
+        ("backend.batch_size", 0, "http"),
+        ("backend.max_retries", -1, "http"),
+        ("backend.timeout", 0, "http"),
+        ("backend.timeout", float("nan"), "http"),
+    ])
+    def test_execution_knob_out_of_range_fails_before_any_run_directory(
+            self, small_corpus, key, value, kind):
+        backend = {"id": "b", "kind": kind, "endpoint": "http://localhost:1/"}
+        raw = {"surveys": str(small_corpus / "data" / "surveys"),
+               "wages": str(small_corpus / "data" / "wages.csv"),
+               "output_dir": str(small_corpus / "out"), "backends": [backend]}
+        section, _, name = key.rpartition(".")
+        if section == "backend":
+            backend[name] = value
+        elif section == "translation":
+            raw["translation"] = {name: value}
+        else:
+            raw[name] = value
+        with pytest.raises(ConfigError, match=name):
+            run(RunConfig.from_dict(raw))
+        assert not (small_corpus / "out").exists()
 
     def test_cache_dir_env_override(self, small_corpus, monkeypatch):
         monkeypatch.setenv("WSI_CACHE_DIR", str(small_corpus / "env-cache"))

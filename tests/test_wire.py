@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from wsi.wire import ContentCache, SubprocessTransport, TransportError, retry
+from wsi.wire import ContentCache, SubprocessTransport, TransportError, map_batches, retry
 
 
 def flaky(failures, value="ok"):
@@ -37,6 +37,25 @@ def test_retry_lets_other_errors_through():
 
     with pytest.raises(KeyError):
         retry(call, max_retries=2, base_delay=0.0)
+
+
+@pytest.mark.parametrize("parallelism", [1, 3, 8])
+def test_map_batches_keeps_batch_order_whatever_finishes_first(parallelism):
+    items = list(range(10))
+
+    def call(batch):
+        time.sleep(0.01 * (10 - batch[0]) / 10)  # later batches finish first
+        return sum(batch)
+
+    assert map_batches(items, 4, parallelism, call) == [
+        ([0, 1, 2, 3], 6), ([4, 5, 6, 7], 22), ([8, 9], 17)]
+    assert map_batches([], 4, parallelism, call) == []
+
+
+@pytest.mark.parametrize("batch_size, parallelism", [(0, 1), (1, 0), (-2, 4)])
+def test_map_batches_rejects_sizes_below_one(batch_size, parallelism):
+    with pytest.raises(ValueError):
+        map_batches([1, 2], batch_size, parallelism, len)
 
 
 def test_content_cache_reads_a_damaged_entry_as_a_miss(tmp_path):
