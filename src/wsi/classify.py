@@ -114,11 +114,14 @@ def normalize_triple(u: float, v: float, w: float) -> ClassProbabilities:
 
 @dataclass(frozen=True)
 class ClassifiedComment:
-    record: SurveyRecord
+    """One text's classification; every record with that text shares it."""
+
     probs: ClassProbabilities
     backend_id: str
     hard_label: str
     failed: bool = False
+    # Vestigial, never set or read in wsi: perfbench/reference.py still passes it.
+    record: SurveyRecord | None = None
 
     @property
     def excluded(self) -> bool:
@@ -295,22 +298,18 @@ class RemoteClassifier:
 
 def classify_records(records: Sequence[SurveyRecord], classifier: Classifier
                      ) -> tuple[list[ClassifiedComment], int]:
-    """Classify each distinct text once, in first-appearance order, and give
-    every record its text's answer; returns them in record order, with the
-    wire calls made. Failed comments carry the unrelated triple plus
+    """Classify each distinct text once, in first-appearance order; returns,
+    in record order, each record's text's one ``ClassifiedComment``, with
+    the wire calls made. Failed comments carry the unrelated triple plus
     ``failed=True`` so the index stage can exclude and report them.
     """
     texts = list(dict.fromkeys(r.text for r in records))
     result = classifier.classify_batch(texts)
-    answers = {text: (probs, HardLabel.UNRELATED if failed else probs.hard_label(), failed)
+    answers = {text: ClassifiedComment(probs, classifier.backend_id,
+                                       HardLabel.UNRELATED if failed else probs.hard_label(),
+                                       failed)
                for text, probs, failed in zip(texts, result.probs, result.failed)}
-    classified = []
-    for record in records:
-        probs, label, failed = answers[record.text]
-        classified.append(ClassifiedComment(record=record, probs=probs,
-                                            backend_id=classifier.backend_id,
-                                            hard_label=label, failed=failed))
-    return classified, result.wire_calls
+    return [answers[r.text] for r in records], result.wire_calls
 
 
 def classify_month(records: Sequence[SurveyRecord],

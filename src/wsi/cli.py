@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .corpus import MonthKey
 from .pipeline import (
+    ConfigError,
     RunConfig,
     StageError,
     run,
@@ -116,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"run {result.bundle.run_id} complete: {result.out_dir}")
             print(json.dumps(result.stats, indent=2, sort_keys=True))
         return 0
-    except StageError as exc:
+    except (ConfigError, StageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

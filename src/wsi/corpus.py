@@ -13,6 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -359,8 +360,11 @@ def write_wages(levels: Mapping[MonthKey, float], path: str | Path) -> None:
 
 
 def group_by_month(records: Iterable[SurveyRecord]) -> dict[MonthKey, list[SurveyRecord]]:
-    """Partition records by month (keys ascending, input order kept within month)."""
-    groups: dict[MonthKey, list[SurveyRecord]] = {}
-    for record in records:
-        groups.setdefault(record.month, []).append(record)
-    return {m: groups[m] for m in sorted(groups)}
+    """Partition records by month (keys ascending, input order kept within month).
+
+    Splits runs of one month in C (records usually come sorted), hashing no MonthKey.
+    """
+    groups: dict[tuple[int, int], list[SurveyRecord]] = {}
+    for key, run in groupby(records, _MONTH_ORDER):
+        groups.setdefault(key, []).extend(run)
+    return {groups[key][0].month: groups[key] for key in sorted(groups)}

@@ -20,7 +20,8 @@ import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -203,6 +204,8 @@ class BackendConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "BackendConfig":
+        if "id" not in raw:
+            raise ConfigError(f"backend entry has no \"id\": {dict(raw)}")
         rules = raw.get("rules")
         if rules is not None:
             rules = tuple((tuple(keywords), tuple(triple)) for keywords, triple in rules)
@@ -314,8 +317,11 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        return cls.from_dict(raw)
 
 
 def expand_survey_paths(paths: Sequence[str]) -> list[Path]:
@@ -417,21 +423,21 @@ class StagedRun:
     """One run directory and the results its stages hand to each other.
 
     This is the only way results travel from one stage to the next. Each
-    stage records what it produced here (ingest the records and wages,
-    classify each backend's comments, index the series and the contents of
+    stage records what it produced here (ingest the records by month and
+    the wages, classify each backend's comments, index the series and
     ``stages/index.json``, granger the sweeps and their failures). A later
-    stage asks for what it needs and gets it from memory when a stage
-    sharing this object produced or loaded it, else from ``out/<run-id>/``
-    on first use; a missing file fails the stage that asked for it. ``run``
-    passes one instance through every stage, and ``stage_report`` runs
-    index or granger on its own instance only when it lacks their results.
+    stage gets what it needs from memory when a stage sharing this object
+    produced or loaded it, else from ``out/<run-id>/`` on first use; a
+    missing file fails the stage that asked. Of the later stages, only
+    classify reads ``stages/records.csv``. ``run`` passes one instance
+    through every stage; ``stage_report`` runs index or granger on its own
+    instance only when it lacks their results.
     """
 
     def __init__(self, config: RunConfig, run_id: str):
         self.config = config
         self.run_id = run_id
         self.out = Path(config.output_dir) / run_id
-        self.records: list[SurveyRecord] | None = None
         self.wages: WageSeries | None = None
         self.grouped: dict[MonthKey, list[SurveyRecord]] | None = None
         self.classified: dict[str, ClassifiedMap] = {}
@@ -452,22 +458,21 @@ class StagedRun:
             raise StageError(stage, str(exc)) from exc
 
     def _ingest_file(self, name: str, stage: str) -> Path:
-        path = self.out / "stages" / name
+        path = self.out / name
         if not path.exists():
             raise StageError(stage, "ingest artifacts missing; run `wsi ingest` first")
         return path
 
     def get_wages(self, stage: str) -> WageSeries:
         if self.wages is None:
-            self.wages = load_wages(self._ingest_file("wages.csv", stage))
+            self.wages = load_wages(self._ingest_file("stages/wages.csv", stage))
         return self.wages
 
     def get_grouped(self, stage: str) -> dict[MonthKey, list[SurveyRecord]]:
         """The ingested records by month, ascending."""
         if self.grouped is None:
-            if self.records is None:
-                self.records = load_surveys([self._ingest_file("records.csv", stage)]).records
-            self.grouped = group_by_month(self.records)
+            self.grouped = group_by_month(
+                load_surveys([self._ingest_file("stages/records.csv", stage)]).records)
         return self.grouped
 
     def get_classified(self, backend_id: str, stage: str) -> ClassifiedMap:
@@ -476,8 +481,7 @@ class StagedRun:
             if not path.exists():
                 raise StageError(stage, f"no classified comments for {backend_id};"
                                         " run `wsi classify` first")
-            self.classified[backend_id] = _read_classified_csv(
-                path, self.get_grouped(stage), backend_id)
+            self.classified[backend_id] = _read_classified_csv(path, backend_id)
         return self.classified[backend_id]
 
     def get_index_stats(self) -> dict:
@@ -547,7 +551,7 @@ def stage_ingest(config: RunConfig, *, staged: StagedRun | None = None) -> Inges
             "skipped_empty": load.skipped_empty,
             "translation_failed": len(report.failed_indices),
         })
-        staged.records, staged.wages, staged.grouped = records, wages, None
+        staged.wages, staged.grouped = wages, group_by_month(records)
         return IngestResult(
             records=records,
             row_errors=len(load.errors),
@@ -630,30 +634,22 @@ def _classified_csv(classified: ClassifiedMap) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _read_classified_csv(path: Path, grouped: Mapping[MonthKey, list[SurveyRecord]],
-                         backend_id: str) -> ClassifiedMap:
+def _read_classified_csv(path: Path, backend_id: str) -> ClassifiedMap:
+    """The comments ``_classified_csv`` wrote, by month; a row whose ordinal
+    is not its position within its month raises ValueError."""
     classified: ClassifiedMap = {}
-    # yyyymm text -> (that month's records, its classified comments)
-    months: dict[str, tuple[list[SurveyRecord], list[ClassifiedComment]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != CLASSIFIED_HEADER.split(","):
             raise ValueError(f"{path}: header is not {CLASSIFIED_HEADER}")
-        for raw_month, ordinal, u, v, w, label, failed in reader:
-            month_of = months.get(raw_month)
-            if month_of is None:
-                month = MonthKey.parse(raw_month)
-                month_of = months[raw_month] = (grouped[month], classified.setdefault(month, []))
-            records, comments = month_of
-            comments.append(
-                ClassifiedComment(
-                    record=records[int(ordinal)],
-                    probs=ClassProbabilities(float(u), float(v), float(w)),
-                    backend_id=backend_id,
-                    hard_label=label,
-                    failed=bool(int(failed)),
-                )
-            )
+        for raw_month, rows in groupby(reader, itemgetter(0)):
+            comments = classified.setdefault(MonthKey.parse(raw_month), [])
+            for _, ordinal, u, v, w, label, failed in rows:
+                if int(ordinal) != len(comments):
+                    raise ValueError(f"{path}:{reader.line_num}: ordinal {ordinal} out of order")
+                comments.append(ClassifiedComment(
+                    ClassProbabilities(float(u), float(v), float(w)),
+                    backend_id, label, bool(int(failed))))
     return classified
 
 
@@ -803,7 +799,8 @@ def stage_report(config: RunConfig, *, staged: StagedRun | None = None) -> Repor
     staged = StagedRun.for_stage(config, "report", staged)
     out = staged.out
     with _stage(out, "report"):
-        grouped = staged.get_grouped("report")
+        with open(staged._ingest_file("summary/month.csv", "report"), encoding="utf-8") as fh:
+            record_months = [line.partition(",")[0] for line in fh.read().splitlines()[1:]]
         wages = staged.get_wages("report")
         yoy_map = wages.yoy_map
         if staged.series is None:
@@ -834,7 +831,6 @@ def stage_report(config: RunConfig, *, staged: StagedRun | None = None) -> Repor
                 sections.append(render_granger_grid(by_backend, title, fmt))
             atomic_write(out / "tables" / f"granger.{suffix}", "\n".join(sections))
 
-        record_months = list(grouped)  # ascending
         metadata = {
             "run_id": staged.run_id,
             "code_version": __version__,
@@ -842,7 +838,7 @@ def stage_report(config: RunConfig, *, staged: StagedRun | None = None) -> Repor
             "config_digest": hashlib.sha256(
                 json.dumps(config.identity_dict(), sort_keys=True).encode()).hexdigest(),
             "spans": {
-                "records": [str(record_months[0]), str(record_months[-1])],
+                "records": [record_months[0], record_months[-1]],  # ascending
                 "wages": [str(wages.months[0]), str(wages.months[-1])],
                 "yoy": [str(min(yoy_map)), str(max(yoy_map))] if yoy_map else [],
             },
@@ -877,12 +873,10 @@ class RunResult:
 
 def run(config: RunConfig) -> RunResult:
     """Execute every stage; artifacts land under out/<run-id>/."""
-    staged = StagedRun(config, compute_run_id(config))
+    staged = StagedRun.for_stage(config, "ingest", None)
     out = staged.out
     out.mkdir(parents=True, exist_ok=True)
-    failed_marker = out / "FAILED"
-    if failed_marker.exists():
-        failed_marker.unlink()
+    (out / "FAILED").unlink(missing_ok=True)
     ingest = stage_ingest(config, staged=staged)
     _, wire_stats = stage_classify(config, staged=staged)
     stage_index(config, staged=staged)

@@ -51,10 +51,10 @@ ONE_HOT = {
 }
 
 
-def comment(month, probs, failed=False):
+def comment(probs, failed=False):
     p = ClassProbabilities(*probs)
     return ClassifiedComment(
-        record=make_record(month, "t"), probs=p, backend_id="acc",
+        probs=p, backend_id="acc",
         hard_label=HardLabel.UNRELATED if failed else p.hard_label(), failed=failed)
 
 
@@ -73,16 +73,16 @@ def test_formula_oracles_over_1000_randomized_months():
             one_hot_months.add(month)
             labels = [rng.choice([HardLabel.INCREASE, HardLabel.DECREASE,
                                   HardLabel.NEUTRAL]) for _ in range(n)]
-            months[month] = [comment(month, ONE_HOT[label]) for label in labels]
+            months[month] = [comment(ONE_HOT[label]) for label in labels]
         else:
             rows = []
             for _ in range(n):
                 if rng.random() < 0.1:
-                    rows.append(comment(month, (0.0, 0.0, 0.0)))
+                    rows.append(comment((0.0, 0.0, 0.0)))
                 else:
                     u, v, w = rng.random(), rng.random(), rng.random()
                     s = u + v + w
-                    rows.append(comment(month, (u / s, v / s, w / s)))
+                    rows.append(comment((u / s, v / s, w / s)))
             months[month] = rows
 
     started = time.perf_counter()

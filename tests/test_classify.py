@@ -16,6 +16,7 @@ from wsi.classify import (
     TransportError,
     UNRELATED,
     classify_month,
+    classify_records,
     default_keyword_classifier,
     normalize_triple,
     prompt_template,
@@ -299,6 +300,16 @@ class TestClassifyMonth:
         out = classify_month(records, client)
         assert out[0].failed and out[0].hard_label == HardLabel.UNRELATED
         assert out[0].excluded
+
+    def test_records_with_one_text_share_one_classified_comment(self):
+        records = [make_record(MonthKey(2020, 1), "wages were raised"),
+                   make_record(MonthKey(2020, 1), "pay was cut"),
+                   make_record(MonthKey(2020, 2), "wages were raised")]
+        out, wire_calls = classify_records(records, default_keyword_classifier())
+        assert out[0] is out[2] and out[0] is not out[1]
+        assert [c.hard_label for c in out] == [
+            HardLabel.INCREASE, HardLabel.DECREASE, HardLabel.INCREASE]
+        assert wire_calls == 0
 
     def test_translated_text_is_classified(self):
         record = make_record(comment="genkyuu", translated="allowances were reduced")

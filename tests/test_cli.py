@@ -93,3 +93,48 @@ def test_console_entry_point_installed(workspace):
     )
     assert proc.returncode == 0, proc.stderr
     assert "complete" in proc.stdout
+
+
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "wsi.cli", *args],
+                          capture_output=True, text=True, timeout=120)
+
+
+def assert_error_line(proc, message):
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and message in errors[0], proc.stderr
+
+
+@pytest.mark.parametrize("case, message", [
+    ("parallelism", "classify_parallelism must be >= 1"),
+    ("backend_without_id", 'backend entry has no "id"'),
+    ("missing_file", "bad.json: [Errno 2] No such file or directory"),
+    ("not_json", "bad.json: Expecting"),
+])
+def test_config_error_is_reported_not_raised(workspace, case, message):
+    tmp_path, config_path = workspace
+    config = json.loads(config_path.read_text())
+    bad_path = tmp_path / "bad.json"
+    if case == "parallelism":
+        config["classify_parallelism"] = 0
+        bad_path.write_text(json.dumps(config))
+    elif case == "backend_without_id":
+        config["backends"] = [{"kind": "keyword"}]
+        bad_path.write_text(json.dumps(config))
+    elif case == "not_json":
+        bad_path.write_text(json.dumps(config)[:-1])
+    # "missing_file" leaves bad.json unwritten
+    assert_error_line(run_cli("run", "--config", str(bad_path)), message)
+
+
+@pytest.mark.parametrize("missing", ["surveys", "wages"])
+def test_run_reports_missing_inputs_like_ingest(workspace, missing):
+    tmp_path, config_path = workspace
+    config = json.loads(config_path.read_text())
+    config[missing] = str(tmp_path / "missing.csv")
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(config))
+    assert_error_line(run_cli("run", "--config", str(bad_path)),
+                      f"stage ingest failed: input file not found: {tmp_path / 'missing.csv'}")

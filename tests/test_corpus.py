@@ -382,7 +382,24 @@ class TestInterruptedWrites:
         assert sorted(p.name for p in path.parent.iterdir()) == ["wages.csv"]
 
 
+def group_by_month_reference(records):
+    """The plain dict partition ``group_by_month`` must agree with."""
+    groups = {}
+    for record in records:
+        groups.setdefault(record.month, []).append(record)
+    return {m: groups[m] for m in sorted(groups)}
+
+
 class TestGroupByMonth:
+    @given(st.lists(st.integers(0, 5), max_size=60), st.randoms(use_true_random=False))
+    def test_matches_the_dict_reference_in_any_order(self, month_offsets, rng):
+        records = [make_record(MonthKey(2020, 1).plus(k), f"comment {i}")
+                   for i, k in enumerate(month_offsets)]
+        for order in (sorted(records, key=lambda r: r.month),
+                      rng.sample(records, len(records))):
+            assert list(group_by_month(order).items()) == \
+                list(group_by_month_reference(order).items())
+
     def test_empty(self):
         assert group_by_month([]) == {}
 

@@ -16,7 +16,6 @@ from wsi.index import (
     weighted_wsi,
 )
 
-from conftest import make_record
 
 M = MonthKey(2020, 1)
 
@@ -26,10 +25,9 @@ def counts(alpha, beta, gamma, excluded=0, month=M):
                          excluded=excluded)
 
 
-def classified(probs, month=M, failed=False):
+def classified(probs, failed=False):
     p = ClassProbabilities(*probs)
     return ClassifiedComment(
-        record=make_record(month, "text"),
         probs=p,
         backend_id="test",
         hard_label=HardLabel.UNRELATED if failed else p.hard_label(),
@@ -168,7 +166,7 @@ class TestBuildSeries:
         by_month = {}
         for i in range(300):
             month = M.plus(i)
-            by_month[month] = [classified((1.0, 0.0, 0.0), month=month)]
+            by_month[month] = [classified((1.0, 0.0, 0.0))]
         result = build_series(by_month)
         assert len(result.points) == 300
         months = [p.month for p in result.points]

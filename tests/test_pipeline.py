@@ -586,29 +586,43 @@ class TestStageSequencing:
     def test_failed_marker_written_inside_run_dir(self, small_corpus):
         config = config_for(small_corpus)
         run(config)  # materialize stages
-        # poison the staged records so a later stage fails
-        staged = run_dir(config) / "stages" / "records.csv"
+        # poison the classified comments so a later stage fails
+        staged = run_dir(config) / "stages" / "classified" / "mock.csv"
         staged.write_text("yyyymm,region\n")
         with pytest.raises(StageError):
             stage_index(config)
         assert (run_dir(config) / "FAILED").exists()
 
+    def test_out_of_order_classified_ordinal_fails_index(self, small_corpus):
+        config = config_for(small_corpus)
+        out = run(config).out_dir
+        path = out / "stages" / "classified" / "mock.csv"
+        header, first, second, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, second, first, *rest]) + "\n")
+        with pytest.raises(StageError, match="mock.csv:2: ordinal 1 out of order") as err:
+            stage_index(config)
+        assert err.value.stage == "index"
+        assert (out / "FAILED").read_text().startswith("stage: index\n")
+
 
 class TestStagedArtifacts:
     @pytest.mark.parametrize("stage, missing", [
-        ("classify", "records.csv"),
-        ("index", "records.csv"),
-        ("granger", "wages.csv"),
-        ("report", "records.csv"),
-    ])
+        ("classify", "stages/records.csv"),
+        ("index", "stages/classified/mock.csv"),
+        ("granger", "stages/wages.csv"),
+        ("report", "summary/month.csv"),
+    ], ids=lambda value: Path(value).name)
     def test_missing_ingest_artifact_fails_the_stage_that_asked(
             self, small_corpus, stage, missing):
         config = config_for(small_corpus)
         out = run(config).out_dir
-        (out / "stages" / missing).unlink()
+        (out / missing).unlink()
         stage_fn = {"classify": stage_classify, "index": stage_index,
                     "granger": stage_granger, "report": stage_report}[stage]
-        with pytest.raises(StageError, match="ingest artifacts missing") as err:
+        # index reads no ingest artifact; it names the backend it lacks
+        message = ("no classified comments for mock" if stage == "index"
+                   else "ingest artifacts missing")
+        with pytest.raises(StageError, match=message) as err:
             stage_fn(config)
         assert err.value.stage == stage
         assert (out / "FAILED").read_text().startswith(f"stage: {stage}\n")
@@ -660,7 +674,7 @@ class TestStagedArtifacts:
         assert "index.json" not in read
         assert tree_bytes(staged.out).items() >= before.items()
 
-    def test_report_rerun_parses_records_once_and_keeps_the_tree(
+    def test_report_rerun_parses_no_records_and_keeps_the_tree(
             self, small_corpus, monkeypatch):
         import wsi.pipeline
 
@@ -679,7 +693,18 @@ class TestStagedArtifacts:
 
         monkeypatch.setattr(wsi.pipeline, "load_surveys", counting_load_surveys)
         stage_report(config).validate()
-        assert calls == [[out / "stages" / "records.csv"]]
+        assert calls == []
+        assert tree_bytes(out) == before
+
+    def test_index_and_report_rerun_without_records_keep_the_tree(self, small_corpus):
+        backends = [BackendConfig(backend_id="mock", kind="keyword"),
+                    BackendConfig(backend_id="baseline", kind="lexicon")]
+        config = config_for(small_corpus, backends=backends)
+        out = run(config).out_dir
+        (out / "stages" / "records.csv").unlink()
+        before = tree_bytes(out)
+        stage_index(config)
+        stage_report(config).validate()
         assert tree_bytes(out) == before
 
 
