@@ -20,12 +20,15 @@ import re
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
 from . import wire
 from .corpus import SurveyRecord
 # HttpTransport is re-exported: the benchmark's tracer wraps it under this name.
 from .wire import HttpTransport, Transport, TransportError  # noqa: F401
+
+if TYPE_CHECKING:  # pipeline imports this module
+    from .pipeline import BackendConfig
 
 log = logging.getLogger("wsi")
 
@@ -128,32 +131,6 @@ class ClassifiedComment:
         return self.failed or self.probs.is_unrelated()
 
 
-@dataclass(frozen=True)
-class BackendSpec:
-    """Remote classifier endpoint description.
-
-    ``endpoint`` is either an http(s) URL or a child-process command line
-    (optionally written ``cmd:<command>``); ``wire.transport`` picks the
-    transport from the prefix.
-    """
-
-    endpoint: str
-    model_id: str
-    fallback_model_id: str | None = None
-    batch_size: int = 32
-    max_retries: int = 2
-    timeout: float = 30.0
-    retry_base_delay: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not self.timeout > 0:  # NaN too
-            raise ValueError("timeout must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-
-
 @dataclass
 class BatchResult:
     """Position-aligned classification output for one list of comments.
@@ -223,22 +200,30 @@ def default_keyword_classifier(backend_id: str = "keyword-mock") -> KeywordClass
 
 
 class RemoteClassifier:
-    """Wire-protocol client with batching, retries, and model fallback."""
+    """Wire-protocol client for one remote ``BackendConfig``: batching,
+    retries, and model fallback.
 
-    def __init__(self, spec: BackendSpec, transport: Transport | None = None,
-                 backend_id: str | None = None,
+    The primary model is the backend's ``model_id``, or its ``backend_id``
+    when it names none; the transport follows its ``endpoint`` and
+    ``timeout`` unless one is passed in.
+    """
+
+    def __init__(self, backend: BackendConfig, transport: Transport | None = None,
                  sleep: Callable[[float], None] = time.sleep):
-        self.spec = spec
-        self.backend_id = backend_id or spec.model_id
+        self.backend = backend
+        self.backend_id = backend.backend_id
+        self.models = [backend.model_id or backend.backend_id]
+        if backend.fallback_model_id:
+            self.models.append(backend.fallback_model_id)
         self.transport = transport if transport is not None else wire.transport(
-            spec.endpoint, spec.timeout)
+            backend.endpoint, backend.timeout)
         self._sleep = sleep
 
     def _call_model(self, comments: Sequence[str], model_id: str) -> tuple[list[ClassProbabilities] | None, int]:
         """One model's bounded attempts on one batch; returns (probs, calls)."""
         payload = {"model": model_id, "comments": list(comments), "labels": list(WIRE_LABELS)}
         return wire.retry(lambda: self._parse_response(self.transport(payload), len(comments)),
-                          self.spec.max_retries, self.spec.retry_base_delay, self._sleep)
+                          self.backend.max_retries, self._sleep)
 
     @staticmethod
     def _parse_response(response: dict, expected: int) -> list[ClassProbabilities]:
@@ -266,15 +251,12 @@ class RemoteClassifier:
         return out
 
     def _classify_chunk(self, chunk: Sequence[str]) -> BatchResult:
-        """One batch, primary model first; ``models`` names who answered."""
+        """One batch, primary model first; the result's ``models`` names who answered."""
         calls = 0
-        models = [self.spec.model_id]
-        if self.spec.fallback_model_id:
-            models.append(self.spec.fallback_model_id)
-        for i, model_id in enumerate(models):
+        for i, model_id in enumerate(self.models):
             if i > 0:
                 log.warning("model %s failed on a batch of %d comments; switching to "
-                            "fallback model %s", models[i - 1], len(chunk), model_id)
+                            "fallback model %s", self.models[i - 1], len(chunk), model_id)
             probs, model_calls = self._call_model(chunk, model_id)
             calls += model_calls
             if probs is not None:
@@ -283,11 +265,11 @@ class RemoteClassifier:
                            [None] * len(chunk))
 
     def classify_batch(self, comments: Sequence[str], parallelism: int = 1) -> BatchResult:
-        """``comments`` in batches of ``spec.batch_size``, ``parallelism`` at a time."""
+        """``comments`` in batches of the backend's ``batch_size``, ``parallelism`` at a time."""
         if any(not c for c in comments):
             raise ValueError("comments must be non-empty")
         result = BatchResult([], [])
-        for _, outcome in wire.map_batches(comments, self.spec.batch_size, parallelism,
+        for _, outcome in wire.map_batches(comments, self.backend.batch_size, parallelism,
                                            self._classify_chunk):
             result.probs.extend(outcome.probs)
             result.failed.extend(outcome.failed)

@@ -36,6 +36,13 @@ def _add_config_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="JSON run configuration file")
 
 
+def _month(text: str) -> MonthKey:
+    try:
+        return MonthKey.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wsi", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
@@ -46,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lead", type=int, default=2, help="months sentiment leads wages")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--comments-per-month", type=int, default=120)
-    p.add_argument("--start", default="200001", help="first month, yyyymm")
+    p.add_argument("--start", type=_month, default="200001", help="first month, yyyymm")
     p.add_argument("--out", default="synthetic", help="output directory")
 
     for name, description in (
@@ -76,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "synth":
             spec = SyntheticSpec(
                 months=args.months,
-                start=MonthKey.parse(args.start),
+                start=args.start,
                 comments_per_month=args.comments_per_month,
                 lead_months=args.lead,
             )

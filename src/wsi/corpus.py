@@ -1,9 +1,10 @@
 """Survey-comment and wage-index ingestion.
 
 Canonical inputs are UTF-8 CSV files with a header row: survey files carry
-``yyyymm,region,industry,judgment,comment`` (one file per month, or several
-concatenated), the wage file carries ``yyyymm,level``. Column names and
-judgment labels are remappable through :class:`SurveySchema`.
+``yyyymm,region,industry,judgment,comment`` (``SURVEY_COLUMNS``; one file
+per month, or several concatenated), optionally ``comment_translated``, and
+the wage file carries ``yyyymm,level``. A judgment label is read through
+``JUDGMENT_LABELS``, ignoring case, extra spaces, ``_`` and ``-``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import groupby
 from operator import attrgetter
@@ -89,12 +90,9 @@ class Judgment(Enum):
     BAD = "Bad"
 
 
-def _norm_label(label: str) -> str:
-    return " ".join(label.replace("_", " ").replace("-", " ").lower().split())
-
-
-# Accepts the canonical names plus common English / romanized survey variants.
-DEFAULT_JUDGMENT_LABELS: dict[str, Judgment] = {
+# The canonical names plus common English / romanized survey variants, as
+# ``resolve_judgment`` normalizes them.
+JUDGMENT_LABELS: dict[str, Judgment] = {
     "excellent": Judgment.EXCELLENT,
     "good": Judgment.GOOD,
     "unchanged": Judgment.UNCHANGED,
@@ -107,6 +105,16 @@ DEFAULT_JUDGMENT_LABELS: dict[str, Judgment] = {
     "yaya warui": Judgment.SLIGHTLY_BAD,
     "warui": Judgment.BAD,
 }
+
+# Survey CSV columns, in the order ``write_survey`` writes them.
+SURVEY_COLUMNS = ("yyyymm", "region", "industry", "judgment", "comment")
+TRANSLATED_COLUMN = "comment_translated"
+
+
+def resolve_judgment(label: str) -> Judgment | None:
+    """The judgment ``label`` names, ignoring case, extra spaces, ``_`` and ``-``."""
+    words = label.replace("_", " ").replace("-", " ").lower().split()
+    return JUDGMENT_LABELS.get(" ".join(words))
 
 
 @dataclass(frozen=True)
@@ -127,27 +135,6 @@ class SurveyRecord:
 
     def with_translation(self, translated: str) -> "SurveyRecord":
         return replace(self, comment_translated=translated)
-
-
-@dataclass(frozen=True)
-class SurveySchema:
-    """Column mapping and judgment-label mapping for survey CSV files."""
-
-    month: str = "yyyymm"
-    region: str = "region"
-    industry: str = "industry"
-    judgment: str = "judgment"
-    comment: str = "comment"
-    translated: str = "comment_translated"
-    judgment_labels: Mapping[str, Judgment] = field(
-        default_factory=lambda: dict(DEFAULT_JUDGMENT_LABELS)
-    )
-
-    def resolve_judgment(self, label: str) -> Judgment | None:
-        return self.judgment_labels.get(_norm_label(label))
-
-
-DEFAULT_SCHEMA = SurveySchema()
 
 
 @dataclass(frozen=True)
@@ -177,7 +164,7 @@ def _parse_month(text: str) -> MonthKey | None:
 _MONTH_ORDER = attrgetter("month.year", "month.month")
 
 
-def load_survey(path: str | Path, schema: SurveySchema = DEFAULT_SCHEMA) -> SurveyLoad:
+def load_survey(path: str | Path) -> SurveyLoad:
     """Load one canonical survey CSV.
 
     Malformed months and unknown judgment labels reject the row (reported
@@ -197,20 +184,19 @@ def load_survey(path: str | Path, schema: SurveySchema = DEFAULT_SCHEMA) -> Surv
     skipped_empty = 0
     # one parse per distinct raw month and label, not per row
     month_of = functools.cache(_parse_month)
-    judgment_of = functools.cache(schema.resolve_judgment)
+    judgment_of = functools.cache(resolve_judgment)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise LoadError(f"empty survey file: {path}")
-        required = [schema.month, schema.region, schema.industry, schema.judgment, schema.comment]
-        missing = [c for c in required if c not in header]
+        missing = [c for c in SURVEY_COLUMNS if c not in header]
         if missing:
             raise LoadError(f"{path}: missing columns {missing}")
         position = {name: i for i, name in enumerate(header)}
         month_at, region_at, industry_at, judgment_at, comment_at = (
-            position[c] for c in required)
-        translated_at = position.get(schema.translated)
+            position[c] for c in SURVEY_COLUMNS)
+        translated_at = position.get(TRANSLATED_COLUMN)
         width = len(header)
         lineno = 1
         for row in reader:
@@ -246,11 +232,11 @@ def load_survey(path: str | Path, schema: SurveySchema = DEFAULT_SCHEMA) -> Surv
     return SurveyLoad(records, errors, skipped_empty)
 
 
-def load_surveys(paths: Iterable[str | Path], schema: SurveySchema = DEFAULT_SCHEMA) -> SurveyLoad:
+def load_surveys(paths: Iterable[str | Path]) -> SurveyLoad:
     """Load and merge several survey CSVs in the given path order."""
     merged = SurveyLoad([], [], 0)
     for path in paths:
-        part = load_survey(path, schema)
+        part = load_survey(path)
         merged.records.extend(part.records)
         merged.errors.extend(part.errors)
         merged.skipped_empty += part.skipped_empty
@@ -258,13 +244,10 @@ def load_surveys(paths: Iterable[str | Path], schema: SurveySchema = DEFAULT_SCH
     return merged
 
 
-def write_survey(records: Sequence[SurveyRecord], path: str | Path,
-                 schema: SurveySchema = DEFAULT_SCHEMA) -> None:
+def write_survey(records: Sequence[SurveyRecord], path: str | Path) -> None:
     """Write records back to the canonical CSV format (round-trip safe), atomically."""
     include_translated = any(r.comment_translated is not None for r in records)
-    header = [schema.month, schema.region, schema.industry, schema.judgment, schema.comment]
-    if include_translated:
-        header.append(schema.translated)
+    header = [*SURVEY_COLUMNS, TRANSLATED_COLUMN] if include_translated else SURVEY_COLUMNS
     with atomic_open(Path(path), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -309,9 +292,6 @@ class WageSeries:
     @property
     def yoy_map(self) -> dict[MonthKey, float]:
         return dict(self._yoy)
-
-    def level(self, t: MonthKey) -> float | None:
-        return self._levels.get(t)
 
     def yoy(self, t: MonthKey) -> float | None:
         """Year-on-year growth in percent, or None when undefined at t."""

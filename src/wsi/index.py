@@ -45,7 +45,6 @@ class IndexPoint:
     wsi_standard: float
     wsi_weighted: float
     counts: MonthlyCounts
-    normalization: Normalization
 
 
 def standard_wsi(counts: MonthlyCounts) -> float | None:
@@ -112,15 +111,7 @@ def build_series(classified: Mapping[MonthKey, Sequence[ClassifiedComment]],
         std = standard_wsi(counts)
         wgt = weighted_wsi(triples, normalization)
         assert std is not None and wgt is not None
-        points.append(
-            IndexPoint(
-                month=month,
-                wsi_standard=std,
-                wsi_weighted=wgt,
-                counts=counts,
-                normalization=normalization,
-            )
-        )
+        points.append(IndexPoint(month=month, wsi_standard=std, wsi_weighted=wgt, counts=counts))
     return SeriesResult(points=points, skipped_months=skipped)
 
 

@@ -27,7 +27,6 @@ from typing import Mapping, Sequence
 
 from . import __version__
 from .classify import (
-    BackendSpec,
     BatchResult,
     ClassProbabilities,
     ClassifiedComment,
@@ -98,25 +97,24 @@ class ConfigError(ValueError):
 class ClassificationCache(ContentCache):
     """Per-comment classification results keyed by (comment, endpoint, model, prompt version).
 
-    The endpoint enters the key as ``wire.endpoint_identity`` spells it.
+    The endpoint enters the key as ``wire.endpoint_identity`` spells it, the
+    prompt version as ``PROMPT_VERSION``.
     """
 
     def get(self, comment: str, endpoint: str, model_id: str,
-            prompt_version: str = PROMPT_VERSION,
             fallback_model_id: str | None = None) -> ClassProbabilities | None:
         """The entry under ``model_id``, else the one under ``fallback_model_id``."""
         endpoint = endpoint_identity(endpoint)
         for model in (model_id, fallback_model_id):
             if model is not None:
-                probs = self.read((comment, endpoint, model, prompt_version),
+                probs = self.read((comment, endpoint, model, PROMPT_VERSION),
                                   lambda e: ClassProbabilities(e["u"], e["v"], e["w"]))
                 if probs is not None:
                     return probs
         return None
 
-    def put(self, comment: str, endpoint: str, model_id: str, probs: ClassProbabilities,
-            prompt_version: str = PROMPT_VERSION) -> None:
-        self.write((comment, endpoint_identity(endpoint), model_id, prompt_version),
+    def put(self, comment: str, endpoint: str, model_id: str, probs: ClassProbabilities) -> None:
+        self.write((comment, endpoint_identity(endpoint), model_id, PROMPT_VERSION),
                    json.dumps({"u": probs.u, "v": probs.v, "w": probs.w}, sort_keys=True))
 
 
@@ -126,32 +124,28 @@ class CachedRemoteClassifier:
     One cache pass over the comments, then the misses go to the inner
     client in its fixed batches, ``parallelism`` batches at a time; the
     caller passes distinct texts. Failures are never cached. Each answer is
-    stored under the endpoint and the model that gave it, and a read tries
-    the primary model's entry before the fallback model's.
+    stored under the inner client's endpoint and the model that gave it,
+    and a read tries the primary model's entry before the fallback model's.
     """
 
     def __init__(self, inner: RemoteClassifier, cache: ClassificationCache,
-                 prompt_version: str = PROMPT_VERSION, parallelism: int = 1):
+                 parallelism: int = 1):
         self.inner = inner
         self.cache = cache
-        self.prompt_version = prompt_version
         self.parallelism = parallelism
         self.backend_id = inner.backend_id
 
     def classify_batch(self, comments: Sequence[str]) -> BatchResult:
-        spec = self.inner.spec
+        endpoint = self.inner.backend.endpoint
         probs: list[ClassProbabilities | None] = [
-            self.cache.get(c, spec.endpoint, spec.model_id, self.prompt_version,
-                           spec.fallback_model_id)
-            for c in comments
-        ]
+            self.cache.get(c, endpoint, *self.inner.models) for c in comments]
         misses = [i for i, p in enumerate(probs) if p is None]
         failed = [False] * len(comments)
         result = self.inner.classify_batch([comments[i] for i in misses], self.parallelism)
         for i, p, was_failed, model in zip(misses, result.probs, result.failed, result.models):
             probs[i], failed[i] = p, was_failed
             if not was_failed:
-                self.cache.put(comments[i], spec.endpoint, model, p, self.prompt_version)
+                self.cache.put(comments[i], endpoint, model, p)
         return BatchResult(probs=probs, failed=failed, wire_calls=result.wire_calls)
 
 
@@ -161,7 +155,10 @@ class BackendConfig:
 
     ``kind`` is one of "keyword" (deterministic mock), "lexicon" (the
     rolling correlation baseline), "http", or "subprocess" (remote wire
-    protocol backends).
+    protocol backends). A remote kind's entry is all its ``RemoteClassifier``
+    reads: the endpoint, the model (``backend_id`` when ``model_id`` is
+    unset), the fallback model, and the batch size, retry bound and
+    timeout, whose floors are checked here.
     """
 
     backend_id: str
@@ -179,20 +176,12 @@ class BackendConfig:
             raise ConfigError(f"unknown backend kind: {self.kind}")
         if self.kind in ("http", "subprocess") and not self.endpoint:
             raise ConfigError(f"backend {self.backend_id}: kind {self.kind} needs an endpoint")
-        try:
-            self.to_spec()  # batch_size, max_retries and timeout
-        except ValueError as exc:
-            raise ConfigError(f"backend {self.backend_id}: {exc}") from exc
-
-    def to_spec(self) -> BackendSpec:
-        return BackendSpec(
-            endpoint=self.endpoint or "",
-            model_id=self.model_id or self.backend_id,
-            fallback_model_id=self.fallback_model_id,
-            batch_size=self.batch_size,
-            max_retries=self.max_retries,
-            timeout=self.timeout,
-        )
+        if self.batch_size < 1:
+            raise ConfigError(f"backend {self.backend_id}: batch_size must be >= 1")
+        if not self.timeout > 0:  # NaN too
+            raise ConfigError(f"backend {self.backend_id}: timeout must be positive")
+        if self.max_retries < 0:
+            raise ConfigError(f"backend {self.backend_id}: max_retries must be >= 0")
 
     def identity(self) -> dict:
         out = {"id": self.backend_id, "kind": self.kind}
@@ -204,22 +193,43 @@ class BackendConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "BackendConfig":
+        if not isinstance(raw, Mapping):
+            raise ConfigError(f"backends entry must be a JSON object, got {raw!r:.60}")
         if "id" not in raw:
             raise ConfigError(f"backend entry has no \"id\": {dict(raw)}")
         rules = raw.get("rules")
         if rules is not None:
             rules = tuple((tuple(keywords), tuple(triple)) for keywords, triple in rules)
+        where = f"backend {raw['id']}: "
         return cls(
             backend_id=raw["id"],
             kind=raw.get("kind", "keyword"),
             endpoint=raw.get("endpoint"),
             model_id=raw.get("model"),
             fallback_model_id=raw.get("fallback_model"),
-            batch_size=int(raw.get("batch_size", 32)),
-            max_retries=int(raw.get("max_retries", 2)),
-            timeout=float(raw.get("timeout", 30.0)),
+            batch_size=_setting(raw, "batch_size", 32, int, where),
+            max_retries=_setting(raw, "max_retries", 2, int, where),
+            timeout=_setting(raw, "timeout", 30.0, float, where),
             rules=rules,
         )
+
+
+_EXPECTED = {int: "an integer", float: "a number", list: "a JSON list",
+             Mapping: "a JSON object"}
+
+
+def _setting(raw: Mapping, key: str, default, expected: type, where: str = ""):
+    """``raw[key]``, or ``default`` when absent, as ``expected`` (a key of
+    ``_EXPECTED``); any other value is a ConfigError naming ``where + key``."""
+    value = raw.get(key, default)
+    if expected in (int, float):
+        try:
+            return expected(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    elif isinstance(value, expected):
+        return value
+    raise ConfigError(f"{where}{key} must be {_EXPECTED[expected]}, got {value!r:.60}")
 
 
 @dataclass
@@ -287,32 +297,37 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "RunConfig":
+        if not isinstance(raw, Mapping):
+            raise ConfigError(f"the config must be a JSON object, got {raw!r:.60}")
         surveys = raw.get("surveys", [])
         if isinstance(surveys, str):
             surveys = [surveys]
-        lexicon_raw = raw.get("lexicon", {})
-        translation_raw = raw.get("translation", {})
+        lexicon_raw = _setting(raw, "lexicon", {}, Mapping)
+        translation_raw = _setting(raw, "translation", {}, Mapping)
         return cls(
             survey_paths=list(surveys),
             wage_path=raw.get("wages", ""),
-            backends=[BackendConfig.from_dict(b) for b in raw.get("backends", [])],
+            backends=[BackendConfig.from_dict(b) for b in _setting(raw, "backends", [], list)],
             normalization=raw.get("normalization", "per_comment"),
-            max_lag=int(raw.get("max_lag", 24)),
+            max_lag=_setting(raw, "max_lag", 24, int),
             lexicon=LexiconPolicy(
                 window=lexicon_raw.get("window", "expanding"),
-                min_mean_frequency=float(lexicon_raw.get("min_mean_frequency", 5.0)),
-                max_terms=int(lexicon_raw.get("max_terms", 10)),
+                min_mean_frequency=_setting(lexicon_raw, "min_mean_frequency", 5.0, float,
+                                            "lexicon."),
+                max_terms=_setting(lexicon_raw, "max_terms", 10, int, "lexicon."),
                 smoothing=lexicon_raw.get("smoothing", "laplace"),
             ),
             translation_backend=translation_raw.get("backend", "identity"),
             translation_source=translation_raw.get("source", "ja"),
             translation_target=translation_raw.get("target", "en"),
-            translation_parallelism=int(translation_raw.get("parallelism", 4)),
-            translation_batch_size=int(translation_raw.get("batch_size", 50)),
-            classify_parallelism=int(raw.get("classify_parallelism", 4)),
+            translation_parallelism=_setting(translation_raw, "parallelism", 4, int,
+                                             "translation."),
+            translation_batch_size=_setting(translation_raw, "batch_size", 50, int,
+                                            "translation."),
+            classify_parallelism=_setting(raw, "classify_parallelism", 4, int),
             output_dir=raw.get("output_dir", "out"),
             cache_dir=raw.get("cache_dir", ".wsi-cache"),
-            seed=int(raw.get("seed", 0)),
+            seed=_setting(raw, "seed", 0, int),
         )
 
     @classmethod
@@ -567,7 +582,7 @@ def _build_classifier(backend: BackendConfig, config: RunConfig):
             return KeywordClassifier(backend.rules, backend_id=backend.backend_id)
         return default_keyword_classifier(backend_id=backend.backend_id)
     if backend.kind in ("http", "subprocess"):
-        remote = RemoteClassifier(backend.to_spec(), backend_id=backend.backend_id)
+        remote = RemoteClassifier(backend)
         cache = ClassificationCache(Path(config.cache_dir) / "classify")
         return CachedRemoteClassifier(remote, cache, parallelism=config.classify_parallelism)
     raise ConfigError(f"no classifier for kind {backend.kind}")

@@ -89,7 +89,7 @@ class TranslationReport:
 def translate_all(records: Sequence[SurveyRecord], backend: TranslationBackend,
                   parallelism: int = 1, *, cache: TranslationCache | None = None,
                   source: str = "ja", target: str = "en", batch_size: int = 50,
-                  max_retries: int = 2, retry_base_delay: float = 0.1,
+                  max_retries: int = 2,
                   sleep: Callable[[float], None] = time.sleep) -> TranslationReport:
     """Fill ``comment_translated`` on every record, via cache where possible.
 
@@ -108,8 +108,7 @@ def translate_all(records: Sequence[SurveyRecord], backend: TranslationBackend,
     pending = [text for text in texts if text not in translations]
 
     def run_batch(batch: Sequence[str]) -> tuple[list[str] | None, int]:
-        return wire.retry(lambda: backend.translate(batch, source, target),
-                          max_retries, retry_base_delay, sleep)
+        return wire.retry(lambda: backend.translate(batch, source, target), max_retries, sleep)
 
     outcomes = wire.map_batches(pending, batch_size, parallelism, run_batch)
     # The identity backend answers in process, so its batches make no backend calls.

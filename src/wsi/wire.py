@@ -167,18 +167,21 @@ def endpoint_identity(endpoint: str) -> str:
     return endpoint.removeprefix("cmd:")
 
 
-def retry(call: Callable[[], T], max_retries: int, base_delay: float,
-          sleep: Callable[[float], None] = time.sleep) -> tuple[T | None, int]:
+RETRY_BASE_DELAY = 0.1  # seconds before the first retry; doubled before each further one
+
+
+def retry(call: Callable[[], T], max_retries: int,
+          sleep: Callable[[float], None]) -> tuple[T | None, int]:
     """Run ``call`` until it returns, at most ``max_retries + 1`` times.
 
     A ``TransportError`` is logged with its cause and retried after
-    ``base_delay * 2 ** (attempt - 1)`` seconds. Returns the result, or
-    None when every attempt failed, and the number of attempts made.
+    ``RETRY_BASE_DELAY * 2 ** (attempt - 1)`` seconds. Returns the result,
+    or None when every attempt failed, and the number of attempts made.
     """
     attempts = max_retries + 1
     for attempt in range(attempts):
-        if attempt > 0 and base_delay > 0:
-            sleep(base_delay * 2 ** (attempt - 1))
+        if attempt > 0:
+            sleep(RETRY_BASE_DELAY * 2 ** (attempt - 1))
         try:
             return call(), attempt + 1
         except TransportError as exc:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wsi.classify import (
-    BackendSpec,
     BatchResult,
     ClassProbabilities,
     HardLabel,
@@ -22,6 +21,7 @@ from wsi.classify import (
     prompt_template,
 )
 from wsi.corpus import MonthKey
+from wsi.pipeline import BackendConfig
 from wsi.wire import SubprocessTransport
 
 from conftest import WIRE_STUB, make_record
@@ -153,10 +153,15 @@ class FakeTransport:
 
 
 def spec(**kw):
-    defaults = dict(endpoint="http://unused/", model_id="primary",
-                    batch_size=32, max_retries=2, timeout=5.0, retry_base_delay=0.0)
+    defaults = dict(backend_id="remote", kind="http", endpoint="http://unused/",
+                    model_id="primary", batch_size=32, max_retries=2, timeout=5.0)
     defaults.update(kw)
-    return BackendSpec(**defaults)
+    return BackendConfig(**defaults)
+
+
+def remote(backend, transport=None):
+    """A client for ``backend`` that retries without waiting."""
+    return RemoteClassifier(backend, transport=transport, sleep=lambda s: None)
 
 
 class TestClassifyBatch:
@@ -166,7 +171,7 @@ class TestClassifyBatch:
         texts = [f"item {i} {'up' if i % 3 == 0 else 'down' if i % 3 == 1 else 'flat'}"
                  for i in range(60)]
         random.Random(9).shuffle(texts)
-        result = RemoteClassifier(spec(batch_size=7), transport=FakeTransport()).classify_batch(
+        result = remote(spec(batch_size=7), transport=FakeTransport()).classify_batch(
             texts)
         for text, probs in zip(texts, result.probs):
             expected = {"up": (1.0, 0.0, 0.0), "down": (0.0, 1.0, 0.0),
@@ -175,22 +180,22 @@ class TestClassifyBatch:
 
     def test_wire_call_count_is_batch_ceiling(self):
         transport = FakeTransport()
-        result = RemoteClassifier(spec(batch_size=2), transport=transport).classify_batch(
+        result = remote(spec(batch_size=2), transport=transport).classify_batch(
             ["up"] * 5)
         assert result.wire_calls == 3  # ceil(5 / 2)
         assert transport.calls == 3
 
     def test_batching_invariance(self):
         texts = [f"comment {i} {'up' if i % 2 else 'down'}" for i in range(21)]
-        small = RemoteClassifier(spec(batch_size=1), transport=FakeTransport()).classify_batch(
+        small = remote(spec(batch_size=1), transport=FakeTransport()).classify_batch(
             texts)
-        large = RemoteClassifier(spec(batch_size=50), transport=FakeTransport()).classify_batch(
+        large = remote(spec(batch_size=50), transport=FakeTransport()).classify_batch(
             texts)
         assert [p.as_tuple() for p in small.probs] == [p.as_tuple() for p in large.probs]
 
     def test_retry_bound_then_fallback_then_failure(self):
         transport = FakeTransport(fail_models={"primary", "backup"})
-        result = RemoteClassifier(
+        result = remote(
             spec(model_id="primary", fallback_model_id="backup", max_retries=3),
             transport=transport,
         ).classify_batch(["up", "down"])
@@ -203,30 +208,39 @@ class TestClassifyBatch:
 
     def test_fallback_rescues_batch(self):
         transport = FakeTransport(fail_models={"primary"})
-        result = RemoteClassifier(spec(model_id="primary", fallback_model_id="backup"),
-                                  transport=transport).classify_batch(["up"])
+        result = remote(spec(model_id="primary", fallback_model_id="backup"),
+                        transport=transport).classify_batch(["up"])
         assert result.failed == [False]
         assert result.probs[0].as_tuple() == (1.0, 0.0, 0.0)
 
+    def test_model_defaults_to_the_backend_id(self):
+        transport = FakeTransport()
+        client = remote(spec(backend_id="gpt-x", model_id=None), transport=transport)
+        assert client.backend_id == "gpt-x"
+        client.classify_batch(["up"])
+        assert [p["model"] for p in transport.payloads] == ["gpt-x"]
+
     def test_transient_failure_retried_to_success(self):
+        sleeps = []
         transport = FakeTransport(fail_times=2)
-        result = RemoteClassifier(spec(max_retries=2), transport=transport).classify_batch(
-            ["up"])
+        result = RemoteClassifier(spec(max_retries=2), transport=transport,
+                                  sleep=sleeps.append).classify_batch(["up"])
         assert transport.calls == 3
         assert result.failed == [False]
+        assert sleeps == [0.1, 0.2]  # wire.RETRY_BASE_DELAY, doubled
 
     def test_unrelated_mask_honoured(self):
         def transport(payload):
             return {"probabilities": [[0.5, 0.3, 0.2]], "unrelated": [True]}
 
-        result = RemoteClassifier(spec(), transport=transport).classify_batch(["anything"])
+        result = remote(spec(), transport=transport).classify_batch(["anything"])
         assert result.probs[0] == UNRELATED
 
     def test_malformed_response_counts_as_failure(self):
         def transport(payload):
             return {"probabilities": [[0.5, 0.5]]}  # wrong arity
 
-        result = RemoteClassifier(spec(max_retries=0), transport=transport).classify_batch(
+        result = remote(spec(max_retries=0), transport=transport).classify_batch(
             ["text"])
         assert result.failed == [True]
 
@@ -249,7 +263,7 @@ class TestClassifyBatch:
         texts = ["first comment", "second comment"]
         cache = ClassificationCache(tmp_path / "cache")
         failing = CachedRemoteClassifier(
-            RemoteClassifier(spec(max_retries=1), transport=transport), cache)
+            remote(spec(max_retries=1), transport=transport), cache)
         result = failing.classify_batch(texts)
         assert result.failed == [True, True]
         assert result.wire_calls == 2
@@ -257,15 +271,15 @@ class TestClassifyBatch:
         assert all(cache.get(t, "http://unused/", "primary") is None for t in texts)
         assert not list((tmp_path / "cache").rglob("*.json"))
 
-        rescued = RemoteClassifier(spec(fallback_model_id="backup", max_retries=1),
-                                   transport=transport).classify_batch(texts)
+        rescued = remote(spec(fallback_model_id="backup", max_retries=1),
+                         transport=transport).classify_batch(texts)
         assert rescued.failed == [False, False]
         assert rescued.wire_calls == 3  # two primary attempts, then the fallback
         assert [p.as_tuple() for p in rescued.probs] == [(0.0, 0.0, 1.0)] * 2
 
     def test_empty_and_blank_inputs_rejected(self):
         transport = FakeTransport()
-        client = RemoteClassifier(spec(), transport=transport)
+        client = remote(spec(), transport=transport)
         assert client.classify_batch([]) == BatchResult([], [], 0)
         with pytest.raises(ValueError):
             client.classify_batch(["ok", ""])
@@ -273,9 +287,9 @@ class TestClassifyBatch:
 
     def test_parallel_chunks_keep_order(self):
         texts = [f"n{i} {'up' if i % 2 else 'down'}" for i in range(40)]
-        serial = RemoteClassifier(spec(batch_size=5), transport=FakeTransport()).classify_batch(
+        serial = remote(spec(batch_size=5), transport=FakeTransport()).classify_batch(
             texts)
-        parallel = RemoteClassifier(spec(batch_size=5), transport=FakeTransport()).classify_batch(
+        parallel = remote(spec(batch_size=5), transport=FakeTransport()).classify_batch(
             texts, parallelism=8)
         assert [p.as_tuple() for p in serial.probs] == [p.as_tuple() for p in parallel.probs]
 
@@ -295,8 +309,8 @@ class TestClassifyMonth:
 
     def test_failed_items_annotated_and_unrelated(self):
         records = [make_record(comment="anything at all")]
-        client = RemoteClassifier(spec(max_retries=0),
-                                  transport=FakeTransport(fail_models={"primary"}))
+        client = remote(spec(max_retries=0),
+                        transport=FakeTransport(fail_models={"primary"}))
         out = classify_month(records, client)
         assert out[0].failed and out[0].hard_label == HardLabel.UNRELATED
         assert out[0].excluded
@@ -321,7 +335,7 @@ class TestClassifyMonth:
 class TestWireTransports:
     def test_subprocess_round_trip(self):
         transport = SubprocessTransport(f"{sys.executable} {WIRE_STUB}", timeout=10.0)
-        result = RemoteClassifier(spec(), transport=transport).classify_batch(
+        result = remote(spec(), transport=transport).classify_batch(
             ["prices went up", "hours went down", "nothing here"])
         assert [p.as_tuple() for p in result.probs] == [
             (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)]
@@ -329,20 +343,20 @@ class TestWireTransports:
 
     def test_subprocess_malformed_reply_fails_batch(self):
         transport = SubprocessTransport(f"{sys.executable} {WIRE_STUB}", timeout=10.0)
-        result = RemoteClassifier(spec(model_id="always-fails", max_retries=0),
-                                  transport=transport).classify_batch(["whatever"])
+        result = remote(spec(model_id="always-fails", max_retries=0),
+                        transport=transport).classify_batch(["whatever"])
         assert result.failed == [True]
         transport.close()
 
     def test_http_round_trip(self, wire_server):
-        result = RemoteClassifier(spec(endpoint=wire_server.url)).classify_batch(
+        result = remote(spec(endpoint=wire_server.url)).classify_batch(
             ["went up today", "went down today"])
         assert [p.as_tuple() for p in result.probs] == [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
         assert wire_server.requests[-1]["labels"] == ["increase", "decrease", "neutral"]
 
     def test_http_down_marks_failures(self, wire_server):
         wire_server.set_fail_all(True)
-        result = RemoteClassifier(spec(endpoint=wire_server.url, max_retries=1)).classify_batch(
+        result = remote(spec(endpoint=wire_server.url, max_retries=1)).classify_batch(
             ["up"])
         assert result.failed == [True]
         assert result.wire_calls == 2
@@ -355,8 +369,8 @@ def test_prompt_template_ships_with_placeholder():
 
 def test_retries_and_fallback_switch_are_logged(caplog):
     transport = FakeTransport(fail_models={"primary"})
-    client = RemoteClassifier(spec(fallback_model_id="backup", max_retries=1),
-                              transport=transport)
+    client = remote(spec(fallback_model_id="backup", max_retries=1),
+                    transport=transport)
     with caplog.at_level("WARNING", logger="wsi"):
         result = client.classify_batch(["up", "down"])
     assert result.failed == [False, False]
@@ -390,8 +404,8 @@ def test_hung_subprocess_classifier_fails_within_its_timeout(tmp_path, monkeypat
     backend = BackendConfig(backend_id="hung", kind="subprocess", model_id="m",
                             endpoint=f"exec {sys.executable} {script}",
                             timeout=0.5, max_retries=0)
-    remote = RemoteClassifier(backend.to_spec())
-    classifier = CachedRemoteClassifier(remote, ClassificationCache(tmp_path / "cache"))
+    client = RemoteClassifier(backend)
+    classifier = CachedRemoteClassifier(client, ClassificationCache(tmp_path / "cache"))
     records = [make_record(comment=f"wages went up {i}") for i in range(3)]
     for call in range(2):  # the second call starts a new child
         started = time.perf_counter()
@@ -402,5 +416,5 @@ def test_hung_subprocess_classifier_fails_within_its_timeout(tmp_path, monkeypat
         child = children[-1]
         assert child.returncode is not None  # killed and reaped
         assert child.stdin.closed and child.stdout.closed
-    remote.transport.close()
+    client.transport.close()
     assert not list((tmp_path / "cache").rglob("*.json"))

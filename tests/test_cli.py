@@ -112,6 +112,11 @@ def assert_error_line(proc, message):
     ("backend_without_id", 'backend entry has no "id"'),
     ("missing_file", "bad.json: [Errno 2] No such file or directory"),
     ("not_json", "bad.json: Expecting"),
+    ("batch_size_text", "backend mock: batch_size must be an integer, got 'x'"),
+    ("config_list", "the config must be a JSON object, got [{"),
+    ("backend_text", "backends entry must be a JSON object, got 'mock'"),
+    ("lexicon_list", "lexicon must be a JSON object, got []"),
+    ("max_lag_null", "max_lag must be an integer, got None"),
 ])
 def test_config_error_is_reported_not_raised(workspace, case, message):
     tmp_path, config_path = workspace
@@ -125,6 +130,20 @@ def test_config_error_is_reported_not_raised(workspace, case, message):
         bad_path.write_text(json.dumps(config))
     elif case == "not_json":
         bad_path.write_text(json.dumps(config)[:-1])
+    elif case == "batch_size_text":
+        config["backends"][0]["batch_size"] = "x"
+        bad_path.write_text(json.dumps(config))
+    elif case == "config_list":
+        bad_path.write_text(json.dumps([config]))
+    elif case == "backend_text":
+        config["backends"] = ["mock"]
+        bad_path.write_text(json.dumps(config))
+    elif case == "lexicon_list":
+        config["lexicon"] = []
+        bad_path.write_text(json.dumps(config))
+    elif case == "max_lag_null":
+        config["max_lag"] = None
+        bad_path.write_text(json.dumps(config))
     # "missing_file" leaves bad.json unwritten
     assert_error_line(run_cli("run", "--config", str(bad_path)), message)
 
@@ -138,3 +157,12 @@ def test_run_reports_missing_inputs_like_ingest(workspace, missing):
     bad_path.write_text(json.dumps(config))
     assert_error_line(run_cli("run", "--config", str(bad_path)),
                       f"stage ingest failed: input file not found: {tmp_path / 'missing.csv'}")
+
+
+@pytest.mark.parametrize("flag, value", [("--start", "2000x1"), ("--months", "x")])
+def test_synth_rejects_a_malformed_argument_with_usage(tmp_path, flag, value):
+    proc = run_cli("synth", flag, value, "--out", str(tmp_path / "s"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"error: argument {flag}: invalid" in proc.stderr.splitlines()[-1]
+    assert not (tmp_path / "s").exists()

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wsi.corpus import (
-    DEFAULT_SCHEMA,
+    SURVEY_COLUMNS,
+    TRANSLATED_COLUMN,
     Judgment,
     LoadError,
     MonthKey,
@@ -19,6 +20,7 @@ from wsi.corpus import (
     load_surveys,
     load_wages,
     month_range,
+    resolve_judgment,
     write_survey,
     write_wages,
     WageSeries,
@@ -161,39 +163,40 @@ class TestLoadSurvey:
         assert reloaded.records == records
 
 
-def _dictreader_load_survey(path, schema=DEFAULT_SCHEMA):
+def _dictreader_load_survey(path):
     """Reference: ``load_survey`` as written on ``csv.DictReader``, one parse per row."""
+    month_col, region_col, industry_col, judgment_col, comment_col = SURVEY_COLUMNS
     path = Path(path)
     records, errors, skipped_empty = [], [], 0
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise LoadError(f"empty survey file: {path}")
-        required = [schema.month, schema.region, schema.industry, schema.judgment, schema.comment]
+        required = [month_col, region_col, industry_col, judgment_col, comment_col]
         missing = [c for c in required if c not in reader.fieldnames]
         if missing:
             raise LoadError(f"{path}: missing columns {missing}")
-        has_translated = schema.translated in reader.fieldnames
+        has_translated = TRANSLATED_COLUMN in reader.fieldnames
         for lineno, row in enumerate(reader, start=2):
             try:
-                month = MonthKey.parse(row[schema.month] or "")
+                month = MonthKey.parse(row[month_col] or "")
             except ValueError:
                 errors.append(RowError(str(path), lineno, "invalid month"))
                 continue
-            judgment = schema.resolve_judgment(row[schema.judgment] or "")
+            judgment = resolve_judgment(row[judgment_col] or "")
             if judgment is None:
                 errors.append(RowError(str(path), lineno, "unknown judgment"))
                 continue
-            comment = (row[schema.comment] or "").strip()
+            comment = (row[comment_col] or "").strip()
             if not comment:
                 skipped_empty += 1
                 continue
-            translated = row.get(schema.translated) if has_translated else None
+            translated = row.get(TRANSLATED_COLUMN) if has_translated else None
             if translated is not None:
                 translated = translated or None
             records.append(SurveyRecord(
-                month=month, region=(row[schema.region] or "").strip(),
-                industry=(row[schema.industry] or "").strip(), judgment=judgment,
+                month=month, region=(row[region_col] or "").strip(),
+                industry=(row[industry_col] or "").strip(), judgment=judgment,
                 comment=comment, comment_translated=translated))
     records.sort(key=lambda r: r.month)
     return SurveyLoad(records, errors, skipped_empty)

@@ -95,7 +95,7 @@ class TestCacheKey:
             b'{"u": 0.5, "v": 0.25, "w": 0.25}'
 
     def test_fallback_answer_is_cached_under_the_fallback_model(self, tmp_path):
-        from wsi.classify import BackendSpec, RemoteClassifier
+        from wsi.classify import RemoteClassifier
         from wsi.pipeline import CachedRemoteClassifier
 
         calls = []
@@ -107,9 +107,10 @@ class TestCacheKey:
             return {"probabilities": [[0.0, 1.0, 0.0]] * len(payload["comments"])}
 
         def classifier(fallback):
-            spec = BackendSpec(endpoint="http://unused/", model_id="primary",
-                               fallback_model_id=fallback, max_retries=0)
-            return CachedRemoteClassifier(RemoteClassifier(spec, transport=transport), cache)
+            backend = BackendConfig(backend_id="remote", kind="http", endpoint="http://unused/",
+                                    model_id="primary", fallback_model_id=fallback,
+                                    max_retries=0)
+            return CachedRemoteClassifier(RemoteClassifier(backend, transport=transport), cache)
 
         cache = ClassificationCache(tmp_path)
         cold = classifier("backup").classify_batch(["a comment"])

@@ -4,7 +4,7 @@ import pytest
 
 from wsi.corpus import Judgment, MonthKey
 from wsi.econometrics import GrangerResult, significance_stars
-from wsi.index import IndexPoint, MonthlyCounts, Normalization
+from wsi.index import IndexPoint, MonthlyCounts
 from wsi.report import (
     ChartError,
     ReportBundle,
@@ -126,7 +126,6 @@ def synthetic_points(n=24, start=MonthKey(2020, 1), seed=3):
             wsi_standard=rng.uniform(-50, 50),
             wsi_weighted=rng.uniform(-50, 50),
             counts=counts,
-            normalization=Normalization.PER_COMMENT,
         ))
     return points
 

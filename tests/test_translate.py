@@ -57,7 +57,7 @@ def test_warm_cache_with_offline_backend_makes_zero_calls(tmp_path):
     inputs = records(8)
     for r in inputs:
         cache.put(r.comment, backend.backend_id, "ja", "en", r.comment.upper())
-    report = translate_all(inputs, backend, cache=cache, retry_base_delay=0.0)
+    report = translate_all(inputs, backend, cache=cache, sleep=lambda s: None)
     assert backend.calls == 0
     assert report.failed_indices == []
     assert report.cache_hits == len({r.comment for r in inputs})
@@ -68,7 +68,7 @@ def test_persistent_failure_marks_untranslated_and_continues():
     backend = CountingTranslator(fail_always=True)
     inputs = records(4)
     report = translate_all(inputs, backend, max_retries=2, batch_size=2,
-                           retry_base_delay=0.0)
+                           sleep=lambda s: None)
     assert report.failed_indices == [0, 1, 2, 3]
     assert all(r.comment_translated is None for r in report.records)
     # 2 batches x (1 try + 2 retries)
@@ -76,11 +76,13 @@ def test_persistent_failure_marks_untranslated_and_continues():
 
 
 def test_retry_then_success():
+    sleeps = []
     backend = CountingTranslator(fail_times=2)
     report = translate_all(records(3), backend, max_retries=2, batch_size=50,
-                           retry_base_delay=0.0)
+                           sleep=sleeps.append)
     assert report.backend_calls == backend.calls == 3
     assert report.failed_indices == []
+    assert sleeps == [0.1, 0.2]  # wire.RETRY_BASE_DELAY, doubled
 
 
 def test_duplicate_texts_translated_once():
@@ -184,7 +186,7 @@ def test_hung_cmd_translator_fails_within_its_timeout(tmp_path):
     cache = TranslationCache(tmp_path / "cache")
     inputs = records(3)
     started = time.perf_counter()
-    report = translate_all(inputs, backend, cache=cache, max_retries=1, retry_base_delay=0.0)
+    report = translate_all(inputs, backend, cache=cache, max_retries=1, sleep=lambda s: None)
     assert time.perf_counter() - started < 2 * 0.5 + 2.0  # two attempts, each timed out
     assert report.backend_calls == 2
     assert report.failed_indices == [0, 1, 2]
