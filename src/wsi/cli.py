@@ -43,16 +43,27 @@ def _month(text: str) -> MonthKey:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _at_least(floor: int):
+    """An ``int`` argument type that rejects values below ``floor``."""
+    def parse(text: str) -> int:
+        if int(text) < floor:
+            raise argparse.ArgumentTypeError(f"invalid value {text}: must be >= {floor}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wsi", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with a known lead")
-    p.add_argument("--months", type=int, default=120)
-    p.add_argument("--lead", type=int, default=2, help="months sentiment leads wages")
+    p.add_argument("--months", type=_at_least(1), default=120)
+    p.add_argument("--lead", type=_at_least(0), default=2, help="months sentiment leads wages")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--comments-per-month", type=int, default=120)
+    p.add_argument("--comments-per-month", type=_at_least(1), default=120)
     p.add_argument("--start", type=_month, default="200001", help="first month, yyyymm")
     p.add_argument("--out", default="synthetic", help="output directory")
 
@@ -95,8 +106,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "ingest":
             result = stage_ingest(config)
             print(f"ingested {len(result.records)} records "
-                  f"({result.row_errors} rejected rows, "
-                  f"{result.skipped_empty} empty comments skipped)")
+                  f"({result.stats['row_errors']} rejected rows, "
+                  f"{result.stats['skipped_empty']} empty comments skipped)")
         elif args.command == "classify":
             results, wire = stage_classify(config, only_backend=args.backend)
             for backend_id, by_month in results.items():

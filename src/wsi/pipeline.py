@@ -18,7 +18,7 @@ import hashlib
 import json
 import logging
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import groupby, islice
 from operator import itemgetter
@@ -49,7 +49,14 @@ from .corpus import (
     write_wages,
 )
 from .econometrics import AlignedPair, GrangerResult, granger_sweep
-from .index import Normalization, SeriesResult, build_series, series_csv_rows
+from .index import (
+    IndexPoint,
+    MonthlyCounts,
+    Normalization,
+    SeriesResult,
+    build_series,
+    series_csv_rows,
+)
 from . import lexicon
 from .lexicon import (
     LexiconBackend,
@@ -203,10 +210,10 @@ class BackendConfig:
         where = f"backend {raw['id']}: "
         return cls(
             backend_id=raw["id"],
-            kind=raw.get("kind", "keyword"),
-            endpoint=raw.get("endpoint"),
-            model_id=raw.get("model"),
-            fallback_model_id=raw.get("fallback_model"),
+            kind=_setting(raw, "kind", "keyword", str, where),
+            endpoint=_setting(raw, "endpoint", None, str, where),
+            model_id=_setting(raw, "model", None, str, where),
+            fallback_model_id=_setting(raw, "fallback_model", None, str, where),
             batch_size=_setting(raw, "batch_size", 32, int, where),
             max_retries=_setting(raw, "max_retries", 2, int, where),
             timeout=_setting(raw, "timeout", 30.0, float, where),
@@ -214,20 +221,21 @@ class BackendConfig:
         )
 
 
-_EXPECTED = {int: "an integer", float: "a number", list: "a JSON list",
+_EXPECTED = {int: "an integer", float: "a number", str: "a string", list: "a JSON list",
              Mapping: "a JSON object"}
 
 
 def _setting(raw: Mapping, key: str, default, expected: type, where: str = ""):
     """``raw[key]``, or ``default`` when absent, as ``expected`` (a key of
-    ``_EXPECTED``); any other value is a ConfigError naming ``where + key``."""
+    ``_EXPECTED``); null where ``default`` is None stays None, and any other
+    value is a ConfigError naming ``where + key``."""
     value = raw.get(key, default)
     if expected in (int, float):
         try:
             return expected(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    elif isinstance(value, expected):
+    elif isinstance(value, expected) or value is None and default is None:
         return value
     raise ConfigError(f"{where}{key} must be {_EXPECTED[expected]}, got {value!r:.60}")
 
@@ -302,31 +310,35 @@ class RunConfig:
         surveys = raw.get("surveys", [])
         if isinstance(surveys, str):
             surveys = [surveys]
+        if not isinstance(surveys, list) or not all(isinstance(p, str) for p in surveys):
+            raise ConfigError(
+                f"surveys must be a path or a JSON list of paths, got {surveys!r:.60}")
         lexicon_raw = _setting(raw, "lexicon", {}, Mapping)
         translation_raw = _setting(raw, "translation", {}, Mapping)
         return cls(
             survey_paths=list(surveys),
-            wage_path=raw.get("wages", ""),
+            wage_path=_setting(raw, "wages", "", str),
             backends=[BackendConfig.from_dict(b) for b in _setting(raw, "backends", [], list)],
-            normalization=raw.get("normalization", "per_comment"),
+            normalization=_setting(raw, "normalization", "per_comment", str),
             max_lag=_setting(raw, "max_lag", 24, int),
             lexicon=LexiconPolicy(
-                window=lexicon_raw.get("window", "expanding"),
+                window=_setting(lexicon_raw, "window", "expanding", str, "lexicon."),
                 min_mean_frequency=_setting(lexicon_raw, "min_mean_frequency", 5.0, float,
                                             "lexicon."),
                 max_terms=_setting(lexicon_raw, "max_terms", 10, int, "lexicon."),
-                smoothing=lexicon_raw.get("smoothing", "laplace"),
+                smoothing=_setting(lexicon_raw, "smoothing", "laplace", str, "lexicon."),
             ),
-            translation_backend=translation_raw.get("backend", "identity"),
-            translation_source=translation_raw.get("source", "ja"),
-            translation_target=translation_raw.get("target", "en"),
+            translation_backend=_setting(translation_raw, "backend", "identity", str,
+                                         "translation."),
+            translation_source=_setting(translation_raw, "source", "ja", str, "translation."),
+            translation_target=_setting(translation_raw, "target", "en", str, "translation."),
             translation_parallelism=_setting(translation_raw, "parallelism", 4, int,
                                              "translation."),
             translation_batch_size=_setting(translation_raw, "batch_size", 50, int,
                                             "translation."),
             classify_parallelism=_setting(raw, "classify_parallelism", 4, int),
-            output_dir=raw.get("output_dir", "out"),
-            cache_dir=raw.get("cache_dir", ".wsi-cache"),
+            output_dir=_setting(raw, "output_dir", "out", str),
+            cache_dir=_setting(raw, "cache_dir", ".wsi-cache", str),
             seed=_setting(raw, "seed", 0, int),
         )
 
@@ -376,24 +388,23 @@ def run_dir(config: RunConfig) -> Path:
     return Path(config.output_dir) / compute_run_id(config)
 
 
-def _write_failed_marker(out: Path, stage: str, cause: str) -> None:
-    try:
-        atomic_write(out / "FAILED", f"stage: {stage}\ncause: {cause}\n")
-    except OSError:
-        pass
-
-
 @contextmanager
 def _stage(out: Path, name: str):
-    """Convert any stage exception into StageError and leave a FAILED marker."""
+    """Convert any stage exception into StageError and leave a FAILED marker
+    naming the stage that failed; a success removes a marker naming ``name``."""
+    marker = out / "FAILED"
     try:
         yield
-    except StageError as exc:
-        _write_failed_marker(out, exc.stage, exc.cause)
-        raise
     except BaseException as exc:
-        _write_failed_marker(out, name, str(exc))
-        raise StageError(name, str(exc)) from exc
+        error = exc if isinstance(exc, StageError) else StageError(name, str(exc))
+        with suppress(OSError):
+            atomic_write(marker, f"stage: {error.stage}\ncause: {error.cause}\n")
+        if error is exc:
+            raise
+        raise error from exc
+    with suppress(OSError):  # no marker
+        if marker.read_text(encoding="utf-8").startswith(f"stage: {name}\n"):
+            marker.unlink()
 
 
 def _write_json(path: Path, data) -> None:
@@ -403,12 +414,6 @@ def _write_json(path: Path, data) -> None:
 def _read_json(path: Path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _read_stage_stats(out: Path, stage: str) -> dict:
-    """``stages/<stage>.json``, empty when that stage has not run."""
-    path = out / "stages" / f"{stage}.json"
-    return _read_json(path) if path.exists() else {}
 
 
 def _translator(config: RunConfig):
@@ -423,14 +428,11 @@ def _translator(config: RunConfig):
 @dataclass
 class IngestResult:
     records: list[SurveyRecord]
-    row_errors: int
-    skipped_empty: int
-    translation_failed: int
+    stats: dict  # what stages/ingest.json records
     translation_calls: int
 
 
 ClassifiedMap = dict[MonthKey, list[ClassifiedComment]]
-IndexByKind = dict[str, dict[MonthKey, float]]  # index kind -> value by month
 SweepMap = dict[tuple[str, str], list[GrangerResult]]
 
 
@@ -439,14 +441,15 @@ class StagedRun:
 
     This is the only way results travel from one stage to the next. Each
     stage records what it produced here (ingest the records by month and
-    the wages, classify each backend's comments, index the series and
-    ``stages/index.json``, granger the sweeps and their failures). A later
-    stage gets what it needs from memory when a stage sharing this object
-    produced or loaded it, else from ``out/<run-id>/`` on first use; a
-    missing file fails the stage that asked. Of the later stages, only
-    classify reads ``stages/records.csv``. ``run`` passes one instance
-    through every stage; ``stage_report`` runs index or granger on its own
-    instance only when it lacks their results.
+    the wages, classify each backend's comments, index the series, granger
+    the sweeps) and its stats, which ``put_stats`` also writes to
+    ``stages/<stage>.json``. A later stage gets what it needs from memory
+    when a stage sharing this object produced or loaded it, else from
+    ``out/<run-id>/`` on first use; a missing file fails the stage that
+    asked. Of the later stages, only classify reads ``stages/records.csv``,
+    and only ``get_stats`` reads a ``stages/<stage>.json``. ``run`` passes
+    one instance through every stage; ``stage_report`` runs index or
+    granger on its own instance only when it lacks their results.
     """
 
     def __init__(self, config: RunConfig, run_id: str):
@@ -457,9 +460,8 @@ class StagedRun:
         self.grouped: dict[MonthKey, list[SurveyRecord]] | None = None
         self.classified: dict[str, ClassifiedMap] = {}
         self.series: dict[str, SeriesResult] | None = None
-        self.index_stats: dict | None = None
         self.sweeps: SweepMap | None = None
-        self.granger_failures: dict[str, str] | None = None
+        self.stats: dict[str, dict] = {}
 
     @classmethod
     def for_stage(cls, config: RunConfig, stage: str, staged: StagedRun | None) -> StagedRun:
@@ -499,27 +501,32 @@ class StagedRun:
             self.classified[backend_id] = _read_classified_csv(path, backend_id)
         return self.classified[backend_id]
 
-    def get_index_stats(self) -> dict:
-        """``stages/index.json``, empty before the index stage has run."""
-        if self.index_stats is None:
-            self.index_stats = _read_stage_stats(self.out, "index")
-        return self.index_stats
+    def get_stats(self, stage: str) -> dict:
+        """What ``stage`` recorded, else its ``stages/<stage>.json``, else empty."""
+        if stage not in self.stats:
+            path = self.out / "stages" / f"{stage}.json"
+            self.stats[stage] = _read_json(path) if path.exists() else {}
+        return self.stats[stage]
 
-    def get_index(self, stage: str) -> dict[str, IndexByKind]:
-        """Each indexed backend's series by kind; a recorded index failure is left out."""
-        if self.series is not None:
-            return _by_kind(self.series)
-        index_failures = self.get_index_stats().get("failures", {})
-        index: dict[str, IndexByKind] = {}
-        for backend in self.config.backends:
-            path = self.out / "series" / f"{backend.backend_id}.csv"
-            if not path.exists():
-                if backend.backend_id in index_failures:
-                    continue  # recorded index failure, nothing to sweep
-                raise StageError(stage, f"no series for {backend.backend_id};"
-                                        " run `wsi index` first")
-            index[backend.backend_id] = _read_series_csv(path)
-        return index
+    def put_stats(self, stage: str, stats: dict) -> None:
+        self.stats[stage] = stats
+        _write_json(self.out / "stages" / f"{stage}.json", stats)
+
+    def get_series(self, stage: str) -> dict[str, SeriesResult]:
+        """Each indexed backend's series; a recorded index failure is left out."""
+        if self.series is None:
+            index = self.get_stats("index")
+            series: dict[str, SeriesResult] = {}
+            for backend_id in [b.backend_id for b in self.config.backends]:
+                path = self.out / "series" / f"{backend_id}.csv"
+                if not path.exists():
+                    if backend_id in index.get("failures", {}):
+                        continue  # recorded index failure, nothing to sweep
+                    raise StageError(stage, f"no series for {backend_id}; run `wsi index` first")
+                skipped = index.get("series", {}).get(backend_id, {}).get("skipped_months", [])
+                series[backend_id] = _read_series_csv(path, [MonthKey.parse(m) for m in skipped])
+            self.series = series
+        return self.series
 
 
 def stage_ingest(config: RunConfig, *, staged: StagedRun | None = None) -> IngestResult:
@@ -527,10 +534,8 @@ def stage_ingest(config: RunConfig, *, staged: StagedRun | None = None) -> Inges
     staged = StagedRun.for_stage(config, "ingest", staged)
     out = staged.out
     with _stage(out, "ingest"):
-        surveys = expand_survey_paths(config.survey_paths)
-        if not surveys:
-            raise LoadError("no survey files found")
-        load = load_surveys(surveys)
+        # the run id, computed first, has found every survey file
+        load = load_surveys(expand_survey_paths(config.survey_paths))
         if not load.records:
             raise LoadError("no valid survey records")
         wages = load_wages(config.wage_path)
@@ -560,20 +565,15 @@ def stage_ingest(config: RunConfig, *, staged: StagedRun | None = None) -> Inges
         atomic_write(out / "summary" / "judgment.csv", summary.judgment_csv())
         atomic_write(out / "summary" / "region.csv", summary.region_csv())
         atomic_write(out / "summary" / "month.csv", summary.month_csv())
-        _write_json(out / "stages" / "ingest.json", {
+        stats = {
             "records": len(records),
             "row_errors": len(load.errors),
             "skipped_empty": load.skipped_empty,
             "translation_failed": len(report.failed_indices),
-        })
+        }
+        staged.put_stats("ingest", stats)
         staged.wages, staged.grouped = wages, group_by_month(records)
-        return IngestResult(
-            records=records,
-            row_errors=len(load.errors),
-            skipped_empty=load.skipped_empty,
-            translation_failed=len(report.failed_indices),
-            translation_calls=report.backend_calls,
-        )
+        return IngestResult(records, stats, report.backend_calls)
 
 
 def _build_classifier(backend: BackendConfig, config: RunConfig):
@@ -668,20 +668,16 @@ def _read_classified_csv(path: Path, backend_id: str) -> ClassifiedMap:
     return classified
 
 
-def _read_series_csv(path: Path) -> IndexByKind:
-    index: IndexByKind = {kind: {} for kind in INDEX_KINDS}
+def _read_series_csv(path: Path, skipped_months: list[MonthKey]) -> SeriesResult:
+    """The series ``series_csv_rows`` wrote; its last column, the count of
+    included comments, is the sum of the label counts before it."""
+    points = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            month = MonthKey.parse(row["yyyymm"])
-            for kind in INDEX_KINDS:
-                index[kind][month] = float(row[f"wsi_{kind}"])
-    return index
-
-
-def _by_kind(series: Mapping[str, SeriesResult]) -> dict[str, IndexByKind]:
-    return {backend_id: {"standard": result.standard_by_month(),
-                         "weighted": result.weighted_by_month()}
-            for backend_id, result in series.items()}
+        for raw_month, standard, weighted, *counts, _ in islice(csv.reader(fh), 1, None):
+            month = MonthKey.parse(raw_month)
+            points.append(IndexPoint(month, float(standard), float(weighted),
+                                     MonthlyCounts(month, *map(int, counts))))
+    return SeriesResult(points, skipped_months)
 
 
 def stage_classify(config: RunConfig, only_backend: str | None = None, *,
@@ -693,12 +689,15 @@ def stage_classify(config: RunConfig, only_backend: str | None = None, *,
     Wire calls are reported in memory only; the persisted artifacts stay
     byte-identical between cold-cache and warm-cache runs.
     """
+    if only_backend is not None and only_backend not in {b.backend_id for b in config.backends}:
+        raise ConfigError(f"no backend with id {only_backend!r} is configured")
     staged = StagedRun.for_stage(config, "classify", staged)
     out = staged.out
     with _stage(out, "classify"):
         grouped = staged.get_grouped("classify")
         wages = staged.get_wages("classify")
-        stats = _read_stage_stats(out, "classify")
+        # one backend's entry replaces its own; the others' stay as recorded
+        stats = dict(staged.get_stats("classify")) if only_backend is not None else {}
         results: dict[str, ClassifiedMap] = {}
         wire_stats: dict[str, int] = {}
         for backend in config.backends:
@@ -725,7 +724,7 @@ def stage_classify(config: RunConfig, only_backend: str | None = None, *,
                              "\n".join(extras["lexicon_wordcounts"]) + "\n")
             log.info("classified %s: %d months, %d failures",
                      backend.backend_id, len(classified), failed)
-        _write_json(out / "stages" / "classify.json", stats)
+        staged.put_stats("classify", stats)
         return results, wire_stats
 
 
@@ -765,8 +764,7 @@ def stage_index(config: RunConfig, *, staged: StagedRun | None = None
             if result.skipped_months:
                 log.warning("%s: %d months had no classifiable comments",
                             backend_id, len(result.skipped_months))
-        staged.index_stats = {"series": stats, "failures": failures}
-        _write_json(out / "stages" / "index.json", staged.index_stats)
+        staged.put_stats("index", {"series": stats, "failures": failures})
         staged.series = series
         return series
 
@@ -778,14 +776,14 @@ def stage_granger(config: RunConfig, *, staged: StagedRun | None = None
     out = staged.out
     with _stage(out, "granger"):
         yoy_map = staged.get_wages("granger").yoy_map
-        per_backend = staged.get_index("granger")
         sweeps: SweepMap = {}
         failures: dict[str, str] = {}
         stats = {}
-        for backend_id, kinds in per_backend.items():
+        for backend_id, series in staged.get_series("granger").items():
             for kind in INDEX_KINDS:
                 try:
-                    pair = AlignedPair.from_series(kinds[kind], yoy_map)
+                    pair = AlignedPair.from_series(getattr(series, f"{kind}_by_month")(),
+                                                   yoy_map)
                     results = granger_sweep(pair, config.max_lag)
                     if not results:
                         raise ValueError("no feasible lag")
@@ -800,9 +798,8 @@ def stage_granger(config: RunConfig, *, staged: StagedRun | None = None
                     "lags": len(results),
                     "span": [str(pair.months[0]), str(pair.months[-1])],
                 }
-        _write_json(out / "stages" / "granger.json",
-                    {"sweeps": stats, "failures": failures})
-        staged.sweeps, staged.granger_failures = sweeps, failures
+        staged.put_stats("granger", {"sweeps": stats, "failures": failures})
+        staged.sweeps = sweeps
         return sweeps, failures
 
 
@@ -824,9 +821,8 @@ def stage_report(config: RunConfig, *, staged: StagedRun | None = None) -> Repor
             stage_granger(config, staged=staged)
         series, sweeps = staged.series, staged.sweeps
 
-        index_stats = staged.get_index_stats()
-        chart_failures: dict[str, str] = dict(staged.granger_failures)
-        chart_failures.update(index_stats.get("failures", {}))
+        chart_failures: dict[str, str] = dict(staged.get_stats("granger")["failures"])
+        chart_failures.update(staged.get_stats("index").get("failures", {}))
         for backend_id, result in series.items():
             try:
                 svg = render_series_chart(result.points, yoy_map,
@@ -859,24 +855,18 @@ def stage_report(config: RunConfig, *, staged: StagedRun | None = None) -> Repor
             },
             "backends": [b.backend_id for b in config.backends],
         }
-        manifest = dict(metadata)
-        manifest.update({
-            "ingest": _read_stage_stats(out, "ingest"),
-            "classify": _read_stage_stats(out, "classify"),
-            "index": index_stats,
-            "granger": _read_stage_stats(out, "granger"),
-            "failures": chart_failures,
-        })
+        manifest = {**metadata, "failures": chart_failures,
+                    **{stage: staged.get_stats(stage)
+                       for stage in ("ingest", "classify", "index", "granger")}}
         _write_json(out / "manifest.json", manifest)
 
-        bundle = ReportBundle(
+        return ReportBundle(
             run_id=staged.run_id,
             metadata=metadata,
             series={b: r.points for b, r in series.items()},
-            sweeps={key: results for key, results in sweeps.items()},
+            sweeps=dict(sweeps),
             failures={k: {"reason": v} for k, v in chart_failures.items()},
         )
-        return bundle
 
 
 @dataclass
@@ -889,9 +879,6 @@ class RunResult:
 def run(config: RunConfig) -> RunResult:
     """Execute every stage; artifacts land under out/<run-id>/."""
     staged = StagedRun.for_stage(config, "ingest", None)
-    out = staged.out
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "FAILED").unlink(missing_ok=True)
     ingest = stage_ingest(config, staged=staged)
     _, wire_stats = stage_classify(config, staged=staged)
     stage_index(config, staged=staged)
@@ -899,8 +886,8 @@ def run(config: RunConfig) -> RunResult:
     bundle = stage_report(config, staged=staged)
     stats = {
         "translation_calls": ingest.translation_calls,
-        "translation_failed": ingest.translation_failed,
+        "translation_failed": ingest.stats["translation_failed"],
         "wire_calls": wire_stats,
-        "classify": _read_json(out / "stages" / "classify.json"),
+        "classify": staged.get_stats("classify"),
     }
-    return RunResult(bundle=bundle, out_dir=out, stats=stats)
+    return RunResult(bundle=bundle, out_dir=staged.out, stats=stats)

@@ -95,6 +95,11 @@ def test_console_entry_point_installed(workspace):
     assert "complete" in proc.stdout
 
 
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "wsi.cli", *args],
                           capture_output=True, text=True, timeout=120)
@@ -117,6 +122,12 @@ def assert_error_line(proc, message):
     ("backend_text", "backends entry must be a JSON object, got 'mock'"),
     ("lexicon_list", "lexicon must be a JSON object, got []"),
     ("max_lag_null", "max_lag must be an integer, got None"),
+    ("surveys_number", "surveys must be a path or a JSON list of paths, got 5"),
+    ("wages_number", "wages must be a string, got 5"),
+    ("output_dir_number", "output_dir must be a string, got 5"),
+    ("cache_dir_number", "cache_dir must be a string, got 5"),
+    ("endpoint_number", "backend mock: endpoint must be a string, got 5"),
+    ("translator_number", "translation.backend must be a string, got 5"),
 ])
 def test_config_error_is_reported_not_raised(workspace, case, message):
     tmp_path, config_path = workspace
@@ -144,8 +155,47 @@ def test_config_error_is_reported_not_raised(workspace, case, message):
     elif case == "max_lag_null":
         config["max_lag"] = None
         bad_path.write_text(json.dumps(config))
+    elif case.endswith("_number"):
+        key = case[:-len("_number")]
+        if key == "endpoint":
+            config["backends"] = [{"id": "mock", "kind": "http", "endpoint": 5}]
+        elif key == "translator":
+            config["translation"] = {"backend": 5}
+        else:
+            config[key] = 5
+        bad_path.write_text(json.dumps(config))
     # "missing_file" leaves bad.json unwritten
     assert_error_line(run_cli("run", "--config", str(bad_path)), message)
+
+
+def test_classify_of_an_unknown_backend_fails_before_writing(workspace, capsys):
+    tmp_path, config_path = workspace
+    assert main(["ingest", "--config", str(config_path)]) == 0
+    before = tree_bytes(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["classify", "--config", str(config_path), "--backend", "nope"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no backend with id 'nope' is configured\n"
+    assert tree_bytes(tmp_path / "out") == before
+
+
+def test_failed_then_fixed_stage_leaves_the_tree_run_writes(workspace, capsys):
+    tmp_path, config_path = workspace
+    config = json.loads(config_path.read_text())
+    assert main(["ingest", "--config", str(config_path)]) == 0
+    assert main(["index", "--config", str(config_path)]) == 1  # before classify
+    staged_dir = run_dir(RunConfig.from_file(config_path))
+    assert (staged_dir / "FAILED").read_text().startswith("stage: index\n")
+    for command in ("classify", "index", "granger", "report"):
+        assert main([command, "--config", str(config_path)]) == 0
+    assert not (staged_dir / "FAILED").exists()
+
+    config["output_dir"] = str(tmp_path / "out-run")
+    run_path = tmp_path / "run.json"
+    run_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(run_path)]) == 0
+    assert tree_bytes(staged_dir) == tree_bytes(run_dir(RunConfig.from_file(run_path)))
 
 
 @pytest.mark.parametrize("missing", ["surveys", "wages"])
@@ -159,7 +209,10 @@ def test_run_reports_missing_inputs_like_ingest(workspace, missing):
                       f"stage ingest failed: input file not found: {tmp_path / 'missing.csv'}")
 
 
-@pytest.mark.parametrize("flag, value", [("--start", "2000x1"), ("--months", "x")])
+@pytest.mark.parametrize("flag, value", [
+    ("--start", "2000x1"), ("--months", "x"), ("--months", "0"),
+    ("--comments-per-month", "0"), ("--lead", "-1"),
+])
 def test_synth_rejects_a_malformed_argument_with_usage(tmp_path, flag, value):
     proc = run_cli("synth", flag, value, "--out", str(tmp_path / "s"))
     assert proc.returncode == 2

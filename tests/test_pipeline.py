@@ -652,7 +652,7 @@ class TestStagedArtifacts:
         series = stage_index(config, staged=staged)
         sweeps, failures = stage_granger(config, staged=staged)
         bundle = stage_report(config, staged=staged)
-        assert (staged.series, staged.sweeps, staged.granger_failures) == (
+        assert (staged.series, staged.sweeps, staged.get_stats("granger")["failures"]) == (
             series, sweeps, failures)
         assert bundle.sweeps == sweeps
         assert tree_bytes(out) == expected
@@ -672,8 +672,42 @@ class TestStagedArtifacts:
         monkeypatch.setattr(wsi.pipeline, "build_series", None)
         monkeypatch.setattr(wsi.pipeline, "granger_sweep", None)
         stage_report(config, staged=staged).validate()
-        assert "index.json" not in read
+        assert read == []  # every stage's stats came from the StagedRun
         assert tree_bytes(staged.out).items() >= before.items()
+
+    def test_run_reads_back_no_stage_json(self, small_corpus, monkeypatch):
+        import wsi.pipeline
+
+        backends = [BackendConfig(backend_id="mock", kind="keyword"),
+                    BackendConfig(backend_id="baseline", kind="lexicon")]
+        config = config_for(small_corpus, backends=backends)
+        first = run(config)
+        before = tree_bytes(first.out_dir)
+        read = []
+        real_read_json = wsi.pipeline._read_json
+        monkeypatch.setattr(wsi.pipeline, "_read_json",
+                            lambda path: read.append(path.name) or real_read_json(path))
+        # the second run finds every stage's JSON from the first on disk
+        second = run(config)
+        assert read == []
+        assert second.stats["classify"] == first.stats["classify"]
+        assert set(second.stats["classify"]) == {"mock", "baseline"}
+        assert tree_bytes(second.out_dir) == before
+
+    def test_series_read_back_equal_the_ones_the_index_built(self, small_corpus):
+        import dataclasses
+
+        config = config_for(small_corpus)
+        indexed = StagedRun(config, compute_run_id(config))
+        stage_ingest(config, staged=indexed)
+        classified, _ = stage_classify(config, staged=indexed)
+        first = min(classified["mock"])  # every comment failed: a skipped month
+        classified["mock"][first] = [dataclasses.replace(c, failed=True)
+                                     for c in classified["mock"][first]]
+        stage_index(config, staged=indexed)
+        assert indexed.series["mock"].skipped_months == [first]
+        fresh = StagedRun(config, indexed.run_id)
+        assert fresh.get_series("granger") == indexed.series
 
     def test_report_rerun_parses_no_records_and_keeps_the_tree(
             self, small_corpus, monkeypatch):
@@ -775,6 +809,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=name):
             run(RunConfig.from_dict(raw))
         assert not (small_corpus / "out").exists()
+
+    def test_null_optional_backend_strings_stay_allowed(self):
+        config = RunConfig.from_dict({"surveys": "s", "wages": "w.csv", "backends": [
+            {"id": "r", "kind": "http", "endpoint": "http://localhost:1/",
+             "model": None, "fallback_model": None}]})
+        backend = config.backends[0]
+        assert (backend.model_id, backend.fallback_model_id) == (None, None)
 
     def test_cache_dir_env_override(self, small_corpus, monkeypatch):
         monkeypatch.setenv("WSI_CACHE_DIR", str(small_corpus / "env-cache"))
