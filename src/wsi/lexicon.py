@@ -19,6 +19,7 @@ classification and the month-level word-count audit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -46,9 +47,9 @@ def _load_stop_words() -> frozenset[str]:
 STOP_WORDS = _load_stop_words()
 
 
-def tokenize(text: str, stop_words: frozenset[str] = STOP_WORDS) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Lowercase, split on non-alphanumeric runs, drop stop words."""
-    return [t for t in _TOKEN_RE.findall(text.lower()) if t not in stop_words]
+    return [t for t in _TOKEN_RE.findall(text.lower()) if t not in STOP_WORDS]
 
 
 def _ordinal(month: MonthKey) -> int:
@@ -123,10 +124,7 @@ class TermCounts:
         return out
 
 
-def monthly_term_counts(
-    grouped: Mapping[MonthKey, Sequence[SurveyRecord]],
-    stop_words: frozenset[str] = STOP_WORDS,
-) -> TermCounts:
+def monthly_term_counts(grouped: Mapping[MonthKey, Sequence[SurveyRecord]]) -> TermCounts:
     """Token occurrence counts per term per month, over translated text.
 
     Each distinct comment text is tokenized once; the token lists ride along
@@ -136,7 +134,7 @@ def monthly_term_counts(
     for records in grouped.values():
         for record in records:
             if record.text not in tokens:
-                tokens[record.text] = tokenize(record.text, stop_words)
+                tokens[record.text] = tokenize(record.text)
     terms = tuple(sorted({t for toks in tokens.values() for t in toks}))
     row = {t: i for i, t in enumerate(terms)}
     months = tuple(month_range(min(grouped), max(grouped))) if grouped else ()
@@ -175,8 +173,15 @@ def term_correlations(freqs: np.ndarray, growth: Sequence[float]) -> np.ndarray:
     return out
 
 
-def _window_stats(counts: TermCounts, window: Sequence[MonthKey], growth: Sequence[float],
-                  min_mean_frequency: float) -> list[TermStats]:
+def build_term_stats(counts: TermCounts, window: Sequence[MonthKey], growth: Sequence[float],
+                     min_mean_frequency: float) -> list[TermStats]:
+    """Frequency-filtered terms with their correlation against wage growth.
+
+    ``growth`` holds the wage growth of each ``window`` month. Terms must
+    average at least ``min_mean_frequency`` occurrences per window month.
+    Correlation is None for terms whose frequency does not vary within the
+    window (they cannot be ranked).
+    """
     freqs = counts.window_counts(window)
     means = freqs.sum(axis=1) / len(window)
     eligible = np.flatnonzero(means >= min_mean_frequency)
@@ -186,36 +191,6 @@ def _window_stats(counts: TermCounts, window: Sequence[MonthKey], growth: Sequen
                   correlation=None if np.isnan(c) else float(c))
         for i, c in zip(eligible, correlations)
     ]
-
-
-def build_term_stats(
-    grouped: Mapping[MonthKey, Sequence[SurveyRecord]],
-    wages: WageSeries,
-    window: Sequence[MonthKey],
-    *,
-    min_mean_frequency: float = 5.0,
-    term_counts: TermCounts | None = None,
-) -> list[TermStats]:
-    """Frequency-filtered terms with their correlation against wage growth.
-
-    Terms must average at least ``min_mean_frequency`` occurrences per month
-    over the window. Correlation is None for terms whose frequency does not
-    vary within the window (they cannot be ranked).
-    """
-    window = list(window)
-    if len(window) < 2:
-        raise ValueError("correlation window needs at least 2 months")
-    growth = []
-    for m in window:
-        g = wages.yoy(m)
-        if g is None:
-            raise ValueError(f"wage growth undefined for window month {m}")
-        growth.append(g)
-    if term_counts is None:
-        term_counts = monthly_term_counts(
-            {m: grouped.get(m, []) for m in window}
-        )
-    return _window_stats(term_counts, window, growth, min_mean_frequency)
 
 
 def select_lexicon(stats: Sequence[TermStats], as_of: MonthKey,
@@ -264,28 +239,32 @@ def occurrence_probabilities(p: int, n: int, smoothing: str = "laplace") -> Clas
     raise ValueError(f"unknown smoothing policy: {smoothing}")
 
 
-def lexicon_classify(tokens: Sequence[str], lexicon: Lexicon,
-                     smoothing: str = "laplace") -> ClassProbabilities:
-    """Occurrence-count classification of one tokenized comment."""
-    return occurrence_probabilities(*occurrence_counts(tokens, lexicon), smoothing)
-
-
 @dataclass(frozen=True)
 class LexiconPolicy:
-    """Configuration of the baseline classifier."""
+    """Configuration of the baseline classifier; a value out of its range
+    raises ValueError naming the field."""
 
-    window: str = "expanding"  # "expanding" or "rolling:<width>"
+    window: str = "expanding"  # "expanding" or "rolling:<width>", width >= 2
     min_mean_frequency: float = 5.0
     max_terms: int = 10
-    smoothing: str = "laplace"
+    smoothing: str = "laplace"  # "laplace" or "none", see occurrence_probabilities
+
+    def __post_init__(self) -> None:
+        if self.window != "expanding":
+            kind, _, width = self.window.partition(":")
+            if kind != "rolling" or not width.isdecimal() or int(width) < 2:
+                raise ValueError("window must be expanding or rolling:<width>, width >= 2, "
+                                 f"got {self.window!r}")
+        if not 0 <= self.min_mean_frequency < math.inf:  # NaN too
+            raise ValueError("min_mean_frequency must be finite and >= 0, "
+                             f"got {self.min_mean_frequency!r}")
+        if self.max_terms < 1:
+            raise ValueError(f"max_terms must be >= 1, got {self.max_terms!r}")
+        if self.smoothing not in ("laplace", "none"):
+            raise ValueError(f"smoothing must be laplace or none, got {self.smoothing!r}")
 
     def rolling_width(self) -> int | None:
-        if self.window == "expanding":
-            return None
-        kind, _, width = self.window.partition(":")
-        if kind != "rolling" or not width.isdigit() or int(width) < 2:
-            raise ValueError(f"invalid window policy: {self.window}")
-        return int(width)
+        return None if self.window == "expanding" else int(self.window.partition(":")[2])
 
 
 def window_for(as_of: MonthKey, history_start: MonthKey,
@@ -303,29 +282,22 @@ def window_for(as_of: MonthKey, history_start: MonthKey,
 
 
 def rolling_lexicons(
-    grouped: Mapping[MonthKey, Sequence[SurveyRecord]],
+    counts: TermCounts,
     wages: WageSeries,
     targets: Sequence[MonthKey],
     policy: LexiconPolicy = LexiconPolicy(),
-    *,
-    term_counts: TermCounts | None = None,
 ) -> dict[MonthKey, Lexicon]:
-    """Lexicons for every feasible target month, reusing one count matrix.
+    """Lexicons for every feasible target month, from one corpus's counts.
 
     A target is feasible when its window holds at least two months that all
     have defined wage growth; infeasible targets are absent from the result.
     The expanding window starts at the first month covered by both the
-    comment history and the wage-growth series. ``term_counts`` is
-    ``monthly_term_counts(grouped)`` when the caller already holds it.
+    comment history (``counts.months``) and the wage-growth series.
     """
-    if not grouped:
-        return {}
     growth_at = wages.yoy_map
-    if not growth_at:
+    if not counts.months or not growth_at:
         return {}
-    history_start = max(min(grouped), min(growth_at))
-    if term_counts is None:
-        term_counts = monthly_term_counts(grouped)
+    history_start = max(counts.months[0], min(growth_at))
     lexicons: dict[MonthKey, Lexicon] = {}
     for as_of in targets:
         window = window_for(as_of, history_start, policy)
@@ -334,7 +306,7 @@ def rolling_lexicons(
         growth = [growth_at.get(m) for m in window]
         if any(g is None for g in growth):
             continue
-        stats = _window_stats(term_counts, window, growth, policy.min_mean_frequency)
+        stats = build_term_stats(counts, window, growth, policy.min_mean_frequency)
         lexicons[as_of] = select_lexicon(stats, as_of, max_terms=policy.max_terms)
     return lexicons
 

@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
@@ -165,7 +166,8 @@ class BackendConfig:
     protocol backends). A remote kind's entry is all its ``RemoteClassifier``
     reads: the endpoint, the model (``backend_id`` when ``model_id`` is
     unset), the fallback model, and the batch size, retry bound and
-    timeout, whose floors are checked here.
+    timeout, whose ranges are checked here. A keyword kind may carry its
+    ``rules``, each (keywords, (u, v, w)) as ``KeywordClassifier`` takes them.
     """
 
     backend_id: str
@@ -185,8 +187,8 @@ class BackendConfig:
             raise ConfigError(f"backend {self.backend_id}: kind {self.kind} needs an endpoint")
         if self.batch_size < 1:
             raise ConfigError(f"backend {self.backend_id}: batch_size must be >= 1")
-        if not self.timeout > 0:  # NaN too
-            raise ConfigError(f"backend {self.backend_id}: timeout must be positive")
+        if not 0 < self.timeout < math.inf:  # NaN too
+            raise ConfigError(f"backend {self.backend_id}: timeout must be positive and finite")
         if self.max_retries < 0:
             raise ConfigError(f"backend {self.backend_id}: max_retries must be >= 0")
 
@@ -204,9 +206,6 @@ class BackendConfig:
             raise ConfigError(f"backends entry must be a JSON object, got {raw!r:.60}")
         if "id" not in raw:
             raise ConfigError(f"backend entry has no \"id\": {dict(raw)}")
-        rules = raw.get("rules")
-        if rules is not None:
-            rules = tuple((tuple(keywords), tuple(triple)) for keywords, triple in rules)
         where = f"backend {raw['id']}: "
         return cls(
             backend_id=raw["id"],
@@ -217,8 +216,28 @@ class BackendConfig:
             batch_size=_setting(raw, "batch_size", 32, int, where),
             max_retries=_setting(raw, "max_retries", 2, int, where),
             timeout=_setting(raw, "timeout", 30.0, float, where),
-            rules=rules,
+            rules=_keyword_rules(raw, where),
         )
+
+
+def _keyword_rules(raw: Mapping, where: str) -> tuple | None:
+    """``raw["rules"]`` as a tuple of (keywords, triple) tuples, or None when
+    absent; anything but a list of [[keyword, ...], [u, v, w]] pairs with a
+    valid probability triple is a ConfigError naming ``where + "rules"``."""
+    rules = _setting(raw, "rules", None, list, where)
+    if rules is None:
+        return None
+    for i, rule in enumerate(rules):
+        try:
+            keywords, triple = rule
+            if not (isinstance(keywords, list) and all(isinstance(k, str) for k in keywords)
+                    and isinstance(triple, list)):
+                raise TypeError("keywords and triple must be lists, keywords strings")
+            ClassProbabilities(*triple)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}rules[{i}] must be [[keyword, ...], [u, v, w]], "
+                              f"got {rule!r:.60} ({exc})") from exc
+    return tuple((tuple(keywords), tuple(triple)) for keywords, triple in rules)
 
 
 _EXPECTED = {int: "an integer", float: "a number", str: "a string", list: "a JSON list",
@@ -267,6 +286,10 @@ class RunConfig:
             raise ConfigError("max_lag must be >= 1")
         if self.normalization not in ("per_comment", "raw_sum"):
             raise ConfigError(f"unknown normalization: {self.normalization}")
+        if not (self.translation_backend == "identity"
+                or self.translation_backend.startswith(("http://", "https://", "cmd:"))):
+            raise ConfigError("translation.backend must be identity, http(s)://<url> or "
+                              f"cmd:<command>, got {self.translation_backend!r:.60}")
         for knob in ("classify_parallelism", "translation_parallelism",
                      "translation_batch_size"):
             if getattr(self, knob) < 1:
@@ -314,6 +337,17 @@ class RunConfig:
             raise ConfigError(
                 f"surveys must be a path or a JSON list of paths, got {surveys!r:.60}")
         lexicon_raw = _setting(raw, "lexicon", {}, Mapping)
+        lexicon_settings = dict(
+            window=_setting(lexicon_raw, "window", "expanding", str, "lexicon."),
+            min_mean_frequency=_setting(lexicon_raw, "min_mean_frequency", 5.0, float,
+                                        "lexicon."),
+            max_terms=_setting(lexicon_raw, "max_terms", 10, int, "lexicon."),
+            smoothing=_setting(lexicon_raw, "smoothing", "laplace", str, "lexicon."),
+        )
+        try:
+            policy = LexiconPolicy(**lexicon_settings)
+        except ValueError as exc:
+            raise ConfigError(f"lexicon.{exc}") from exc
         translation_raw = _setting(raw, "translation", {}, Mapping)
         return cls(
             survey_paths=list(surveys),
@@ -321,13 +355,7 @@ class RunConfig:
             backends=[BackendConfig.from_dict(b) for b in _setting(raw, "backends", [], list)],
             normalization=_setting(raw, "normalization", "per_comment", str),
             max_lag=_setting(raw, "max_lag", 24, int),
-            lexicon=LexiconPolicy(
-                window=_setting(lexicon_raw, "window", "expanding", str, "lexicon."),
-                min_mean_frequency=_setting(lexicon_raw, "min_mean_frequency", 5.0, float,
-                                            "lexicon."),
-                max_terms=_setting(lexicon_raw, "max_terms", 10, int, "lexicon."),
-                smoothing=_setting(lexicon_raw, "smoothing", "laplace", str, "lexicon."),
-            ),
+            lexicon=policy,
             translation_backend=_setting(translation_raw, "backend", "identity", str,
                                          "translation."),
             translation_source=_setting(translation_raw, "source", "ja", str, "translation."),
@@ -416,13 +444,10 @@ def _read_json(path: Path):
         return json.load(fh)
 
 
-def _translator(config: RunConfig):
-    spec = config.translation_backend
-    if spec == "identity":
+def _translator(config: RunConfig) -> IdentityTranslator | RemoteTranslator:
+    if config.translation_backend == "identity":
         return IdentityTranslator()
-    if spec.startswith(("http://", "https://", "cmd:")):
-        return RemoteTranslator(spec)
-    raise ConfigError(f"unknown translation backend: {spec}")
+    return RemoteTranslator(config.translation_backend)
 
 
 @dataclass
@@ -589,19 +614,19 @@ def _build_classifier(backend: BackendConfig, config: RunConfig):
 
 
 def _classify_backend(backend: BackendConfig, grouped: Mapping[MonthKey, list[SurveyRecord]],
-                      wages: WageSeries, config: RunConfig) -> tuple[ClassifiedMap, int, dict]:
-    """Classify every month for one backend; returns (by month, wire calls, extras).
+                      wages: WageSeries, config: RunConfig, out: Path
+                      ) -> tuple[ClassifiedMap, int]:
+    """Classify every month for one backend; returns (by month, wire calls).
 
-    A lexicon backend classifies month by month, under each month's lexicon;
-    any other classifies the whole corpus through ``classify_records``, each
-    distinct text once in one fixed batch order (month, then ordinal).
+    A lexicon backend classifies month by month, under each month's lexicon,
+    and writes its audit files to ``out/stages``; any other classifies the
+    whole corpus through ``classify_records``, each distinct text once in
+    one fixed batch order (month, then ordinal).
     """
-    extras: dict = {}
     if backend.kind == "lexicon":
         # Called on the module, where the benchmark's tracer wraps it.
         counts = lexicon.monthly_term_counts(grouped)
-        lexicons = rolling_lexicons(grouped, wages, sorted(grouped), config.lexicon,
-                                    term_counts=counts)
+        lexicons = rolling_lexicons(counts, wages, sorted(grouped), config.lexicon)
         classified: ClassifiedMap = {}
         # Month-level word-count aggregate logged alongside the per-comment
         # classification for comparison; both use the same occurrence counts.
@@ -618,9 +643,9 @@ def _classify_backend(backend: BackendConfig, grouped: Mapping[MonthKey, list[Su
             ratio = ((p_total - n_total) / (p_total + n_total) * 100.0
                      if p_total + n_total else 0.0)
             wordcount_rows.append(f"{month},{p_total},{n_total},{ratio!r}")
-        extras["lexicon_audit"] = audit_rows(lexicons)
-        extras["lexicon_wordcounts"] = wordcount_rows
-        return classified, 0, extras
+        atomic_write(out / "stages" / "lexicon_audit.csv", "\n".join(audit_rows(lexicons)) + "\n")
+        atomic_write(out / "stages" / "lexicon_wordcounts.csv", "\n".join(wordcount_rows) + "\n")
+        return classified, 0
 
     classifier = _build_classifier(backend, config)
     months = sorted(grouped)
@@ -631,8 +656,7 @@ def _classify_backend(backend: BackendConfig, grouped: Mapping[MonthKey, list[Su
         if isinstance(classifier, CachedRemoteClassifier):
             classifier.inner.transport.close()
     answers = iter(comments)
-    return ({month: list(islice(answers, len(grouped[month]))) for month in months},
-            wire_calls, extras)
+    return {month: list(islice(answers, len(grouped[month]))) for month in months}, wire_calls
 
 
 CLASSIFIED_HEADER = "yyyymm,ordinal,u,v,w,label,failed"
@@ -703,7 +727,7 @@ def stage_classify(config: RunConfig, only_backend: str | None = None, *,
         for backend in config.backends:
             if only_backend is not None and backend.backend_id != only_backend:
                 continue
-            classified, wire_calls, extras = _classify_backend(backend, grouped, wages, config)
+            classified, wire_calls = _classify_backend(backend, grouped, wages, config, out)
             results[backend.backend_id] = staged.classified[backend.backend_id] = classified
             wire_stats[backend.backend_id] = wire_calls
             failed = sum(c.failed for month in classified.values() for c in month)
@@ -717,11 +741,6 @@ def stage_classify(config: RunConfig, only_backend: str | None = None, *,
             }
             atomic_write(out / "stages" / "classified" / f"{backend.backend_id}.csv",
                          _classified_csv(classified))
-            if "lexicon_audit" in extras:
-                atomic_write(out / "stages" / "lexicon_audit.csv",
-                             "\n".join(extras["lexicon_audit"]) + "\n")
-                atomic_write(out / "stages" / "lexicon_wordcounts.csv",
-                             "\n".join(extras["lexicon_wordcounts"]) + "\n")
             log.info("classified %s: %d months, %d failures",
                      backend.backend_id, len(classified), failed)
         staged.put_stats("classify", stats)

@@ -37,7 +37,7 @@ from wsi.index import (
     standard_wsi,
     weighted_wsi,
 )
-from wsi.lexicon import rolling_lexicons
+from wsi.lexicon import monthly_term_counts, rolling_lexicons
 from wsi.pipeline import BackendConfig, RunConfig, run
 from wsi.report import render_granger_row
 from wsi.synthetic import SyntheticSpec, generate_synthetic, synthesize
@@ -238,7 +238,7 @@ def test_baseline_lexicon_recovers_planted_word_with_rolling_causality():
             rows.append(make_record(m, "customers visited the shop"))
         grouped[m] = rows
 
-    lexicons = rolling_lexicons(grouped, wages, window)
+    lexicons = rolling_lexicons(monthly_term_counts(grouped), wages, window)
     warmup_end = min(lexicons)
     assert warmup_end <= window[4]
     for as_of, lexicon in lexicons.items():
@@ -250,7 +250,8 @@ def test_baseline_lexicon_recovers_planted_word_with_rolling_causality():
     for m in window:
         if m > as_of.minus(2):
             poisoned[m] = [make_record(m, "bonus " * 30) for _ in range(50)]
-    assert rolling_lexicons(poisoned, wages, [as_of])[as_of] == lexicons[as_of]
+    assert rolling_lexicons(monthly_term_counts(poisoned), wages, [as_of])[as_of] \
+        == lexicons[as_of]
 
 
 def test_end_to_end_lead_detection_at_scale(tmp_path):

@@ -112,6 +112,23 @@ def assert_error_line(proc, message):
     assert len(errors) == 1 and message in errors[0], proc.stderr
 
 
+BAD_SETTINGS = {  # case: (config section, the setting that replaces it)
+    "rules_not_a_list": ("backends", {"kind": "keyword", "rules": 5}),
+    "rules_short_triple": ("backends", {"kind": "keyword", "rules": [[["x"], [1, 0]]]}),
+    "rules_keyword_not_a_string": ("backends", {
+        "kind": "keyword", "rules": [[["x"], [1, 0, 0]], [[3], [0, 1, 0]]]}),
+    "rules_bad_triple": ("backends", {"kind": "keyword", "rules": [[["x"], [0.5, 0.5, 0.5]]]}),
+    "max_terms_negative": ("lexicon", {"max_terms": -1}),
+    "max_terms_zero": ("lexicon", {"max_terms": 0}),
+    "min_mean_frequency_nan": ("lexicon", {"min_mean_frequency": "nan"}),
+    "window_bogus": ("lexicon", {"window": "bogus"}),
+    "smoothing_bogus": ("lexicon", {"smoothing": "bogus"}),
+    "translator_bogus": ("translation", {"backend": "bogus"}),
+    "timeout_inf": ("backends", {"kind": "http", "endpoint": "http://localhost:1/",
+                                 "timeout": "inf"}),
+}
+
+
 @pytest.mark.parametrize("case, message", [
     ("parallelism", "classify_parallelism must be >= 1"),
     ("backend_without_id", 'backend entry has no "id"'),
@@ -128,8 +145,25 @@ def assert_error_line(proc, message):
     ("cache_dir_number", "cache_dir must be a string, got 5"),
     ("endpoint_number", "backend mock: endpoint must be a string, got 5"),
     ("translator_number", "translation.backend must be a string, got 5"),
+    ("rules_not_a_list", "backend mock: rules must be a JSON list, got 5"),
+    ("rules_short_triple", "backend mock: rules[0] must be [[keyword, ...], [u, v, w]], "
+                           "got [['x'], [1, 0]]"),
+    ("rules_keyword_not_a_string",
+     "backend mock: rules[1] must be [[keyword, ...], [u, v, w]], got [[3], [0, 1, 0]]"),
+    ("rules_bad_triple", "backend mock: rules[0] must be [[keyword, ...], [u, v, w]], "
+                         "got [['x'], [0.5, 0.5, 0.5]]"),
+    ("max_terms_negative", "lexicon.max_terms must be >= 1, got -1"),
+    ("max_terms_zero", "lexicon.max_terms must be >= 1, got 0"),
+    ("min_mean_frequency_nan", "lexicon.min_mean_frequency must be finite and >= 0, got nan"),
+    ("window_bogus", "lexicon.window must be expanding or rolling:<width>, width >= 2, "
+                     "got 'bogus'"),
+    ("smoothing_bogus", "lexicon.smoothing must be laplace or none, got 'bogus'"),
+    ("translator_bogus", "translation.backend must be identity, http(s)://<url> or "
+                         "cmd:<command>, got 'bogus'"),
+    ("timeout_inf", "backend mock: timeout must be positive and finite"),
 ])
 def test_config_error_is_reported_not_raised(workspace, case, message):
+    """One ``error:`` line, exit 1, and no run directory."""
     tmp_path, config_path = workspace
     config = json.loads(config_path.read_text())
     bad_path = tmp_path / "bad.json"
@@ -164,8 +198,16 @@ def test_config_error_is_reported_not_raised(workspace, case, message):
         else:
             config[key] = 5
         bad_path.write_text(json.dumps(config))
+    elif case in BAD_SETTINGS:
+        section, setting = BAD_SETTINGS[case]
+        if section == "backends":
+            config["backends"] = [{"id": "mock", **setting}]
+        else:
+            config[section] = setting
+        bad_path.write_text(json.dumps(config))
     # "missing_file" leaves bad.json unwritten
     assert_error_line(run_cli("run", "--config", str(bad_path)), message)
+    assert not (tmp_path / "out").exists()
 
 
 def test_classify_of_an_unknown_backend_fails_before_writing(workspace, capsys):

@@ -16,9 +16,9 @@ from wsi.lexicon import (
     TermStats,
     audit_rows,
     build_term_stats,
-    lexicon_classify,
     monthly_term_counts,
     occurrence_counts,
+    occurrence_probabilities,
     rolling_lexicons,
     select_lexicon,
     term_correlations,
@@ -39,6 +39,12 @@ def wages_with_growth(growth_by_month):
     for m in months:
         levels[m] = levels[m.minus(12)] * (1.0 + growth_by_month[m] / 100.0)
     return WageSeries(levels)
+
+
+def term_stats(grouped, wages, window, min_mean_frequency=5.0):
+    """build_term_stats over the whole corpus's counts and the window's growth."""
+    return build_term_stats(monthly_term_counts(grouped), window,
+                            [wages.yoy(m) for m in window], min_mean_frequency)
 
 
 def corpus_from_counts(counts_by_term):
@@ -99,7 +105,7 @@ class TestBuildTermStats:
         }
         grouped = corpus_from_counts(counts)
         wages = wages_with_growth({m: float(i) for i, m in enumerate(window)})
-        stats = build_term_stats(grouped, wages, window)
+        stats = term_stats(grouped, wages, window)
         by_term = {s.term: s for s in stats}
         assert "steady5" in by_term
         assert "exactly5" in by_term          # mean 5.0 passes the >= 5 filter
@@ -110,21 +116,8 @@ class TestBuildTermStats:
         window = month_range(START, START.plus(2))
         grouped = corpus_from_counts({"flatword": {m: 9 for m in window}})
         wages = wages_with_growth({m: float(i) for i, m in enumerate(window)})
-        stats = build_term_stats(grouped, wages, window)
+        stats = term_stats(grouped, wages, window)
         assert stats[0].correlation is None
-
-    def test_window_too_short_errors(self):
-        grouped = corpus_from_counts({"w": {START: 6}})
-        wages = wages_with_growth({START: 1.0})
-        with pytest.raises(ValueError, match="2 months"):
-            build_term_stats(grouped, wages, [START])
-
-    def test_missing_growth_errors(self):
-        window = month_range(START, START.plus(2))
-        grouped = corpus_from_counts({"w": {m: 6 for m in window}})
-        wages = wages_with_growth({m: 1.0 for m in window[:-1]})
-        with pytest.raises(ValueError, match=str(window[-1])):
-            build_term_stats(grouped, wages, window)
 
     def test_constructed_bonus_correlation_exceeds_09(self):
         rng = random.Random(11)
@@ -135,7 +128,7 @@ class TestBuildTermStats:
         noise_counts = {m: rng.randint(5, 15) for m in window}
         grouped = corpus_from_counts({"bonus": bonus_counts, "shop": noise_counts})
         wages = wages_with_growth(growth)
-        stats = build_term_stats(grouped, wages, window)
+        stats = term_stats(grouped, wages, window)
         bonus = next(s for s in stats if s.term == "bonus")
         assert bonus.correlation is not None and bonus.correlation > 0.9
         # direct Pearson oracle
@@ -255,14 +248,14 @@ class TestTermCounts:
     def test_each_distinct_text_tokenized_once(self, monkeypatch):
         calls = []
 
-        def counting_tokenize(text, stop_words=STOP_WORDS):
+        def counting_tokenize(text):
             calls.append(text)
-            return tokenize(text, stop_words)
+            return tokenize(text)
 
         grouped, wages, months = build_planted_setup()
         monkeypatch.setattr(wsi.lexicon, "tokenize", counting_tokenize)
         counts = monthly_term_counts(grouped)
-        lexicons = rolling_lexicons(grouped, wages, months, term_counts=counts)
+        lexicons = rolling_lexicons(counts, wages, months)
         assert lexicons
         texts = {r.text for records in grouped.values() for r in records}
         assert sorted(calls) == sorted(texts)
@@ -284,11 +277,11 @@ class TestTermStatsKernel:
             grouped, wages, months = random_corpus(seed)
             window = months[2:15]
             for threshold in (0.0, 1.0, 2.5):
-                stats = build_term_stats(grouped, wages, window,
-                                         min_mean_frequency=threshold)
+                stats = term_stats(grouped, wages, window, min_mean_frequency=threshold)
                 growth = [wages.yoy(m) for m in window]
                 expected = []
-                for term in sorted({t for m in window for r in grouped.get(m, [])
+                # every corpus term: one absent from the window has mean 0
+                for term in sorted({t for records in grouped.values() for r in records
                                     for t in tokenize(r.text)}):
                     freqs = [sum(tokenize(r.text).count(term) for r in grouped.get(m, []))
                              for m in window]
@@ -307,9 +300,8 @@ class TestTermStatsKernel:
         window = month_range(START, START.plus(3))
         counts = {"atfive": dict(zip(window, (4, 6, 3, 7))),   # mean exactly 5
                   "below": dict(zip(window, (4, 6, 3, 6)))}    # mean 4.75
-        stats = build_term_stats(bare_corpus(counts),
-                                 wages_with_growth({m: float(i) for i, m in enumerate(window)}),
-                                 window)
+        stats = term_stats(bare_corpus(counts),
+                           wages_with_growth({m: float(i) for i, m in enumerate(window)}), window)
         assert [s.term for s in stats] == ["atfive"]
         assert stats[0].mean_frequency == 5.0
         assert abs(stats[0].correlation - pearson([4, 6, 3, 7], [0.0, 1.0, 2.0, 3.0])) <= 1e-12
@@ -318,7 +310,7 @@ class TestTermStatsKernel:
         window = month_range(START, START.plus(5))
         grouped = bare_corpus({"solo": dict(zip(window, (5, 7, 6, 9, 8, 10)))})
         growth = {m: float(i) for i, m in enumerate(window)}
-        stats = build_term_stats(grouped, wages_with_growth(growth), window)
+        stats = term_stats(grouped, wages_with_growth(growth), window)
         assert [s.term for s in stats] == ["solo"]
         assert abs(stats[0].correlation
                    - pearson([5, 7, 6, 9, 8, 10], list(growth.values()))) <= 1e-12
@@ -399,35 +391,39 @@ def lexicon_with(pos, neg, as_of=MonthKey(2020, 6)):
 
 class TestLexiconClassify:
     def test_three_positive_hits(self):
-        lex = lexicon_with(["bonus", "raise"], ["cut"])
-        probs = lexicon_classify(["bonus", "raise", "bonus", "shop"], lex)
+        counts = occurrence_counts(["bonus", "raise", "bonus", "shop"],
+                                   lexicon_with(["bonus", "raise"], ["cut"]))
+        probs = occurrence_probabilities(*counts)
         assert probs.as_tuple() == (0.75, 0.0, 0.25)
         assert probs.hard_label() == HardLabel.INCREASE
 
     def test_balanced_hits_are_neutral(self):
-        lex = lexicon_with(["bonus"], ["cut"])
-        probs = lexicon_classify(["bonus", "cut", "bonus", "cut"], lex)
+        counts = occurrence_counts(["bonus", "cut", "bonus", "cut"],
+                                   lexicon_with(["bonus"], ["cut"]))
+        probs = occurrence_probabilities(*counts)
         assert probs.as_tuple() == (0.4, 0.4, 0.2)
         assert probs.hard_label() == HardLabel.NEUTRAL
 
     def test_no_hits_is_unrelated(self):
-        lex = lexicon_with(["bonus"], ["cut"])
-        assert lexicon_classify(["shop", "customers"], lex) == UNRELATED
+        counts = occurrence_counts(["shop", "customers"], lexicon_with(["bonus"], ["cut"]))
+        assert occurrence_probabilities(*counts) == UNRELATED
 
     def test_no_smoothing_policy(self):
         lex = lexicon_with(["bonus"], ["cut"])
-        probs = lexicon_classify(["bonus", "bonus", "cut"], lex, smoothing="none")
+        probs = occurrence_probabilities(*occurrence_counts(["bonus", "bonus", "cut"], lex),
+                                         smoothing="none")
         assert probs.as_tuple() == pytest.approx((2 / 3, 1 / 3, 0.0))
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            lexicon_classify(["bonus"], lexicon_with(["bonus"], []), smoothing="bogus")
+            occurrence_probabilities(*occurrence_counts(["bonus"], lexicon_with(["bonus"], [])),
+                                     smoothing="bogus")
 
     @given(st.integers(0, 20), st.integers(0, 20))
     def test_direction_follows_counts(self, p, n):
         lex = lexicon_with(["pos"], ["neg"])
         tokens = ["pos"] * p + ["neg"] * n
-        probs = lexicon_classify(tokens, lex)
+        probs = occurrence_probabilities(*occurrence_counts(tokens, lex))
         if p + n == 0:
             assert probs.is_unrelated()
         else:
@@ -459,22 +455,23 @@ class TestRollingLexicons:
     def test_rolling_causality_poisoning_later_months_changes_nothing(self):
         grouped, wages, window = build_planted_setup()
         as_of = window[20]
-        base = rolling_lexicons(grouped, wages, [as_of])[as_of]
+        base = rolling_lexicons(monthly_term_counts(grouped), wages, [as_of])[as_of]
         # poison every month after the window end (> as_of - 2)
         poisoned = dict(grouped)
         for m in window:
             if m > as_of.minus(2):
                 poisoned[m] = [make_record(m, "bonus " * 50) for _ in range(40)]
-        again = rolling_lexicons(poisoned, wages, [as_of])[as_of]
+        again = rolling_lexicons(monthly_term_counts(poisoned), wages, [as_of])[as_of]
         assert again == base
 
     def test_polarity_antisymmetry_negating_growth_swaps_lists(self):
         grouped, wages, window = build_planted_setup()
         as_of = window[20]
-        lex = rolling_lexicons(grouped, wages, [as_of])[as_of]
+        counts = monthly_term_counts(grouped)
+        lex = rolling_lexicons(counts, wages, [as_of])[as_of]
         negated_growth = {m: -g for m, g in wages.yoy_map.items()}
         neg_wages = wages_with_growth(negated_growth)
-        flipped = rolling_lexicons(grouped, neg_wages, [as_of])[as_of]
+        flipped = rolling_lexicons(counts, neg_wages, [as_of])[as_of]
         assert [t for t, _ in flipped.positive] == [t for t, _ in lex.negative]
         assert [t for t, _ in flipped.negative] == [t for t, _ in lex.positive]
         for (_, c1), (_, c2) in zip(flipped.positive, lex.negative):
@@ -486,8 +483,7 @@ class TestRollingLexicons:
         months = month_range(max(min(grouped), min(wages.yoy_map)), as_of.minus(2))
         surviving = {}
         for threshold in (1.0, 5.0, 9.0, 12.0):
-            stats = build_term_stats(grouped, wages, months,
-                                     min_mean_frequency=threshold)
+            stats = term_stats(grouped, wages, months, min_mean_frequency=threshold)
             surviving[threshold] = {s.term for s in stats}
         assert surviving[5.0] <= surviving[1.0]
         assert surviving[9.0] <= surviving[5.0]
@@ -495,11 +491,21 @@ class TestRollingLexicons:
 
     def test_infeasible_warmup_months_absent(self):
         grouped, wages, window = build_planted_setup()
-        lexicons = rolling_lexicons(grouped, wages, window)
+        lexicons = rolling_lexicons(monthly_term_counts(grouped), wages, window)
         start = max(min(grouped), min(wages.yoy_map))
         # first feasible as_of needs a two-month window ending at as_of - 2
         assert min(lexicons) == start.plus(3)
         assert max(lexicons) == window[-1]
+
+    def test_target_past_the_wage_series_is_absent(self):
+        grouped, wages, window = build_planted_setup()
+        counts, targets, last = monthly_term_counts(grouped), window[-8:], window[-6]
+        short = wages_with_growth({m: g for m, g in wages.yoy_map.items() if m <= last})
+        lexicons = rolling_lexicons(counts, short, targets)
+        # a target's window ends two months before it
+        assert sorted(lexicons) == [m for m in targets if m.minus(2) <= last]
+        full = rolling_lexicons(counts, wages, targets)
+        assert lexicons == {m: full[m] for m in lexicons}
 
     def test_rolling_window_policy(self):
         policy = LexiconPolicy(window="rolling:6")
@@ -510,10 +516,20 @@ class TestRollingLexicons:
         with pytest.raises(ValueError):
             LexiconPolicy(window="rolling:x").rolling_width()
 
+    @pytest.mark.parametrize("field, value", [
+        ("window", "bogus"), ("window", "rolling:1"), ("window", "rolling:"),
+        ("min_mean_frequency", math.nan), ("min_mean_frequency", math.inf),
+        ("min_mean_frequency", -0.5), ("max_terms", 0), ("max_terms", -1),
+        ("smoothing", "bogus"),
+    ])
+    def test_policy_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LexiconPolicy(**{field: value})
+
     def test_audit_rows_shape(self):
         grouped, wages, window = build_planted_setup()
         as_of = window[20]
-        lexicons = rolling_lexicons(grouped, wages, [as_of])
+        lexicons = rolling_lexicons(monthly_term_counts(grouped), wages, [as_of])
         rows = audit_rows(lexicons)
         assert rows[0] == "as_of,polarity,rank,term,correlation"
         assert any(f"{as_of},positive,1,bonus" in r for r in rows)

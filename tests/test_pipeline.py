@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import sys
@@ -25,7 +26,7 @@ from wsi.pipeline import (
     stage_ingest,
     stage_report,
 )
-from wsi.classify import ClassProbabilities, TransportError
+from wsi.classify import DEFAULT_KEYWORD_RULES, ClassProbabilities, TransportError
 from wsi.synthetic import SyntheticSpec, generate_synthetic
 
 from conftest import WIRE_STUB
@@ -537,6 +538,31 @@ class TestTwoBackends:
         stage_report(config).validate()
 
 
+    def test_an_all_unrelated_middle_month_fails_only_its_backends_sweeps(self, small_corpus):
+        """Gap policy: a month whose comments one backend all excludes is a
+        gap in that backend's series, and both its Granger sweeps fail,
+        naming the month before the gap; the other backend keeps its sweeps."""
+        gap_file = sorted((small_corpus / "data" / "surveys").glob("*.csv"))[20]
+        with open(gap_file, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        with open(gap_file, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [header, *(row[:-1] + ["the pay was as usual"] for row in rows)])
+        gap = MonthKey.parse(rows[0][0])
+        # "pay" is neutral under the default rules and unrelated without them
+        backends = [BackendConfig(backend_id="mock", kind="keyword"),
+                    BackendConfig(backend_id="gappy", kind="keyword",
+                                  rules=DEFAULT_KEYWORD_RULES[:2])]
+        out = run(config_for(small_corpus, backends=backends)).out_dir
+        index = json.loads((out / "stages" / "index.json").read_text())
+        assert index["series"]["gappy"]["skipped_months"] == [str(gap)]
+        assert index["series"]["mock"]["skipped_months"] == []
+        granger = json.loads((out / "stages" / "granger.json").read_text())
+        cause = f"common span not contiguous: gap after {gap.minus(1)}"
+        assert granger["failures"] == {"gappy_standard": cause, "gappy_weighted": cause}
+        assert set(granger["sweeps"]) == {"mock_standard", "mock_weighted"}
+
+
 class TestStageSequencing:
     def test_stage_by_stage_matches_full_run(self, small_corpus):
         config = config_for(small_corpus)
@@ -774,6 +800,8 @@ class TestConfig:
             config_for(small_corpus, max_lag=0)
         with pytest.raises(ConfigError):
             config_for(small_corpus, normalization="median")
+        with pytest.raises(ConfigError, match="translation.backend"):
+            config_for(small_corpus, translation_backend="bogus")
         with pytest.raises(ConfigError):
             config_for(small_corpus, backends=[
                 BackendConfig(backend_id="a", kind="keyword"),
@@ -792,6 +820,7 @@ class TestConfig:
         ("backend.max_retries", -1, "http"),
         ("backend.timeout", 0, "http"),
         ("backend.timeout", float("nan"), "http"),
+        ("backend.timeout", float("inf"), "http"),
     ])
     def test_execution_knob_out_of_range_fails_before_any_run_directory(
             self, small_corpus, key, value, kind):
