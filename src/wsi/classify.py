@@ -278,29 +278,29 @@ class RemoteClassifier:
         return result
 
 
-def classify_records(records: Sequence[SurveyRecord], classifier: Classifier
-                     ) -> tuple[list[ClassifiedComment], int]:
-    """Classify each distinct text once, in first-appearance order; returns,
-    in record order, each record's text's one ``ClassifiedComment``, with
-    the wire calls made. Failed comments carry the unrelated triple plus
-    ``failed=True`` so the index stage can exclude and report them.
+def classify_texts(texts: Sequence[str], classifier: Classifier
+                   ) -> tuple[list[ClassifiedComment], int]:
+    """Classify each distinct text once, in first-appearance order; returns
+    one ``ClassifiedComment`` per entry of ``texts`` (entries with one text
+    share it), with the wire calls made. Failed comments carry the unrelated
+    triple plus ``failed=True`` so the index stage can exclude and report them.
     """
-    texts = list(dict.fromkeys(r.text for r in records))
-    result = classifier.classify_batch(texts)
+    distinct = list(dict.fromkeys(texts))
+    result = classifier.classify_batch(distinct)
     answers = {text: ClassifiedComment(probs, classifier.backend_id,
                                        HardLabel.UNRELATED if failed else probs.hard_label(),
                                        failed)
-               for text, probs, failed in zip(texts, result.probs, result.failed)}
-    return [answers[r.text] for r in records], result.wire_calls
+               for text, probs, failed in zip(distinct, result.probs, result.failed)}
+    return [answers[text] for text in texts], result.wire_calls
 
 
 def classify_month(records: Sequence[SurveyRecord],
                    classifier: Classifier) -> list[ClassifiedComment]:
-    """``classify_records`` for one month's records; several months raise ValueError."""
+    """``classify_texts`` of one month's record texts; several months raise ValueError."""
     months = {r.month for r in records}
     if len(months) > 1:
         raise ValueError(f"records span several months: {sorted(map(str, months))}")
-    return classify_records(records, classifier)[0]
+    return classify_texts([r.text for r in records], classifier)[0]
 
 
 def prompt_template() -> str:

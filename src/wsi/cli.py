@@ -105,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
         config = RunConfig.from_file(args.config)
         if args.command == "ingest":
             result = stage_ingest(config)
-            print(f"ingested {len(result.records)} records "
+            print(f"ingested {len(result.corpus)} records "
                   f"({result.stats['row_errors']} rejected rows, "
                   f"{result.stats['skipped_empty']} empty comments skipped)")
         elif args.command == "classify":

@@ -1,23 +1,26 @@
 """Survey-comment and wage-index ingestion.
 
-Canonical inputs are UTF-8 CSV files with a header row: survey files carry
+Canonical inputs are UTF-8 CSV files (a leading byte order mark is
+ignored) with a header row: survey files carry
 ``yyyymm,region,industry,judgment,comment`` (``SURVEY_COLUMNS``; one file
 per month, or several concatenated), optionally ``comment_translated``, and
 the wage file carries ``yyyymm,level``. A judgment label is read through
-``JUDGMENT_LABELS``, ignoring case, extra spaces, ``_`` and ``-``.
+``JUDGMENT_LABELS``, ignoring case, extra spaces, ``_`` and ``-``. Survey
+records load into a ``Corpus`` of columns, with one table of distinct texts.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
+import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import groupby
-from operator import attrgetter
+from itertools import groupby, islice, repeat
+from operator import attrgetter, le, lt
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .wire import atomic_open
 
@@ -119,7 +122,8 @@ def resolve_judgment(label: str) -> Judgment | None:
 
 @dataclass(frozen=True)
 class SurveyRecord:
-    """One survey response; ``comment_translated`` is filled by translation."""
+    """One survey response as an object, for tests and reference code; the
+    pipeline carries records as a ``Corpus``."""
 
     month: MonthKey
     region: str
@@ -133,8 +137,120 @@ class SurveyRecord:
         """Text used for downstream analysis (translated when available)."""
         return self.comment_translated if self.comment_translated is not None else self.comment
 
-    def with_translation(self, translated: str) -> "SurveyRecord":
-        return replace(self, comment_translated=translated)
+
+class _Codes(dict):
+    """Value -> code, numbered in order of first lookup; ``table`` lists the
+    values by code."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.table: list = []
+
+    def __missing__(self, value) -> int:
+        code = self[value] = len(self.table)
+        self.table.append(value)
+        return code
+
+
+@dataclass
+class Corpus:
+    """Survey records as columns.
+
+    Record ``i`` has the month ``months[month_codes[i]]``, and its region,
+    industry and judgment likewise through ``regions``, ``industries`` and
+    ``judgments``. Its ``text_ids[i]`` points into one table of distinct
+    texts, ``comments`` with their ``translations`` (``comment_translated``,
+    None when absent). The table's key is the comment with its translation
+    as loaded, so two rows with one comment and two loaded translations keep
+    both. Text ids number the table in order of first appearance. A loaded
+    corpus is in stable month order with ``months`` ascending, the order
+    ``month_slices`` requires.
+    """
+
+    months: list[MonthKey]
+    regions: list[str]
+    industries: list[str]
+    judgments: list[Judgment]
+    comments: list[str]
+    translations: list[str | None]
+    month_codes: list[int]
+    region_codes: list[int]
+    industry_codes: list[int]
+    judgment_codes: list[int]
+    text_ids: list[int]
+
+    def __len__(self) -> int:
+        return len(self.text_ids)
+
+    @property
+    def texts(self) -> list[str]:
+        """Each text id's analysis text: its translation when present, else its comment."""
+        return [c if t is None else t for c, t in zip(self.comments, self.translations)]
+
+    def month_slices(self) -> list[tuple[MonthKey, slice]]:
+        """Each month that has records, ascending, with the slice of record
+        positions it holds; ValueError unless the records are in month order."""
+        codes = self.month_codes
+        if not (all(map(lt, self.months, self.months[1:]))
+                and all(map(le, codes, codes[1:]))):
+            raise ValueError("records are not in month order")
+        ends = [bisect_right(codes, code) for code in range(len(self.months))]
+        return [(month, slice(start, end))
+                for month, start, end in zip(self.months, [0, *ends], ends) if end > start]
+
+    def records(self) -> list[SurveyRecord]:
+        """The records as ``SurveyRecord`` objects, in order, built on each call."""
+        months, regions, industries = self.months, self.regions, self.industries
+        judgments, comments, translations = self.judgments, self.comments, self.translations
+        return [SurveyRecord(months[m], regions[r], industries[i], judgments[j],
+                             comments[t], translations[t])
+                for m, r, i, j, t in zip(self.month_codes, self.region_codes,
+                                         self.industry_codes, self.judgment_codes,
+                                         self.text_ids)]
+
+    @classmethod
+    def from_records(cls, records: Sequence[SurveyRecord]) -> "Corpus":
+        """The columns of ``records``, in their order."""
+        months, regions, industries, judgments, texts = (_Codes() for _ in range(5))
+        return _corpus(months, regions, industries, judgments, texts,
+                       [months[r.month] for r in records],
+                       [regions[r.region] for r in records],
+                       [industries[r.industry] for r in records],
+                       [judgments[r.judgment] for r in records],
+                       [texts[r.comment, r.comment_translated] for r in records])
+
+
+def _corpus(months: _Codes, regions: _Codes, industries: _Codes, judgments: _Codes,
+            texts: _Codes, *codes: list[int]) -> Corpus:
+    """The ``Corpus`` of these code tables, ``texts`` keyed by (comment,
+    translation), and the per-record codes in ``Corpus`` field order."""
+    return Corpus(months.table, regions.table, industries.table, judgments.table,
+                  [c for c, _ in texts.table], [t for _, t in texts.table], *codes)
+
+
+def _in_month_order(corpus: Corpus) -> Corpus:
+    """``corpus`` with ``months`` ascending and its records stably sorted by
+    month, text ids renumbered by first appearance."""
+    order = sorted(range(len(corpus.months)), key=corpus.months.__getitem__)
+    rank = [0] * len(order)
+    for new, old in enumerate(order):
+        rank[old] = new
+    codes = [rank[c] for c in corpus.month_codes]
+    months = [corpus.months[i] for i in order]
+    if all(map(le, codes, codes[1:])):
+        return replace(corpus, months=months, month_codes=codes)
+    positions = sorted(range(len(codes)), key=codes.__getitem__)  # stable
+
+    def pick(column: list) -> list:
+        return [column[i] for i in positions]
+
+    renumbered = _Codes()
+    text_ids = [renumbered[t] for t in pick(corpus.text_ids)]
+    return Corpus(months, corpus.regions, corpus.industries, corpus.judgments,
+                  [corpus.comments[t] for t in renumbered.table],
+                  [corpus.translations[t] for t in renumbered.table],
+                  pick(codes), pick(corpus.region_codes), pick(corpus.industry_codes),
+                  pick(corpus.judgment_codes), text_ids)
 
 
 @dataclass(frozen=True)
@@ -146,11 +262,24 @@ class RowError:
 
 @dataclass
 class SurveyLoad:
-    """Parsed records plus the row-level error report."""
+    """Parsed records plus the row-level error report.
 
-    records: list[SurveyRecord]
+    A list of ``SurveyRecord``s passed as ``corpus`` (as reference loaders
+    do) is converted to columns once. ``records`` builds the objects on
+    each use; no pipeline code reads it.
+    """
+
+    corpus: Corpus
     errors: list[RowError]
     skipped_empty: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.corpus, Corpus):
+            self.corpus = Corpus.from_records(self.corpus)
+
+    @property
+    def records(self) -> list[SurveyRecord]:
+        return self.corpus.records()
 
 
 def _parse_month(text: str) -> MonthKey | None:
@@ -164,98 +293,143 @@ def _parse_month(text: str) -> MonthKey | None:
 _MONTH_ORDER = attrgetter("month.year", "month.month")
 
 
+_CHUNK_ROWS = 4096  # rows held at once while loading
+
+
+class _CellCodes(dict):
+    """Raw cell -> the code of ``normalize(cell)`` in ``codes``, -1 where it
+    is None; each distinct raw cell is normalized once."""
+
+    def __init__(self, normalize: Callable, codes: _Codes) -> None:
+        super().__init__()
+        self.normalize = normalize
+        self.codes = codes
+
+    def __missing__(self, cell: str) -> int:
+        value = self.normalize(cell)
+        code = self[cell] = -1 if value is None else self.codes[value]
+        return code
+
+
 def load_survey(path: str | Path) -> SurveyLoad:
-    """Load one canonical survey CSV.
+    """Load one canonical survey CSV (see ``load_surveys``)."""
+    return load_surveys([path])
+
+
+def load_surveys(paths: Iterable[str | Path]) -> SurveyLoad:
+    """Load and merge several canonical survey CSVs, in the given path order,
+    into one ``Corpus``.
 
     Malformed months and unknown judgment labels reject the row (reported
     with its line number); empty comments skip the row with a count. The
-    surviving records are sorted by month, preserving input order within
-    each month.
+    surviving records are sorted by month, keeping file and row order within
+    each month. A UTF-8 byte order mark at the start of a file is ignored.
 
     Rows read as ``csv.DictReader`` reads them: blank lines are skipped and
     not numbered, missing trailing fields are empty, extra fields are
     ignored, and a column named twice is read from its last position.
     """
-    path = Path(path)
-    if not path.exists():
-        raise LoadError(f"survey file not found: {path}")
-    records: list[SurveyRecord] = []
+    months, regions, industries, judgments, texts = (_Codes() for _ in range(5))
+    # one parse per distinct raw month, label, region and industry, not per row
+    month_of = _CellCodes(_parse_month, months)
+    judgment_of = _CellCodes(resolve_judgment, judgments)
+    region_of = _CellCodes(str.strip, regions)
+    industry_of = _CellCodes(str.strip, industries)
+    month_codes: list[int] = []
+    region_codes: list[int] = []
+    industry_codes: list[int] = []
+    judgment_codes: list[int] = []
+    text_ids: list[int] = []
     errors: list[RowError] = []
     skipped_empty = 0
-    # one parse per distinct raw month and label, not per row
-    month_of = functools.cache(_parse_month)
-    judgment_of = functools.cache(resolve_judgment)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise LoadError(f"empty survey file: {path}")
-        missing = [c for c in SURVEY_COLUMNS if c not in header]
-        if missing:
-            raise LoadError(f"{path}: missing columns {missing}")
-        position = {name: i for i, name in enumerate(header)}
-        month_at, region_at, industry_at, judgment_at, comment_at = (
-            position[c] for c in SURVEY_COLUMNS)
-        translated_at = position.get(TRANSLATED_COLUMN)
-        width = len(header)
-        lineno = 1
-        for row in reader:
-            if not row:
-                continue
-            lineno += 1
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            month = month_of(row[month_at])
-            if month is None:
-                errors.append(RowError(str(path), lineno, "invalid month"))
-                continue
-            judgment = judgment_of(row[judgment_at])
-            if judgment is None:
-                errors.append(RowError(str(path), lineno, "unknown judgment"))
-                continue
-            comment = row[comment_at].strip()
-            if not comment:
-                skipped_empty += 1
-                continue
-            records.append(
-                SurveyRecord(
-                    month=month,
-                    region=row[region_at].strip(),
-                    industry=row[industry_at].strip(),
-                    judgment=judgment,
-                    comment=comment,
-                    comment_translated=(row[translated_at] or None
-                                        if translated_at is not None else None),
-                )
-            )
-    records.sort(key=_MONTH_ORDER)  # stable: input order kept within month
-    return SurveyLoad(records, errors, skipped_empty)
+    for path in map(Path, paths):
+        if not path.exists():
+            raise LoadError(f"survey file not found: {path}")
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise LoadError(f"empty survey file: {path}")
+            missing = [c for c in SURVEY_COLUMNS if c not in header]
+            if missing:
+                raise LoadError(f"{path}: missing columns {missing}")
+            position = {name: i for i, name in enumerate(header)}
+            month_at, region_at, industry_at, judgment_at, comment_at = (
+                position[c] for c in SURVEY_COLUMNS)
+            translated_at = position.get(TRANSLATED_COLUMN)
+            width = len(header)
+            lineno = 2  # of the next data row
+            # Columns are coded a chunk of rows at a time; blank lines are skipped.
+            rows = filter(None, reader)
+            while chunk := list(islice(rows, _CHUNK_ROWS)):
+                first, lineno = lineno, lineno + len(chunk)
+                for row in chunk:
+                    if len(row) < width:
+                        row += [""] * (width - len(row))
+                month = [month_of[row[month_at]] for row in chunk]
+                judgment = [judgment_of[row[judgment_at]] for row in chunk]
+                comment = [row[comment_at].strip() for row in chunk]
+                if min(month) < 0 or min(judgment) < 0 or not all(comment):
+                    kept = []
+                    for i, line in enumerate(range(first, lineno)):
+                        if month[i] < 0:
+                            errors.append(RowError(str(path), line, "invalid month"))
+                        elif judgment[i] < 0:
+                            errors.append(RowError(str(path), line, "unknown judgment"))
+                        elif not comment[i]:
+                            skipped_empty += 1
+                        else:
+                            kept.append(i)
+                    chunk, month, judgment, comment = (
+                        [column[i] for i in kept] for column in (chunk, month, judgment, comment))
+                month_codes += month
+                judgment_codes += judgment
+                region_codes += [region_of[row[region_at]] for row in chunk]
+                industry_codes += [industry_of[row[industry_at]] for row in chunk]
+                translated = (repeat(None) if translated_at is None
+                              else [row[translated_at] or None for row in chunk])
+                text_ids += [texts[key] for key in zip(comment, translated)]
+    corpus = _corpus(months, regions, industries, judgments, texts,
+                     month_codes, region_codes, industry_codes, judgment_codes, text_ids)
+    return SurveyLoad(_in_month_order(corpus), errors, skipped_empty)
 
 
-def load_surveys(paths: Iterable[str | Path]) -> SurveyLoad:
-    """Load and merge several survey CSVs in the given path order."""
-    merged = SurveyLoad([], [], 0)
-    for path in paths:
-        part = load_survey(path)
-        merged.records.extend(part.records)
-        merged.errors.extend(part.errors)
-        merged.skipped_empty += part.skipped_empty
-    merged.records.sort(key=_MONTH_ORDER)
-    return merged
+def _csv_cells(values: Iterable[str]) -> list[str]:
+    """Each value as ``csv.writer`` writes it as one cell of a row of several."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    ends = []
+    for value in values:
+        writer.writerow((value, ""))
+        ends.append(buffer.tell())
+    text = buffer.getvalue()
+    return [text[start:end - 3] for start, end in zip([0, *ends], ends)]  # less ",\r\n"
 
 
-def write_survey(records: Sequence[SurveyRecord], path: str | Path) -> None:
-    """Write records back to the canonical CSV format (round-trip safe), atomically."""
-    include_translated = any(r.comment_translated is not None for r in records)
-    header = [*SURVEY_COLUMNS, TRANSLATED_COLUMN] if include_translated else SURVEY_COLUMNS
+def write_survey(records: Corpus | Sequence[SurveyRecord], path: str | Path) -> None:
+    """Write records in the canonical CSV format (round-trip safe), atomically.
+
+    Each distinct cell is encoded once by ``csv.writer`` and the rows are
+    joined from those cells; a list of ``SurveyRecord``s is converted to a
+    ``Corpus`` first.
+    """
+    corpus = records if isinstance(records, Corpus) else Corpus.from_records(records)
+    header = list(SURVEY_COLUMNS)
+    texts = _csv_cells(corpus.comments)
+    if any(t is not None for t in corpus.translations):
+        header.append(TRANSLATED_COLUMN)
+        texts = [f"{comment},{translated}" for comment, translated in
+                 zip(texts, _csv_cells(t or "" for t in corpus.translations))]
+    months = _csv_cells(map(str, corpus.months))
+    regions = _csv_cells(corpus.regions)
+    industries = _csv_cells(corpus.industries)
+    judgments = _csv_cells(j.value for j in corpus.judgments)
     with atomic_open(Path(path), newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in records:
-            row = [str(r.month), r.region, r.industry, r.judgment.value, r.comment]
-            if include_translated:
-                row.append(r.comment_translated or "")
-            writer.writerow(row)
+        fh.write(",".join(_csv_cells(header)) + "\r\n")
+        fh.writelines(f"{months[m]},{regions[r]},{industries[i]},{judgments[j]},{texts[t]}\r\n"
+                      for m, r, i, j, t in zip(corpus.month_codes, corpus.region_codes,
+                                               corpus.industry_codes, corpus.judgment_codes,
+                                               corpus.text_ids))
 
 
 class WageSeries:
@@ -311,7 +485,7 @@ def load_wages(path: str | Path) -> WageSeries:
     if not path.exists():
         raise LoadError(f"wage file not found: {path}")
     levels: dict[MonthKey, float] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or len(reader.fieldnames) < 2:
             raise LoadError(f"{path}: expected columns yyyymm,level")

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .classify import _TOKEN_RE, ClassProbabilities, UNRELATED
-from .corpus import MonthKey, SurveyRecord, WageSeries, month_range
+from .corpus import MonthKey, WageSeries, month_range
 # Re-exported: ``term_correlations`` is the row-wise form of ``pearson``, and
 # the benchmark's tracer (perfbench/tracing.py) wraps ``wsi.lexicon.pearson``.
 from .econometrics import pearson  # noqa: F401
@@ -124,23 +124,25 @@ class TermCounts:
         return out
 
 
-def monthly_term_counts(grouped: Mapping[MonthKey, Sequence[SurveyRecord]]) -> TermCounts:
-    """Token occurrence counts per term per month, over translated text.
+def monthly_term_counts(texts_by_month: Mapping[MonthKey, Sequence[str]]) -> TermCounts:
+    """Token occurrence counts per term per month, over each month's
+    record texts (translated where translated).
 
-    Each distinct comment text is tokenized once; the token lists ride along
-    in the result for the classification of the same comments.
+    Each distinct text is tokenized once; the token lists ride along in the
+    result for the classification of the same comments.
     """
     tokens: dict[str, list[str]] = {}
-    for records in grouped.values():
-        for record in records:
-            if record.text not in tokens:
-                tokens[record.text] = tokenize(record.text)
+    for texts in texts_by_month.values():
+        for text in texts:
+            if text not in tokens:
+                tokens[text] = tokenize(text)
     terms = tuple(sorted({t for toks in tokens.values() for t in toks}))
     row = {t: i for i, t in enumerate(terms)}
-    months = tuple(month_range(min(grouped), max(grouped))) if grouped else ()
+    months = (tuple(month_range(min(texts_by_month), max(texts_by_month)))
+              if texts_by_month else ())
     matrix = np.zeros((len(terms), len(months)), dtype=np.int64)
-    for month, records in grouped.items():
-        ids = [row[t] for record in records for t in tokens[record.text]]
+    for month, texts in texts_by_month.items():
+        ids = [row[t] for text in texts for t in tokens[text]]
         matrix[:, _ordinal(month) - _ordinal(months[0])] = np.bincount(ids, minlength=len(terms))
     return TermCounts(terms=terms, months=months, matrix=matrix, tokens=tokens)
 

@@ -17,7 +17,6 @@ import csv
 import hashlib
 import json
 import logging
-import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
@@ -34,16 +33,14 @@ from .classify import (
     KeywordClassifier,
     RemoteClassifier,
     PROMPT_VERSION,
-    classify_month,
-    classify_records,
+    classify_texts,
     default_keyword_classifier,
 )
 from .corpus import (
+    Corpus,
     LoadError,
     MonthKey,
-    SurveyRecord,
     WageSeries,
-    group_by_month,
     load_surveys,
     load_wages,
     write_survey,
@@ -87,6 +84,8 @@ log = logging.getLogger("wsi")
 
 CACHE_DIR_ENV = "WSI_CACHE_DIR"
 INDEX_KINDS = ("standard", "weighted")
+# One day; the transports fail on timeouts past about 2.1e6 s (the selector's limit).
+MAX_TIMEOUT = 86400.0
 
 
 class StageError(RuntimeError):
@@ -166,8 +165,9 @@ class BackendConfig:
     protocol backends). A remote kind's entry is all its ``RemoteClassifier``
     reads: the endpoint, the model (``backend_id`` when ``model_id`` is
     unset), the fallback model, and the batch size, retry bound and
-    timeout, whose ranges are checked here. A keyword kind may carry its
-    ``rules``, each (keywords, (u, v, w)) as ``KeywordClassifier`` takes them.
+    timeout (seconds, at most ``MAX_TIMEOUT``), whose ranges are checked
+    here. A keyword kind may carry its ``rules``, each (keywords, (u, v, w))
+    as ``KeywordClassifier`` takes them.
     """
 
     backend_id: str
@@ -187,8 +187,9 @@ class BackendConfig:
             raise ConfigError(f"backend {self.backend_id}: kind {self.kind} needs an endpoint")
         if self.batch_size < 1:
             raise ConfigError(f"backend {self.backend_id}: batch_size must be >= 1")
-        if not 0 < self.timeout < math.inf:  # NaN too
-            raise ConfigError(f"backend {self.backend_id}: timeout must be positive and finite")
+        if not 0 < self.timeout <= MAX_TIMEOUT:  # NaN too
+            raise ConfigError(f"backend {self.backend_id}: timeout must be positive and "
+                              f"at most {MAX_TIMEOUT:g} seconds, got {self.timeout!r}")
         if self.max_retries < 0:
             raise ConfigError(f"backend {self.backend_id}: max_retries must be >= 0")
 
@@ -452,7 +453,7 @@ def _translator(config: RunConfig) -> IdentityTranslator | RemoteTranslator:
 
 @dataclass
 class IngestResult:
-    records: list[SurveyRecord]
+    corpus: Corpus
     stats: dict  # what stages/ingest.json records
     translation_calls: int
 
@@ -465,9 +466,9 @@ class StagedRun:
     """One run directory and the results its stages hand to each other.
 
     This is the only way results travel from one stage to the next. Each
-    stage records what it produced here (ingest the records by month and
-    the wages, classify each backend's comments, index the series, granger
-    the sweeps) and its stats, which ``put_stats`` also writes to
+    stage records what it produced here (ingest the corpus and the wages,
+    classify each backend's comments, index the series, granger the
+    sweeps) and its stats, which ``put_stats`` also writes to
     ``stages/<stage>.json``. A later stage gets what it needs from memory
     when a stage sharing this object produced or loaded it, else from
     ``out/<run-id>/`` on first use; a missing file fails the stage that
@@ -482,7 +483,7 @@ class StagedRun:
         self.run_id = run_id
         self.out = Path(config.output_dir) / run_id
         self.wages: WageSeries | None = None
-        self.grouped: dict[MonthKey, list[SurveyRecord]] | None = None
+        self.corpus: Corpus | None = None
         self.classified: dict[str, ClassifiedMap] = {}
         self.series: dict[str, SeriesResult] | None = None
         self.sweeps: SweepMap | None = None
@@ -510,12 +511,11 @@ class StagedRun:
             self.wages = load_wages(self._ingest_file("stages/wages.csv", stage))
         return self.wages
 
-    def get_grouped(self, stage: str) -> dict[MonthKey, list[SurveyRecord]]:
-        """The ingested records by month, ascending."""
-        if self.grouped is None:
-            self.grouped = group_by_month(
-                load_surveys([self._ingest_file("stages/records.csv", stage)]).records)
-        return self.grouped
+    def get_corpus(self, stage: str) -> Corpus:
+        """The ingested records, in month order."""
+        if self.corpus is None:
+            self.corpus = load_surveys([self._ingest_file("stages/records.csv", stage)]).corpus
+        return self.corpus
 
     def get_classified(self, backend_id: str, stage: str) -> ClassifiedMap:
         if backend_id not in self.classified:
@@ -561,7 +561,7 @@ def stage_ingest(config: RunConfig, *, staged: StagedRun | None = None) -> Inges
     with _stage(out, "ingest"):
         # the run id, computed first, has found every survey file
         load = load_surveys(expand_survey_paths(config.survey_paths))
-        if not load.records:
+        if not len(load.corpus):
             raise LoadError("no valid survey records")
         wages = load_wages(config.wage_path)
         for error in load.errors[:20]:
@@ -573,7 +573,7 @@ def stage_ingest(config: RunConfig, *, staged: StagedRun | None = None) -> Inges
             cache = TranslationCache(Path(config.cache_dir) / "translate")
         try:
             report = translate_all(
-                load.records, translator,
+                load.corpus, translator,
                 parallelism=config.translation_parallelism,
                 cache=cache,
                 source=config.translation_source,
@@ -583,22 +583,22 @@ def stage_ingest(config: RunConfig, *, staged: StagedRun | None = None) -> Inges
         finally:
             if isinstance(translator, RemoteTranslator):
                 translator.close()
-        records = report.records
-        write_survey(records, out / "stages" / "records.csv")
+        corpus = report.corpus
+        write_survey(corpus, out / "stages" / "records.csv")
         write_wages(wages.levels, out / "stages" / "wages.csv")
-        summary = summarize_corpus(records)
+        summary = summarize_corpus(corpus)
         atomic_write(out / "summary" / "judgment.csv", summary.judgment_csv())
         atomic_write(out / "summary" / "region.csv", summary.region_csv())
         atomic_write(out / "summary" / "month.csv", summary.month_csv())
         stats = {
-            "records": len(records),
+            "records": len(corpus),
             "row_errors": len(load.errors),
             "skipped_empty": load.skipped_empty,
             "translation_failed": len(report.failed_indices),
         }
         staged.put_stats("ingest", stats)
-        staged.wages, staged.grouped = wages, group_by_month(records)
-        return IngestResult(records, stats, report.backend_calls)
+        staged.wages, staged.corpus = wages, corpus
+        return IngestResult(corpus, stats, report.backend_calls)
 
 
 def _build_classifier(backend: BackendConfig, config: RunConfig):
@@ -613,33 +613,36 @@ def _build_classifier(backend: BackendConfig, config: RunConfig):
     raise ConfigError(f"no classifier for kind {backend.kind}")
 
 
-def _classify_backend(backend: BackendConfig, grouped: Mapping[MonthKey, list[SurveyRecord]],
-                      wages: WageSeries, config: RunConfig, out: Path
-                      ) -> tuple[ClassifiedMap, int]:
+def _classify_backend(backend: BackendConfig, corpus: Corpus, wages: WageSeries,
+                      config: RunConfig, out: Path) -> tuple[ClassifiedMap, int]:
     """Classify every month for one backend; returns (by month, wire calls).
 
     A lexicon backend classifies month by month, under each month's lexicon,
     and writes its audit files to ``out/stages``; any other classifies the
-    whole corpus through ``classify_records``, each distinct text once in
-    one fixed batch order (month, then ordinal).
+    corpus's text table through ``classify_texts``, each distinct text once
+    in one fixed batch order (first appearance in month order), and each
+    record takes its text id's answer.
     """
+    texts = corpus.texts
     if backend.kind == "lexicon":
+        by_month = {month: [texts[t] for t in corpus.text_ids[records]]
+                    for month, records in corpus.month_slices()}
         # Called on the module, where the benchmark's tracer wraps it.
-        counts = lexicon.monthly_term_counts(grouped)
-        lexicons = rolling_lexicons(counts, wages, sorted(grouped), config.lexicon)
+        counts = lexicon.monthly_term_counts(by_month)
+        lexicons = rolling_lexicons(counts, wages, list(by_month), config.lexicon)
         classified: ClassifiedMap = {}
         # Month-level word-count aggregate logged alongside the per-comment
         # classification for comparison; both use the same occurrence counts.
         wordcount_rows = ["as_of,positive_occurrences,negative_occurrences,wordcount_index"]
         for month in sorted(lexicons):
-            records = grouped[month]
+            month_texts = by_month[month]
             occurrences = {text: occurrence_counts(counts.tokens[text], lexicons[month])
-                           for text in {r.text for r in records}}
+                           for text in set(month_texts)}
             adapter = LexiconBackend(occurrences, config.lexicon.smoothing,
                                      backend_id=backend.backend_id)
-            classified[month] = classify_month(records, adapter)
-            p_total = sum(occurrences[r.text][0] for r in records)
-            n_total = sum(occurrences[r.text][1] for r in records)
+            classified[month] = classify_texts(month_texts, adapter)[0]
+            p_total = sum(occurrences[text][0] for text in month_texts)
+            n_total = sum(occurrences[text][1] for text in month_texts)
             ratio = ((p_total - n_total) / (p_total + n_total) * 100.0
                      if p_total + n_total else 0.0)
             wordcount_rows.append(f"{month},{p_total},{n_total},{ratio!r}")
@@ -648,15 +651,13 @@ def _classify_backend(backend: BackendConfig, grouped: Mapping[MonthKey, list[Su
         return classified, 0
 
     classifier = _build_classifier(backend, config)
-    months = sorted(grouped)
     try:
-        comments, wire_calls = classify_records(
-            [r for month in months for r in grouped[month]], classifier)
+        answers, wire_calls = classify_texts(texts, classifier)
     finally:
         if isinstance(classifier, CachedRemoteClassifier):
             classifier.inner.transport.close()
-    answers = iter(comments)
-    return {month: list(islice(answers, len(grouped[month]))) for month in months}, wire_calls
+    by_record = [answers[t] for t in corpus.text_ids]
+    return {month: by_record[records] for month, records in corpus.month_slices()}, wire_calls
 
 
 CLASSIFIED_HEADER = "yyyymm,ordinal,u,v,w,label,failed"
@@ -718,7 +719,7 @@ def stage_classify(config: RunConfig, only_backend: str | None = None, *,
     staged = StagedRun.for_stage(config, "classify", staged)
     out = staged.out
     with _stage(out, "classify"):
-        grouped = staged.get_grouped("classify")
+        corpus = staged.get_corpus("classify")
         wages = staged.get_wages("classify")
         # one backend's entry replaces its own; the others' stay as recorded
         stats = dict(staged.get_stats("classify")) if only_backend is not None else {}
@@ -727,7 +728,7 @@ def stage_classify(config: RunConfig, only_backend: str | None = None, *,
         for backend in config.backends:
             if only_backend is not None and backend.backend_id != only_backend:
                 continue
-            classified, wire_calls = _classify_backend(backend, grouped, wages, config, out)
+            classified, wire_calls = _classify_backend(backend, corpus, wages, config, out)
             results[backend.backend_id] = staged.classified[backend.backend_id] = classified
             wire_stats[backend.backend_id] = wire_calls
             failed = sum(c.failed for month in classified.values() for c in month)

@@ -8,11 +8,12 @@ identical input.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Mapping, Sequence
 
-from .corpus import Judgment, MonthKey, SurveyRecord
+from .corpus import Corpus, Judgment, MonthKey
 from .econometrics import GrangerResult
 from .index import IndexPoint
 
@@ -238,16 +239,15 @@ class CorpusSummary:
         return "\n".join(lines) + "\n"
 
 
-def summarize_corpus(records: Sequence[SurveyRecord]) -> CorpusSummary:
-    """Counts by judgment, region, and month."""
-    by_judgment: dict[str, int] = {}
-    by_region: dict[str, int] = {}
-    by_month: dict[MonthKey, int] = {}
-    for r in records:
-        by_judgment[r.judgment.value] = by_judgment.get(r.judgment.value, 0) + 1
-        by_region[r.region] = by_region.get(r.region, 0) + 1
-        by_month[r.month] = by_month.get(r.month, 0) + 1
-    return CorpusSummary(by_judgment=by_judgment, by_region=by_region, by_month=by_month)
+def summarize_corpus(corpus: Corpus) -> CorpusSummary:
+    """Counts by judgment, region, and month, from the record codes."""
+    def tally(table: Sequence, codes: Sequence[int]) -> dict:
+        return {table[code]: n for code, n in Counter(codes).items()}
+
+    by_judgment = tally(corpus.judgments, corpus.judgment_codes)
+    return CorpusSummary(by_judgment={j.value: n for j, n in by_judgment.items()},
+                         by_region=tally(corpus.regions, corpus.region_codes),
+                         by_month=tally(corpus.months, corpus.month_codes))
 
 
 @dataclass

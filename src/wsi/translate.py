@@ -13,11 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Protocol, Sequence
 
 from . import wire
-from .corpus import SurveyRecord
+from .corpus import Corpus
 
 
 # A translation call failed or returned a malformed response; retried.
@@ -80,24 +80,26 @@ class TranslationCache(wire.ContentCache):
 
 @dataclass
 class TranslationReport:
-    records: list[SurveyRecord]
-    failed_indices: list[int]
+    corpus: Corpus
+    failed_indices: list[int]  # positions of the records left untranslated
     backend_calls: int
     cache_hits: int
 
 
-def translate_all(records: Sequence[SurveyRecord], backend: TranslationBackend,
+def translate_all(corpus: Corpus, backend: TranslationBackend,
                   parallelism: int = 1, *, cache: TranslationCache | None = None,
                   source: str = "ja", target: str = "en", batch_size: int = 50,
                   max_retries: int = 2,
                   sleep: Callable[[float], None] = time.sleep) -> TranslationReport:
-    """Fill ``comment_translated`` on every record, via cache where possible.
+    """Translate each distinct comment once, via cache where possible, and
+    return the corpus with one translation per text-table entry.
 
-    Output order equals input order regardless of completion order. A batch
-    that still fails after ``max_retries`` retries leaves its records
-    untranslated and reports their indices; the pipeline continues.
+    Comments go to the backend in order of first appearance, whatever the
+    completion order. A batch that still fails after ``max_retries`` retries
+    leaves its entries with the translation they were loaded with, and the
+    records holding them are reported by position; the pipeline continues.
     """
-    texts = list(dict.fromkeys(record.comment for record in records))
+    texts = list(dict.fromkeys(corpus.comments))
     translations: dict[str, str] = {}
     if cache is not None:
         for text in texts:
@@ -122,14 +124,9 @@ def translate_all(records: Sequence[SurveyRecord], backend: TranslationBackend,
             if cache is not None:
                 cache.put(text, backend.backend_id, source, target, translated)
 
-    out: list[SurveyRecord] = []
-    failed: list[int] = []
-    for i, record in enumerate(records):
-        translated = translations.get(record.comment)
-        if translated is None:
-            failed.append(i)
-            out.append(record)
-        else:
-            out.append(record.with_translation(translated))
-    return TranslationReport(records=out, failed_indices=failed,
+    failed_ids = {i for i, comment in enumerate(corpus.comments) if comment not in translations}
+    failed = [i for i, t in enumerate(corpus.text_ids) if t in failed_ids] if failed_ids else []
+    filled = [translations.get(comment, loaded)
+              for comment, loaded in zip(corpus.comments, corpus.translations)]
+    return TranslationReport(corpus=replace(corpus, translations=filled), failed_indices=failed,
                              backend_calls=calls, cache_hits=cache_hits)

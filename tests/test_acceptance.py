@@ -42,8 +42,6 @@ from wsi.pipeline import BackendConfig, RunConfig, run
 from wsi.report import render_granger_row
 from wsi.synthetic import SyntheticSpec, generate_synthetic, synthesize
 
-from conftest import make_record
-
 ONE_HOT = {
     HardLabel.INCREASE: (1.0, 0.0, 0.0),
     HardLabel.DECREASE: (0.0, 1.0, 0.0),
@@ -231,11 +229,11 @@ def test_baseline_lexicon_recovers_planted_word_with_rolling_causality():
     for i, m in enumerate(window):
         rows = []
         for _ in range(max(0, round(10 + 2 * growth[m]))):
-            rows.append(make_record(m, "bonus payment arrived"))
+            rows.append("bonus payment arrived")
         for _ in range(max(0, round(10 - 2 * growth[m]))):
-            rows.append(make_record(m, "a cut was announced"))
+            rows.append("a cut was announced")
         for _ in range(rng.randint(6, 14)):
-            rows.append(make_record(m, "customers visited the shop"))
+            rows.append("customers visited the shop")
         grouped[m] = rows
 
     lexicons = rolling_lexicons(monthly_term_counts(grouped), wages, window)
@@ -249,7 +247,7 @@ def test_baseline_lexicon_recovers_planted_word_with_rolling_causality():
     poisoned = dict(grouped)
     for m in window:
         if m > as_of.minus(2):
-            poisoned[m] = [make_record(m, "bonus " * 30) for _ in range(50)]
+            poisoned[m] = ["bonus " * 30] * 50
     assert rolling_lexicons(monthly_term_counts(poisoned), wages, [as_of])[as_of] \
         == lexicons[as_of]
 

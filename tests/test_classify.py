@@ -15,7 +15,7 @@ from wsi.classify import (
     TransportError,
     UNRELATED,
     classify_month,
-    classify_records,
+    classify_texts,
     default_keyword_classifier,
     normalize_triple,
     prompt_template,
@@ -316,10 +316,8 @@ class TestClassifyMonth:
         assert out[0].excluded
 
     def test_records_with_one_text_share_one_classified_comment(self):
-        records = [make_record(MonthKey(2020, 1), "wages were raised"),
-                   make_record(MonthKey(2020, 1), "pay was cut"),
-                   make_record(MonthKey(2020, 2), "wages were raised")]
-        out, wire_calls = classify_records(records, default_keyword_classifier())
+        texts = ["wages were raised", "pay was cut", "wages were raised"]
+        out, wire_calls = classify_texts(texts, default_keyword_classifier())
         assert out[0] is out[2] and out[0] is not out[1]
         assert [c.hard_label for c in out] == [
             HardLabel.INCREASE, HardLabel.DECREASE, HardLabel.INCREASE]

@@ -126,6 +126,11 @@ BAD_SETTINGS = {  # case: (config section, the setting that replaces it)
     "translator_bogus": ("translation", {"backend": "bogus"}),
     "timeout_inf": ("backends", {"kind": "http", "endpoint": "http://localhost:1/",
                                  "timeout": "inf"}),
+    # past the transports' own limits: the selector's (subprocess) and time_t's (http)
+    "timeout_large_subprocess": ("backends", {"kind": "subprocess", "endpoint": "cmd:cat",
+                                              "timeout": 1e7}),
+    "timeout_large_http": ("backends", {"kind": "http", "endpoint": "http://localhost:1/",
+                                        "timeout": 1e12}),
 }
 
 
@@ -160,7 +165,13 @@ BAD_SETTINGS = {  # case: (config section, the setting that replaces it)
     ("smoothing_bogus", "lexicon.smoothing must be laplace or none, got 'bogus'"),
     ("translator_bogus", "translation.backend must be identity, http(s)://<url> or "
                          "cmd:<command>, got 'bogus'"),
-    ("timeout_inf", "backend mock: timeout must be positive and finite"),
+    ("timeout_inf",
+     "backend mock: timeout must be positive and at most 86400 seconds, got inf"),
+    ("timeout_large_subprocess",
+     "backend mock: timeout must be positive and at most 86400 seconds, got 10000000.0"),
+    ("timeout_large_http",
+     "backend mock: timeout must be positive and at most 86400 seconds, "
+     "got 1000000000000.0"),
 ])
 def test_config_error_is_reported_not_raised(workspace, case, message):
     """One ``error:`` line, exit 1, and no run directory."""

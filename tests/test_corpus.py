@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from wsi.corpus import (
     SURVEY_COLUMNS,
     TRANSLATED_COLUMN,
+    Corpus,
     Judgment,
     LoadError,
     MonthKey,
@@ -357,6 +358,106 @@ class TestWages:
 class _Unprintable:
     def __str__(self):
         raise RuntimeError("interrupted")
+
+
+def write_survey_reference(records, path):
+    """The row-by-row writer ``write_survey`` must agree with, byte for byte."""
+    include_translated = any(r.comment_translated is not None for r in records)
+    header = [*SURVEY_COLUMNS, TRANSLATED_COLUMN] if include_translated else SURVEY_COLUMNS
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for r in records:
+            row = [str(r.month), r.region, r.industry, r.judgment.value, r.comment]
+            if include_translated:
+                row.append(r.comment_translated or "")
+            writer.writerow(row)
+
+
+# commas, quotes, CR/LF and leading or trailing spaces, the cells csv quotes
+FIELDS = st.text(alphabet=st.sampled_from(list('ab ,"\r\n\t-é')), max_size=8)
+RECORDS = st.builds(SurveyRecord, months, FIELDS, FIELDS, st.sampled_from(list(Judgment)),
+                    FIELDS, st.one_of(st.none(), st.just(""), FIELDS))
+
+
+class TestWriteSurvey:
+    @given(records=st.lists(RECORDS, max_size=20), translated=st.booleans())
+    def test_matches_the_row_by_row_reference(self, tmp_path_factory, records, translated):
+        if not translated:  # no comment_translated column at all
+            records = [SurveyRecord(r.month, r.region, r.industry, r.judgment, r.comment)
+                       for r in records]
+        root = tmp_path_factory.mktemp("write")
+        write_survey(records, root / "columns.csv")
+        write_survey_reference(records, root / "reference.csv")
+        assert (root / "columns.csv").read_bytes() == (root / "reference.csv").read_bytes()
+        write_survey(Corpus.from_records(records), root / "corpus.csv")
+        assert (root / "corpus.csv").read_bytes() == (root / "reference.csv").read_bytes()
+
+    @given(header=st.lists(st.sampled_from(COLUMNS), max_size=9),
+           rows=st.lists(st.lists(CELLS, max_size=9), max_size=12))
+    def test_load_then_write_round_trip(self, tmp_path_factory, header, rows):
+        root = tmp_path_factory.mktemp("round")
+        (root / "in.csv").write_text(_csv_text([header] + rows), encoding="utf-8")
+        try:
+            load = load_survey(root / "in.csv")
+        except LoadError:
+            return
+        write_survey(load.corpus, root / "out.csv")
+        write_survey_reference(load.records, root / "reference.csv")
+        assert (root / "out.csv").read_bytes() == (root / "reference.csv").read_bytes()
+        assert load_survey(root / "out.csv").records == load.records
+
+    def test_one_comment_with_two_loaded_translations_keeps_both(self, tmp_path):
+        path = tmp_path / "s.csv"
+        _write_csv(path, ["202001,K,r,Good,x,one", "202001,K,r,Good,x,two",
+                          "202001,K,r,Good,x,one"], header=",".join(
+                              [*SURVEY_COLUMNS, TRANSLATED_COLUMN]))
+        corpus = load_survey(path).corpus
+        assert corpus.comments == ["x", "x"] and corpus.translations == ["one", "two"]
+        assert corpus.text_ids == [0, 1, 0]
+        write_survey(corpus, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == path.read_bytes().replace(b"\n", b"\r\n")
+
+
+class TestByteOrderMark:
+    def test_survey_with_a_bom_loads_as_without(self, tmp_path):
+        text = ("yyyymm,region,industry,judgment,comment,comment_translated\n"
+                "202002,Kanto,retail,Good,賃上げ,wage rise\n202001,Tokai,food,Bad,cut,\n")
+        (tmp_path / "plain.csv").write_bytes(text.encode("utf-8"))
+        (tmp_path / "bom.csv").write_bytes(text.encode("utf-8-sig"))
+        plain = load_survey(tmp_path / "plain.csv")
+        with_bom = load_survey(tmp_path / "bom.csv")
+        assert with_bom.records == plain.records and len(plain.records) == 2
+        assert (with_bom.errors, with_bom.skipped_empty) == ([], 0)
+
+    def test_wages_with_a_bom_load_as_without(self, tmp_path):
+        text = "yyyymm,level\n202001,100.0\n202002,101.5\n"
+        (tmp_path / "plain.csv").write_bytes(text.encode("utf-8"))
+        (tmp_path / "bom.csv").write_bytes(text.encode("utf-8-sig"))
+        assert load_wages(tmp_path / "bom.csv") == load_wages(tmp_path / "plain.csv")
+
+
+class TestCorpus:
+    def test_records_are_sorted_by_month_with_text_ids_by_first_appearance(self, tmp_path):
+        _write_csv(tmp_path / "b.csv", ["202002,K,r,Good,late", "202001,K,r,Good,early"])
+        _write_csv(tmp_path / "a.csv", ["202001,T,r,Bad,late", "202003,K,r,Good,early"])
+        corpus = load_surveys([tmp_path / "b.csv", tmp_path / "a.csv"]).corpus
+        assert [(str(r.month), r.comment) for r in corpus.records()] == [
+            ("202001", "early"), ("202001", "late"), ("202002", "late"), ("202003", "early")]
+        assert corpus.comments == ["early", "late"] and corpus.text_ids == [0, 1, 1, 0]
+        assert [(str(m), (s.start, s.stop)) for m, s in corpus.month_slices()] == [
+            ("202001", (0, 2)), ("202002", (2, 3)), ("202003", (3, 4))]
+
+    def test_month_slices_need_month_order(self):
+        corpus = Corpus.from_records([make_record(MonthKey(2020, 2)),
+                                      make_record(MonthKey(2020, 1))])
+        with pytest.raises(ValueError, match="month order"):
+            corpus.month_slices()
+
+    def test_a_rejected_rows_month_has_no_slice(self, tmp_path):
+        _write_csv(tmp_path / "a.csv", ["202001,K,r,Stellar,x", "202002,K,r,Good,y"])
+        corpus = load_survey(tmp_path / "a.csv").corpus
+        assert [str(m) for m, _ in corpus.month_slices()] == ["202002"]
 
 
 class TestInterruptedWrites:

@@ -41,9 +41,14 @@ def wages_with_growth(growth_by_month):
     return WageSeries(levels)
 
 
+def term_counts(grouped):
+    """monthly_term_counts of each month's record texts."""
+    return monthly_term_counts({m: [r.text for r in records] for m, records in grouped.items()})
+
+
 def term_stats(grouped, wages, window, min_mean_frequency=5.0):
     """build_term_stats over the whole corpus's counts and the window's growth."""
-    return build_term_stats(monthly_term_counts(grouped), window,
+    return build_term_stats(term_counts(grouped), window,
                             [wages.yoy(m) for m in window], min_mean_frequency)
 
 
@@ -225,7 +230,7 @@ def random_corpus(seed, n_months=18, vocab=("bonus", "cut", "shop", "pay", "staf
 class TestTermCounts:
     def test_matrix_matches_per_token_loop(self):
         grouped, _, _ = random_corpus(3)
-        counts = monthly_term_counts(grouped)
+        counts = term_counts(grouped)
         expected = {}
         for month, records in grouped.items():
             for record in records:
@@ -240,7 +245,7 @@ class TestTermCounts:
 
     def test_window_counts_zero_outside_the_corpus(self):
         grouped = corpus_from_counts({"w": {START.plus(1): 2, START.plus(2): 3}})
-        counts = monthly_term_counts(grouped)
+        counts = term_counts(grouped)
         window = month_range(START, START.plus(3))
         assert counts.terms == ("mentioned", "w")
         assert counts.window_counts(window).tolist() == [[0, 2, 3, 0], [0, 2, 3, 0]]
@@ -254,7 +259,7 @@ class TestTermCounts:
 
         grouped, wages, months = build_planted_setup()
         monkeypatch.setattr(wsi.lexicon, "tokenize", counting_tokenize)
-        counts = monthly_term_counts(grouped)
+        counts = term_counts(grouped)
         lexicons = rolling_lexicons(counts, wages, months)
         assert lexicons
         texts = {r.text for records in grouped.values() for r in records}
@@ -455,19 +460,19 @@ class TestRollingLexicons:
     def test_rolling_causality_poisoning_later_months_changes_nothing(self):
         grouped, wages, window = build_planted_setup()
         as_of = window[20]
-        base = rolling_lexicons(monthly_term_counts(grouped), wages, [as_of])[as_of]
+        base = rolling_lexicons(term_counts(grouped), wages, [as_of])[as_of]
         # poison every month after the window end (> as_of - 2)
         poisoned = dict(grouped)
         for m in window:
             if m > as_of.minus(2):
                 poisoned[m] = [make_record(m, "bonus " * 50) for _ in range(40)]
-        again = rolling_lexicons(monthly_term_counts(poisoned), wages, [as_of])[as_of]
+        again = rolling_lexicons(term_counts(poisoned), wages, [as_of])[as_of]
         assert again == base
 
     def test_polarity_antisymmetry_negating_growth_swaps_lists(self):
         grouped, wages, window = build_planted_setup()
         as_of = window[20]
-        counts = monthly_term_counts(grouped)
+        counts = term_counts(grouped)
         lex = rolling_lexicons(counts, wages, [as_of])[as_of]
         negated_growth = {m: -g for m, g in wages.yoy_map.items()}
         neg_wages = wages_with_growth(negated_growth)
@@ -491,7 +496,7 @@ class TestRollingLexicons:
 
     def test_infeasible_warmup_months_absent(self):
         grouped, wages, window = build_planted_setup()
-        lexicons = rolling_lexicons(monthly_term_counts(grouped), wages, window)
+        lexicons = rolling_lexicons(term_counts(grouped), wages, window)
         start = max(min(grouped), min(wages.yoy_map))
         # first feasible as_of needs a two-month window ending at as_of - 2
         assert min(lexicons) == start.plus(3)
@@ -499,7 +504,7 @@ class TestRollingLexicons:
 
     def test_target_past_the_wage_series_is_absent(self):
         grouped, wages, window = build_planted_setup()
-        counts, targets, last = monthly_term_counts(grouped), window[-8:], window[-6]
+        counts, targets, last = term_counts(grouped), window[-8:], window[-6]
         short = wages_with_growth({m: g for m, g in wages.yoy_map.items() if m <= last})
         lexicons = rolling_lexicons(counts, short, targets)
         # a target's window ends two months before it
@@ -529,7 +534,7 @@ class TestRollingLexicons:
     def test_audit_rows_shape(self):
         grouped, wages, window = build_planted_setup()
         as_of = window[20]
-        lexicons = rolling_lexicons(monthly_term_counts(grouped), wages, [as_of])
+        lexicons = rolling_lexicons(term_counts(grouped), wages, [as_of])
         rows = audit_rows(lexicons)
         assert rows[0] == "as_of,polarity,rank,term,correlation"
         assert any(f"{as_of},positive,1,bonus" in r for r in rows)

@@ -380,6 +380,28 @@ class TestWireBatchPlan:
         for texts in sent.values():
             assert len(texts) == len(set(texts)) == 40
 
+    def test_translation_and_classify_parallelism_give_one_tree(self, tmp_path, wire_server):
+        self.make_repeating_corpus(tmp_path)
+        (tmp_path / "data" / "surveys" / "translated.csv").write_text(
+            "yyyymm,region,industry,judgment,comment,comment_translated\n"
+            "201801,Kanto,retail,Good,pay went up case 1,loaded\n"
+            "201802,Kanto,retail,Good,pay went up case 1,\n", encoding="utf-8")
+        backends = [BackendConfig(backend_id="remote", kind="http", endpoint=wire_server.url,
+                                  batch_size=4),
+                    BackendConfig(backend_id="mock", kind="keyword"),
+                    BackendConfig(backend_id="lex", kind="lexicon")]
+        trees = []
+        for parallelism in (1, 8):
+            result = run(config_for(
+                tmp_path, backends=backends, translation_backend=wire_server.url,
+                translation_parallelism=parallelism, translation_batch_size=3,
+                classify_parallelism=parallelism,
+                output_dir=str(tmp_path / f"p{parallelism}" / "out"),
+                cache_dir=str(tmp_path / f"p{parallelism}" / "cache")))
+            trees.append(tree_bytes(result.out_dir))
+        assert trees[0] == trees[1]
+        assert b"PAY WENT UP CASE 1" in trees[0]["stages/records.csv"]
+
     def test_keyword_backend_classifies_each_distinct_text_once(
             self, small_corpus, monkeypatch):
         from wsi.classify import KeywordClassifier

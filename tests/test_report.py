@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wsi.corpus import Judgment, MonthKey
+from wsi.corpus import Corpus, Judgment, MonthKey
 from wsi.econometrics import GrangerResult, significance_stars
 from wsi.index import IndexPoint, MonthlyCounts
 from wsi.report import (
@@ -168,12 +168,12 @@ class TestSummarizeCorpus:
     def test_judgment_counts(self):
         records = [make_record(judgment=Judgment.GOOD)] * 3 + [
             make_record(judgment=Judgment.BAD)] * 2
-        summary = summarize_corpus(records)
+        summary = summarize_corpus(Corpus.from_records(records))
         assert summary.by_judgment == {"Good": 3, "Bad": 2}
         assert summary.judgment_csv() == "judgment,count\nGood,3\nBad,2\n"
 
     def test_empty_corpus(self):
-        summary = summarize_corpus([])
+        summary = summarize_corpus(Corpus.from_records([]))
         assert summary.judgment_csv() == "judgment,count\n"
         assert summary.region_csv() == "region,count\n"
         assert summary.month_csv() == "yyyymm,count\n"
@@ -189,7 +189,7 @@ class TestSummarizeCorpus:
             )
             for _ in range(500)
         ]
-        summary = summarize_corpus(records)
+        summary = summarize_corpus(Corpus.from_records(records))
         assert sum(summary.by_judgment.values()) == 500
         assert sum(summary.by_region.values()) == 500
         assert sum(summary.by_month.values()) == 500
