@@ -17,7 +17,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import groupby, islice, repeat
+from itertools import groupby
 from operator import attrgetter, le, lt
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -293,9 +293,6 @@ def _parse_month(text: str) -> MonthKey | None:
 _MONTH_ORDER = attrgetter("month.year", "month.month")
 
 
-_CHUNK_ROWS = 4096  # rows held at once while loading
-
-
 class _CellCodes(dict):
     """Raw cell -> the code of ``normalize(cell)`` in ``codes``, -1 where it
     is None; each distinct raw cell is normalized once."""
@@ -358,37 +355,31 @@ def load_surveys(paths: Iterable[str | Path]) -> SurveyLoad:
                 position[c] for c in SURVEY_COLUMNS)
             translated_at = position.get(TRANSLATED_COLUMN)
             width = len(header)
-            lineno = 2  # of the next data row
-            # Columns are coded a chunk of rows at a time; blank lines are skipped.
-            rows = filter(None, reader)
-            while chunk := list(islice(rows, _CHUNK_ROWS)):
-                first, lineno = lineno, lineno + len(chunk)
-                for row in chunk:
-                    if len(row) < width:
-                        row += [""] * (width - len(row))
-                month = [month_of[row[month_at]] for row in chunk]
-                judgment = [judgment_of[row[judgment_at]] for row in chunk]
-                comment = [row[comment_at].strip() for row in chunk]
-                if min(month) < 0 or min(judgment) < 0 or not all(comment):
-                    kept = []
-                    for i, line in enumerate(range(first, lineno)):
-                        if month[i] < 0:
-                            errors.append(RowError(str(path), line, "invalid month"))
-                        elif judgment[i] < 0:
-                            errors.append(RowError(str(path), line, "unknown judgment"))
-                        elif not comment[i]:
-                            skipped_empty += 1
-                        else:
-                            kept.append(i)
-                    chunk, month, judgment, comment = (
-                        [column[i] for i in kept] for column in (chunk, month, judgment, comment))
-                month_codes += month
-                judgment_codes += judgment
-                region_codes += [region_of[row[region_at]] for row in chunk]
-                industry_codes += [industry_of[row[industry_at]] for row in chunk]
-                translated = (repeat(None) if translated_at is None
-                              else [row[translated_at] or None for row in chunk])
-                text_ids += [texts[key] for key in zip(comment, translated)]
+            lineno = 1
+            for row in reader:
+                if not row:
+                    continue
+                lineno += 1
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                month = month_of[row[month_at]]
+                if month < 0:
+                    errors.append(RowError(str(path), lineno, "invalid month"))
+                    continue
+                judgment = judgment_of[row[judgment_at]]
+                if judgment < 0:
+                    errors.append(RowError(str(path), lineno, "unknown judgment"))
+                    continue
+                comment = row[comment_at].strip()
+                if not comment:
+                    skipped_empty += 1
+                    continue
+                month_codes.append(month)
+                region_codes.append(region_of[row[region_at]])
+                industry_codes.append(industry_of[row[industry_at]])
+                judgment_codes.append(judgment)
+                text_ids.append(texts[comment, (row[translated_at] or None
+                                                if translated_at is not None else None)])
     corpus = _corpus(months, regions, industries, judgments, texts,
                      month_codes, region_codes, industry_codes, judgment_codes, text_ids)
     return SurveyLoad(_in_month_order(corpus), errors, skipped_empty)

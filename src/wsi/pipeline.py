@@ -561,7 +561,7 @@ def stage_ingest(config: RunConfig, *, staged: StagedRun | None = None) -> Inges
     with _stage(out, "ingest"):
         # the run id, computed first, has found every survey file
         load = load_surveys(expand_survey_paths(config.survey_paths))
-        if not len(load.corpus):
+        if not load.corpus:
             raise LoadError("no valid survey records")
         wages = load_wages(config.wage_path)
         for error in load.errors[:20]:
