@@ -385,16 +385,18 @@ def load_surveys(paths: Iterable[str | Path]) -> SurveyLoad:
     return SurveyLoad(_in_month_order(corpus), errors, skipped_empty)
 
 
-def _csv_cells(values: Iterable[str]) -> list[str]:
-    """Each value as ``csv.writer`` writes it as one cell of a row of several."""
+def _csv_cells(rows: Iterable[Sequence[str]]) -> list[str]:
+    """Each row of cells as ``csv.writer`` writes it inside a longer row,
+    without a line end."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    ends = []
-    for value in values:
-        writer.writerow((value, ""))
-        ends.append(buffer.tell())
-    text = buffer.getvalue()
-    return [text[start:end - 3] for start, end in zip([0, *ends], ends)]  # less ",\r\n"
+    cells = []
+    for row in rows:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow((*row, ""))  # so that a lone empty cell is not quoted
+        cells.append(buffer.getvalue()[:-3])  # less ",\r\n"
+    return cells
 
 
 def write_survey(records: Corpus | Sequence[SurveyRecord], path: str | Path) -> None:
@@ -406,17 +408,17 @@ def write_survey(records: Corpus | Sequence[SurveyRecord], path: str | Path) -> 
     """
     corpus = records if isinstance(records, Corpus) else Corpus.from_records(records)
     header = list(SURVEY_COLUMNS)
-    texts = _csv_cells(corpus.comments)
     if any(t is not None for t in corpus.translations):
         header.append(TRANSLATED_COLUMN)
-        texts = [f"{comment},{translated}" for comment, translated in
-                 zip(texts, _csv_cells(t or "" for t in corpus.translations))]
-    months = _csv_cells(map(str, corpus.months))
-    regions = _csv_cells(corpus.regions)
-    industries = _csv_cells(corpus.industries)
-    judgments = _csv_cells(j.value for j in corpus.judgments)
+        texts = _csv_cells(zip(corpus.comments, (t or "" for t in corpus.translations)))
+    else:
+        texts = _csv_cells(zip(corpus.comments))
+    months = _csv_cells((str(m),) for m in corpus.months)
+    regions = _csv_cells(zip(corpus.regions))
+    industries = _csv_cells(zip(corpus.industries))
+    judgments = _csv_cells((j.value,) for j in corpus.judgments)
     with atomic_open(Path(path), newline="") as fh:
-        fh.write(",".join(_csv_cells(header)) + "\r\n")
+        fh.write(_csv_cells([header])[0] + "\r\n")
         fh.writelines(f"{months[m]},{regions[r]},{industries[i]},{judgments[j]},{texts[t]}\r\n"
                       for m, r, i, j, t in zip(corpus.month_codes, corpus.region_codes,
                                                corpus.industry_codes, corpus.judgment_codes,
