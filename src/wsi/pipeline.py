@@ -676,8 +676,14 @@ def _classified_csv(classified: ClassifiedMap) -> str:
 
 def _read_classified_csv(path: Path, backend_id: str) -> ClassifiedMap:
     """The comments ``_classified_csv`` wrote, by month; a row whose ordinal
-    is not its position within its month raises ValueError."""
+    is not its position within its month raises ValueError.
+
+    Rows with one (u, v, w, label, failed) share one ``ClassifiedComment``,
+    as the classify stage's records with one text do, so reading a corpus
+    builds one object per distinct classification, not one per record.
+    """
     classified: ClassifiedMap = {}
+    shared: dict[tuple[str, ...], ClassifiedComment] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != CLASSIFIED_HEADER.split(","):
@@ -687,9 +693,13 @@ def _read_classified_csv(path: Path, backend_id: str) -> ClassifiedMap:
             for _, ordinal, u, v, w, label, failed in rows:
                 if int(ordinal) != len(comments):
                     raise ValueError(f"{path}:{reader.line_num}: ordinal {ordinal} out of order")
-                comments.append(ClassifiedComment(
-                    ClassProbabilities(float(u), float(v), float(w)),
-                    backend_id, label, bool(int(failed))))
+                key = (u, v, w, label, failed)
+                comment = shared.get(key)
+                if comment is None:
+                    comment = shared[key] = ClassifiedComment(
+                        ClassProbabilities(float(u), float(v), float(w)),
+                        backend_id, label, bool(int(failed)))
+                comments.append(comment)
     return classified
 
 

@@ -601,6 +601,20 @@ class TestStageSequencing:
         stage_report(config)
         assert tree_bytes(run_dir(config)) == full_tree
 
+    def test_classified_comments_read_back_equal_and_shared(self, small_corpus):
+        backends = [BackendConfig(backend_id="mock", kind="keyword"),
+                    BackendConfig(backend_id="baseline", kind="lexicon")]
+        config = config_for(small_corpus, backends=backends)
+        stage_ingest(config)
+        classified, _ = stage_classify(config)
+        staged = StagedRun(config, compute_run_id(config))
+        for backend_id, by_month in classified.items():
+            read = staged.get_classified(backend_id, "index")
+            assert read == by_month
+            comments = [c for month in read.values() for c in month]
+            # one object per distinct classification, as the classify stage shares them
+            assert len({id(c) for c in comments}) == len(set(comments)) < len(comments)
+
     def test_stages_take_the_config_and_a_staged_run_only(self):
         import inspect
 
