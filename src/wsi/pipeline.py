@@ -17,13 +17,15 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
+import re
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import groupby, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import __version__
 from .classify import (
@@ -156,79 +158,104 @@ class CachedRemoteClassifier:
         return BatchResult(probs=probs, failed=failed, wire_calls=result.wire_calls)
 
 
-@dataclass(frozen=True)
-class BackendConfig:
-    """One configured classifier backend.
-
-    ``kind`` is one of "keyword" (deterministic mock), "lexicon" (the
-    rolling correlation baseline), "http", or "subprocess" (remote wire
-    protocol backends). A remote kind's entry is all its ``RemoteClassifier``
-    reads: the endpoint, the model (``backend_id`` when ``model_id`` is
-    unset), the fallback model, and the batch size, retry bound and
-    timeout (seconds, at most ``MAX_TIMEOUT``), whose ranges are checked
-    here. A keyword kind may carry its ``rules``, each (keywords, (u, v, w))
-    as ``KeywordClassifier`` takes them.
-    """
-
-    backend_id: str
-    kind: str
-    endpoint: str | None = None
-    model_id: str | None = None
-    fallback_model_id: str | None = None
-    batch_size: int = 32
-    max_retries: int = 2
-    timeout: float = 30.0
-    rules: tuple | None = None  # keyword kind only
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("keyword", "lexicon", "http", "subprocess"):
-            raise ConfigError(f"unknown backend kind: {self.kind}")
-        if self.kind in ("http", "subprocess") and not self.endpoint:
-            raise ConfigError(f"backend {self.backend_id}: kind {self.kind} needs an endpoint")
-        if self.batch_size < 1:
-            raise ConfigError(f"backend {self.backend_id}: batch_size must be >= 1")
-        if not 0 < self.timeout <= MAX_TIMEOUT:  # NaN too
-            raise ConfigError(f"backend {self.backend_id}: timeout must be positive and "
-                              f"at most {MAX_TIMEOUT:g} seconds, got {self.timeout!r}")
-        if self.max_retries < 0:
-            raise ConfigError(f"backend {self.backend_id}: max_retries must be >= 0")
-
-    def identity(self) -> dict:
-        out = {"id": self.backend_id, "kind": self.kind}
-        if self.kind in ("http", "subprocess"):
-            out.update(model=self.model_id, fallback=self.fallback_model_id)
-        if self.rules is not None:
-            out["rules"] = [[sorted(k), list(t)] for k, t in self.rules]
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> "BackendConfig":
-        if not isinstance(raw, Mapping):
-            raise ConfigError(f"backends entry must be a JSON object, got {raw!r:.60}")
-        if "id" not in raw:
-            raise ConfigError(f"backend entry has no \"id\": {dict(raw)}")
-        where = f"backend {raw['id']}: "
-        return cls(
-            backend_id=raw["id"],
-            kind=_setting(raw, "kind", "keyword", str, where),
-            endpoint=_setting(raw, "endpoint", None, str, where),
-            model_id=_setting(raw, "model", None, str, where),
-            fallback_model_id=_setting(raw, "fallback_model", None, str, where),
-            batch_size=_setting(raw, "batch_size", 32, int, where),
-            max_retries=_setting(raw, "max_retries", 2, int, where),
-            timeout=_setting(raw, "timeout", 30.0, float, where),
-            rules=_keyword_rules(raw, where),
-        )
+REMOTE_KINDS = ("http", "subprocess")
+BACKEND_ID = r"[A-Za-z0-9][A-Za-z0-9._-]*"  # it names files under out/<run-id>/
 
 
-def _keyword_rules(raw: Mapping, where: str) -> tuple | None:
-    """``raw["rules"]`` as a tuple of (keywords, triple) tuples, or None when
-    absent; anything but a list of [[keyword, ...], [u, v, w]] pairs with a
-    valid probability triple is a ConfigError naming ``where + "rules"``."""
-    rules = _setting(raw, "rules", None, list, where)
-    if rules is None:
+def setting(default=MISSING, **row):
+    """A dataclass field that is one row of its config section's table.
+
+    The row may hold ``key`` (the JSON key, else the field name;
+    ``section.name`` inside a section object), ``parse(value, name)`` (for a
+    value its annotation cannot check), ``at_least`` or ``check`` (a
+    predicate and what the value must be), ``knob`` (true to leave it out of
+    the run id, as a false ``when(entry)`` does), and ``digest`` and
+    ``digest_key`` (how and under what key the run id spells it)."""
+    return field(default=default, metadata=row)
+
+
+def _expect(ok: bool, name: str, what: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {value!r:.60}")
+
+
+_JSON_TYPES = {  # annotation, or JSON type: (the types it takes, as messages name them)
+    "int": ((int,), "an integer"), "float": ((int, float), "a number"),
+    "str": ((str,), "a string"), "str | None": ((str, type(None)), "a string"),
+    "list": ((list,), "a JSON list"), "object": ((dict,), "a JSON object")}
+
+
+def _typed(value, name: str, expected: str):
+    """``value`` when it has one of the ``expected`` types (a bool is no number)."""
+    types, what = _JSON_TYPES[expected]
+    _expect(type(value) in types, name, what, value)
+    return value
+
+
+def _from_json(cls, raw: dict, where: str = ""):
+    """A ``cls`` from its JSON object, an absent key left at its default; a key
+    no row names, or a missing one without a default, is a ConfigError."""
+    sections: dict[str | None, dict] = {None: {}}
+    for f in fields(cls):
+        section, _, key = f.metadata.get("key", f.name).rpartition(".")
+        sections.setdefault(section or None, {})[key] = f
+    values = {}
+    for section, rows in sections.items():
+        obj = raw if section is None else _typed(raw.get(section, {}), where + section, "object")
+        prefix = where if section is None else f"{where}{section}."
+        for key in obj:
+            if key not in rows and (section is not None or key not in sections):
+                raise ConfigError(f"{prefix}{key} is not a known setting")
+        for key, f in rows.items():
+            if key not in obj:
+                if f.default is MISSING:
+                    raise ConfigError(f"{prefix}{key} is required")
+                continue
+            parse = f.metadata.get("parse")
+            name = prefix + key
+            value = parse(obj[key], name) if parse else _typed(obj[key], name, f.type)
+            if f.type == "float":  # an integer past the float range reads as infinite
+                value = math.copysign(math.inf, value) if abs(value) >= 2**1024 else float(value)
+            values[f.name] = value
+    try:
+        return cls(**values)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a LexiconPolicy's checks, which raise ValueError
+        raise ConfigError(f"{where}{exc}") from exc
+
+
+def _check(entry, where: str = "") -> None:
+    """Each row's ``at_least`` and ``check`` on its value in ``entry``."""
+    for f in fields(entry):
+        row, value = f.metadata, getattr(entry, f.name)
+        name = where + row.get("key", f.name)
+        if "at_least" in row:
+            _expect(value >= row["at_least"], name, f">= {row['at_least']}", value)
+        if "check" in row:
+            _expect(row["check"][0](value), name, row["check"][1], value)
+
+
+def _identity(entry) -> dict:
+    """What the run id digests of ``entry``, a section's dataclass; see ``setting``."""
+    out: dict = {}
+    for f in fields(entry):
+        row, value = f.metadata, getattr(entry, f.name)
+        if row.get("knob") or "when" in row and not row["when"](entry):
+            continue
+        if "digest" in row:
+            value = row["digest"](value)
+        section, _, key = row.get("key", f.name).rpartition(".")
+        (out.setdefault(section, {}) if section else out)[row.get("digest_key", key)] = value
+    return out
+
+
+def _keyword_rules(value, name: str) -> tuple | None:
+    """A list of [[keyword, ...], [u, v, w]] pairs, each triple a valid
+    probability triple, as a tuple of (keywords, triple) tuples."""
+    if value is None:
         return None
-    for i, rule in enumerate(rules):
+    for i, rule in enumerate(_typed(value, name, "list")):
         try:
             keywords, triple = rule
             if not (isinstance(keywords, list) and all(isinstance(k, str) for k in keywords)
@@ -236,71 +263,96 @@ def _keyword_rules(raw: Mapping, where: str) -> tuple | None:
                 raise TypeError("keywords and triple must be lists, keywords strings")
             ClassProbabilities(*triple)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}rules[{i}] must be [[keyword, ...], [u, v, w]], "
+            raise ConfigError(f"{name}[{i}] must be [[keyword, ...], [u, v, w]], "
                               f"got {rule!r:.60} ({exc})") from exc
-    return tuple((tuple(keywords), tuple(triple)) for keywords, triple in rules)
+    return tuple((tuple(keywords), tuple(triple)) for keywords, triple in value)
 
 
-_EXPECTED = {int: "an integer", float: "a number", str: "a string", list: "a JSON list",
-             Mapping: "a JSON object"}
+def _remote(backend: "BackendConfig") -> bool:
+    return backend.kind in REMOTE_KINDS
 
 
-def _setting(raw: Mapping, key: str, default, expected: type, where: str = ""):
-    """``raw[key]``, or ``default`` when absent, as ``expected`` (a key of
-    ``_EXPECTED``); null where ``default`` is None stays None, and any other
-    value is a ConfigError naming ``where + key``."""
-    value = raw.get(key, default)
-    if expected in (int, float):
-        try:
-            return expected(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    elif isinstance(value, expected) or value is None and default is None:
-        return value
-    raise ConfigError(f"{where}{key} must be {_EXPECTED[expected]}, got {value!r:.60}")
+@dataclass(frozen=True)
+class BackendConfig:
+    """One configured classifier backend: "keyword" (deterministic mock, with
+    its ``rules`` as ``KeywordClassifier`` takes them), "lexicon" (the rolling
+    correlation baseline), "http" or "subprocess" (remote wire protocol
+    backends, whose ``RemoteClassifier`` reads all it needs from this entry;
+    the model is ``backend_id`` when ``model_id`` is unset)."""
+
+    backend_id: str = setting(key="id", check=(lambda value: re.fullmatch(BACKEND_ID, value),
+                                               f"a name matching {BACKEND_ID}"))
+    kind: str = setting("keyword", check=(("keyword", "lexicon", *REMOTE_KINDS).__contains__,
+                                          "keyword, lexicon, http or subprocess"))
+    # Not in the run id, so two runs that differ only here share one out/<run-id>/.
+    endpoint: str | None = setting(None, knob=True)
+    model_id: str | None = setting(None, key="model", when=_remote)
+    fallback_model_id: str | None = setting(None, key="fallback_model", when=_remote,
+                                            digest_key="fallback")
+    batch_size: int = setting(32, knob=True, at_least=1)
+    max_retries: int = setting(2, knob=True, at_least=0)
+    timeout: float = setting(30.0, knob=True, check=(  # NaN fails too
+        lambda value: 0 < value <= MAX_TIMEOUT, f"positive and at most {MAX_TIMEOUT:g} seconds"))
+    rules: tuple | None = setting(
+        None, parse=_keyword_rules, when=lambda backend: backend.rules is not None,
+        digest=lambda rules: [[sorted(keywords), list(triple)] for keywords, triple in rules])
+
+    def __post_init__(self) -> None:
+        _check(self, f"backend {self.backend_id}: ")
+        if _remote(self) and not self.endpoint:
+            raise ConfigError(f"backend {self.backend_id}: kind {self.kind} needs an endpoint")
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "BackendConfig":
+        if "id" not in _typed(raw, "backends entry", "object"):
+            raise ConfigError(f"backend entry has no \"id\": {raw}")
+        return _from_json(cls, raw, f"backend {raw['id']}: ")
+
+
+def _survey_paths(value, name: str) -> list[str]:
+    paths = [value] if isinstance(value, str) else value
+    _expect(isinstance(paths, list) and all(isinstance(p, str) for p in paths),
+            name, "a path or a JSON list of paths", value)
+    return paths
 
 
 @dataclass
 class RunConfig:
-    """Everything one evaluation run depends on, plus execution knobs."""
+    """Everything one evaluation run depends on, plus execution knobs; each
+    field is a row of the config's settings table (see ``setting``)."""
 
-    survey_paths: list[str]
-    wage_path: str
-    backends: list[BackendConfig]
-    normalization: str = "per_comment"
-    max_lag: int = 24
-    lexicon: LexiconPolicy = field(default_factory=LexiconPolicy)
-    translation_backend: str = "identity"  # "identity", "http:<url>", "cmd:<command>"
-    translation_source: str = "ja"
-    translation_target: str = "en"
-    translation_parallelism: int = 4
-    translation_batch_size: int = 50
-    classify_parallelism: int = 4
-    output_dir: str = "out"
-    cache_dir: str = ".wsi-cache"
-    seed: int = 0
+    # knobs, since the run id digests the bytes of the files they name
+    survey_paths: list[str] = setting(key="surveys", knob=True, parse=_survey_paths)
+    wage_path: str = setting(key="wages", knob=True)
+    backends: list[BackendConfig] = setting(
+        parse=lambda value, name: list(map(BackendConfig.from_dict, _typed(value, name, "list"))),
+        digest=lambda backends: list(map(_identity, backends)))
+    normalization: str = setting("per_comment", check=(
+        ("per_comment", "raw_sum").__contains__, "per_comment or raw_sum"))
+    max_lag: int = setting(24, at_least=1)
+    lexicon: LexiconPolicy = setting(LexiconPolicy(), digest=_identity, parse=lambda value, name:
+                                     _from_json(LexiconPolicy, _typed(value, name, "object"),
+                                                f"{name}."))
+    translation_backend: str = setting("identity", key="translation.backend", check=(
+        lambda value: value == "identity" or value.startswith(("http://", "https://", "cmd:")),
+        "identity, http(s)://<url> or cmd:<command>"))
+    translation_source: str = setting("ja", key="translation.source")
+    translation_target: str = setting("en", key="translation.target")
+    translation_parallelism: int = setting(4, key="translation.parallelism", knob=True, at_least=1)
+    translation_batch_size: int = setting(50, key="translation.batch_size", knob=True, at_least=1)
+    classify_parallelism: int = setting(4, knob=True, at_least=1)
+    output_dir: str = setting("out", knob=True)
+    cache_dir: str = setting(".wsi-cache", knob=True)
+    seed: int = setting(0)
 
     def __post_init__(self) -> None:
+        _check(self)
         if not self.backends:
             raise ConfigError("at least one backend must be configured")
-        if self.max_lag < 1:
-            raise ConfigError("max_lag must be >= 1")
-        if self.normalization not in ("per_comment", "raw_sum"):
-            raise ConfigError(f"unknown normalization: {self.normalization}")
-        if not (self.translation_backend == "identity"
-                or self.translation_backend.startswith(("http://", "https://", "cmd:"))):
-            raise ConfigError("translation.backend must be identity, http(s)://<url> or "
-                              f"cmd:<command>, got {self.translation_backend!r:.60}")
-        for knob in ("classify_parallelism", "translation_parallelism",
-                     "translation_batch_size"):
-            if getattr(self, knob) < 1:
-                raise ConfigError(f"{knob} must be >= 1")
         ids = [b.backend_id for b in self.backends]
         if len(ids) != len(set(ids)):
             raise ConfigError("backend ids must be unique")
-        env_cache = os.environ.get(CACHE_DIR_ENV)
-        if env_cache:
-            self.cache_dir = env_cache
+        self.cache_dir = os.environ.get(CACHE_DIR_ENV) or self.cache_dir
 
     @property
     def normalization_mode(self) -> Normalization:
@@ -308,68 +360,11 @@ class RunConfig:
 
     def identity_dict(self) -> dict:
         """Semantic configuration only; execution knobs excluded on purpose."""
-        return {
-            "backends": [b.identity() for b in self.backends],
-            "normalization": self.normalization,
-            "max_lag": self.max_lag,
-            "lexicon": {
-                "window": self.lexicon.window,
-                "min_mean_frequency": self.lexicon.min_mean_frequency,
-                "max_terms": self.lexicon.max_terms,
-                "smoothing": self.lexicon.smoothing,
-            },
-            "translation": {
-                "backend": self.translation_backend,
-                "source": self.translation_source,
-                "target": self.translation_target,
-            },
-            "seed": self.seed,
-            "version": __version__,
-        }
+        return {**_identity(self), "version": __version__}
 
     @classmethod
-    def from_dict(cls, raw: Mapping) -> "RunConfig":
-        if not isinstance(raw, Mapping):
-            raise ConfigError(f"the config must be a JSON object, got {raw!r:.60}")
-        surveys = raw.get("surveys", [])
-        if isinstance(surveys, str):
-            surveys = [surveys]
-        if not isinstance(surveys, list) or not all(isinstance(p, str) for p in surveys):
-            raise ConfigError(
-                f"surveys must be a path or a JSON list of paths, got {surveys!r:.60}")
-        lexicon_raw = _setting(raw, "lexicon", {}, Mapping)
-        lexicon_settings = dict(
-            window=_setting(lexicon_raw, "window", "expanding", str, "lexicon."),
-            min_mean_frequency=_setting(lexicon_raw, "min_mean_frequency", 5.0, float,
-                                        "lexicon."),
-            max_terms=_setting(lexicon_raw, "max_terms", 10, int, "lexicon."),
-            smoothing=_setting(lexicon_raw, "smoothing", "laplace", str, "lexicon."),
-        )
-        try:
-            policy = LexiconPolicy(**lexicon_settings)
-        except ValueError as exc:
-            raise ConfigError(f"lexicon.{exc}") from exc
-        translation_raw = _setting(raw, "translation", {}, Mapping)
-        return cls(
-            survey_paths=list(surveys),
-            wage_path=_setting(raw, "wages", "", str),
-            backends=[BackendConfig.from_dict(b) for b in _setting(raw, "backends", [], list)],
-            normalization=_setting(raw, "normalization", "per_comment", str),
-            max_lag=_setting(raw, "max_lag", 24, int),
-            lexicon=policy,
-            translation_backend=_setting(translation_raw, "backend", "identity", str,
-                                         "translation."),
-            translation_source=_setting(translation_raw, "source", "ja", str, "translation."),
-            translation_target=_setting(translation_raw, "target", "en", str, "translation."),
-            translation_parallelism=_setting(translation_raw, "parallelism", 4, int,
-                                             "translation."),
-            translation_batch_size=_setting(translation_raw, "batch_size", 50, int,
-                                            "translation."),
-            classify_parallelism=_setting(raw, "classify_parallelism", 4, int),
-            output_dir=_setting(raw, "output_dir", "out", str),
-            cache_dir=_setting(raw, "cache_dir", ".wsi-cache", str),
-            seed=_setting(raw, "seed", 0, int),
-        )
+    def from_dict(cls, raw: dict) -> "RunConfig":
+        return _from_json(cls, _typed(raw, "the config", "object"))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -606,7 +601,7 @@ def _build_classifier(backend: BackendConfig, config: RunConfig):
         if backend.rules is not None:
             return KeywordClassifier(backend.rules, backend_id=backend.backend_id)
         return default_keyword_classifier(backend_id=backend.backend_id)
-    if backend.kind in ("http", "subprocess"):
+    if backend.kind in REMOTE_KINDS:
         remote = RemoteClassifier(backend)
         cache = ClassificationCache(Path(config.cache_dir) / "classify")
         return CachedRemoteClassifier(remote, cache, parallelism=config.classify_parallelism)
@@ -666,9 +661,10 @@ CLASSIFIED_HEADER = "yyyymm,ordinal,u,v,w,label,failed"
 def _classified_csv(classified: ClassifiedMap) -> str:
     rows = [CLASSIFIED_HEADER]
     for month in sorted(classified):
+        yyyymm = str(month)
         for i, c in enumerate(classified[month]):
             rows.append(
-                f"{month},{i},{c.probs.u!r},{c.probs.v!r},{c.probs.w!r},"
+                f"{yyyymm},{i},{c.probs.u!r},{c.probs.v!r},{c.probs.w!r},"
                 f"{c.hard_label},{int(c.failed)}"
             )
     return "\n".join(rows) + "\n"

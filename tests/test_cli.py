@@ -120,17 +120,35 @@ BAD_SETTINGS = {  # case: (config section, the setting that replaces it)
     "rules_bad_triple": ("backends", {"kind": "keyword", "rules": [[["x"], [0.5, 0.5, 0.5]]]}),
     "max_terms_negative": ("lexicon", {"max_terms": -1}),
     "max_terms_zero": ("lexicon", {"max_terms": 0}),
-    "min_mean_frequency_nan": ("lexicon", {"min_mean_frequency": "nan"}),
+    "min_mean_frequency_nan": ("lexicon", {"min_mean_frequency": float("nan")}),
     "window_bogus": ("lexicon", {"window": "bogus"}),
     "smoothing_bogus": ("lexicon", {"smoothing": "bogus"}),
     "translator_bogus": ("translation", {"backend": "bogus"}),
     "timeout_inf": ("backends", {"kind": "http", "endpoint": "http://localhost:1/",
-                                 "timeout": "inf"}),
+                                 "timeout": float("inf")}),
     # past the transports' own limits: the selector's (subprocess) and time_t's (http)
     "timeout_large_subprocess": ("backends", {"kind": "subprocess", "endpoint": "cmd:cat",
                                               "timeout": 1e7}),
     "timeout_large_http": ("backends", {"kind": "http", "endpoint": "http://localhost:1/",
                                         "timeout": 1e12}),
+    # an integer key takes a JSON integer, a number key a JSON number, neither a bool
+    "max_lag_string": ("", {"max_lag": "12"}),
+    "max_lag_fraction": ("", {"max_lag": 2.5}),
+    "max_lag_bool": ("", {"max_lag": True}),
+    "seed_fraction": ("", {"seed": 1.9}),
+    "batch_size_string": ("backends", {"kind": "keyword", "batch_size": "8"}),
+    "timeout_string": ("backends", {"kind": "http", "endpoint": "http://localhost:1/",
+                                    "timeout": "inf"}),
+    "timeout_bool": ("backends", {"kind": "http", "endpoint": "http://localhost:1/",
+                                  "timeout": True}),
+    "min_mean_frequency_string": ("lexicon", {"min_mean_frequency": "nan"}),
+    "min_mean_frequency_bool": ("lexicon", {"min_mean_frequency": False}),
+    "translation_batch_size_bool": ("translation", {"batch_size": True}),
+    # a key no setting has, at each level
+    "unknown_top_level": ("", {"max_lags": 3}),
+    "unknown_backend": ("backends", {"kind": "keyword", "batchsize": 0}),
+    "unknown_lexicon": ("lexicon", {"windw": "rolling:2"}),
+    "unknown_translation": ("translation", {"sorce": "ja"}),
 }
 
 
@@ -172,6 +190,20 @@ BAD_SETTINGS = {  # case: (config section, the setting that replaces it)
     ("timeout_large_http",
      "backend mock: timeout must be positive and at most 86400 seconds, "
      "got 1000000000000.0"),
+    ("max_lag_string", "max_lag must be an integer, got '12'"),
+    ("max_lag_fraction", "max_lag must be an integer, got 2.5"),
+    ("max_lag_bool", "max_lag must be an integer, got True"),
+    ("seed_fraction", "seed must be an integer, got 1.9"),
+    ("batch_size_string", "backend mock: batch_size must be an integer, got '8'"),
+    ("timeout_string", "backend mock: timeout must be a number, got 'inf'"),
+    ("timeout_bool", "backend mock: timeout must be a number, got True"),
+    ("min_mean_frequency_string", "lexicon.min_mean_frequency must be a number, got 'nan'"),
+    ("min_mean_frequency_bool", "lexicon.min_mean_frequency must be a number, got False"),
+    ("translation_batch_size_bool", "translation.batch_size must be an integer, got True"),
+    ("unknown_top_level", "error: max_lags is not a known setting"),
+    ("unknown_backend", "error: backend mock: batchsize is not a known setting"),
+    ("unknown_lexicon", "error: lexicon.windw is not a known setting"),
+    ("unknown_translation", "error: translation.sorce is not a known setting"),
 ])
 def test_config_error_is_reported_not_raised(workspace, case, message):
     """One ``error:`` line, exit 1, and no run directory."""
@@ -213,11 +245,35 @@ def test_config_error_is_reported_not_raised(workspace, case, message):
         section, setting = BAD_SETTINGS[case]
         if section == "backends":
             config["backends"] = [{"id": "mock", **setting}]
-        else:
+        elif section:
             config[section] = setting
+        else:
+            config.update(setting)
         bad_path.write_text(json.dumps(config))
     # "missing_file" leaves bad.json unwritten
     assert_error_line(run_cli("run", "--config", str(bad_path)), message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("backend_id, message", [
+    ("../x", "id must be a name matching [A-Za-z0-9][A-Za-z0-9._-]*, got '../x'"),
+    ("../../../escaped", "id must be a name matching"),
+    ("a/b", "id must be a name matching"),
+    ("", "backend : id must be a name matching"),
+    (["a"], "backend ['a']: id must be a string, got ['a']"),
+    (5, "backend 5: id must be a string, got 5"),
+])
+def test_a_backend_id_that_is_no_plain_name_is_a_config_error(workspace, backend_id, message):
+    """An id names the backend's files under out/<run-id>/, so it cannot
+    lead outside it."""
+    tmp_path, config_path = workspace
+    config = json.loads(config_path.read_text())
+    config["backends"] = [{"id": backend_id, "kind": "keyword"}]
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(config))
+    before = sorted(tmp_path.rglob("*"))
+    assert_error_line(run_cli("run", "--config", str(bad_path)), message)
+    assert sorted(tmp_path.rglob("*")) == before
     assert not (tmp_path / "out").exists()
 
 

@@ -7,13 +7,18 @@ arithmetic alone.
 """
 
 import copy
+import re
 import shutil
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from test_golden import write_inputs
-from wsi.pipeline import BackendConfig, RunConfig, compute_run_id
+from wsi import __version__
+from wsi.lexicon import LexiconPolicy
+from wsi.pipeline import BackendConfig, ConfigError, RunConfig, compute_run_id
 
 
 @pytest.fixture(scope="module")
@@ -213,3 +218,62 @@ def test_an_execution_knob_never_moves_the_run_id(inputs, data):
     raw = data.draw(base_configs(row))
     changed = _changed(raw, row, data.draw(KNOBS[row]), inputs)
     assert _run_id(changed, inputs) == _run_id(raw, inputs)
+
+
+def _table() -> dict:
+    """(section, key): whether it is a knob, for each row of the settings table;
+    the sections are named as SEMANTIC and KNOBS name them."""
+    rows = {}
+    for section, cls in (("", RunConfig), ("backend", BackendConfig), ("lexicon", LexiconPolicy)):
+        for f in fields(cls):
+            inner, _, key = f.metadata.get("key", f.name).rpartition(".")
+            rows[(inner or section, key)] = f.metadata.get("knob", False)
+    return rows
+
+
+def test_every_row_is_a_semantic_setting_or_a_knob():
+    table = _table()
+    # the two rows that hold sections of their own, whose rows are listed
+    assert table.pop(("", "backends")) is False and table.pop(("", "lexicon")) is False
+    assert table == {**dict.fromkeys(SEMANTIC, False), **dict.fromkeys(KNOBS, True)}
+    # 28 rows and the "translation" object: the 29 JSON keys of the schema
+    assert len(table) + 3 == 29
+
+
+def test_the_run_id_spells_every_semantic_row(inputs):
+    config = RunConfig.from_dict({**inputs["data"], **EVERY_KEY_SET})
+    assert config.identity_dict() == {
+        "backends": [{"id": "gpt-x", "kind": "subprocess", "model": "m1", "fallback": "m2",
+                      "rules": [[["bonus", "raise"], [1.0, 0.0, 0.0]], [["cut"], [0, 1, 0]]]}],
+        "normalization": "raw_sum",
+        "max_lag": 12,
+        "lexicon": {"window": "rolling:6", "min_mean_frequency": 3.0, "max_terms": 7,
+                    "smoothing": "none"},
+        "translation": {"backend": "http://localhost:8101/", "source": "ko", "target": "de"},
+        "seed": 11,
+        "version": __version__,
+    }
+    # a keyword backend's identity has no models, and no rules when it has none
+    keyword = RunConfig(survey_paths=[], wage_path="w",
+                        backends=[BackendConfig(backend_id="k", kind="keyword", model_id="m")])
+    assert keyword.identity_dict()["backends"] == [{"id": "k", "kind": "keyword"}]
+
+
+def test_readme_lists_the_keys_in_the_run_id():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("The run id digests these keys")[1].split("\n\n")[0]
+    prefix = {"": "", "backend": "backends[].", "lexicon": "lexicon.",
+              "translation": "translation."}
+    semantic = {prefix[section] + key for (section, key), knob in _table().items()
+                if not knob and key not in ("backends", "lexicon")}
+    assert set(re.findall(r"`([^`]+)`", paragraph)) == semantic
+
+
+def test_a_direct_construction_runs_the_same_checks():
+    with pytest.raises(ConfigError, match="id must be a name matching"):
+        BackendConfig(backend_id="../x", kind="keyword")
+    with pytest.raises(ConfigError, match="batch_size must be >= 1, got 0"):
+        BackendConfig(backend_id="x", kind="keyword", batch_size=0)
+    with pytest.raises(ConfigError, match="translation.parallelism must be >= 1"):
+        RunConfig(survey_paths=[], wage_path="w", translation_parallelism=0,
+                  backends=[BackendConfig(backend_id="x", kind="keyword")])
