@@ -152,6 +152,11 @@ KNOBS = {
 REMOTE_ONLY = {("backend", "model"), ("backend", "fallback_model")}
 
 
+def _section(raw, section):
+    """The JSON object of ``raw`` that holds ``section``'s keys."""
+    return raw if section == "" else raw["backends"][0] if section == "backend" else raw[section]
+
+
 @st.composite
 def base_configs(draw, row):
     """A valid JSON config with one backend and every other key drawn."""
@@ -165,14 +170,14 @@ def base_configs(draw, row):
         value = draw(values)
         if value is None or draw(st.booleans()):
             continue  # some keys left at their defaults
-        {"": raw, "backend": backend}.get(section, raw.get(section))[key] = value
+        _section(raw, section)[key] = value
     return raw
 
 
 def _changed(raw, row, value, inputs):
     section, key = row
     raw = copy.deepcopy(raw)
-    target = {"": raw, "backend": raw["backends"][0]}.get(section, raw.get(section))
+    target = _section(raw, section)
     if value is None:
         target.pop(key, None)
     elif key in ("surveys", "wages"):
@@ -194,8 +199,7 @@ DEFAULTS = {"normalization": "per_comment", "max_lag": 24, "seed": 0, "window": 
 def _digested(row, raw):
     """What the run id sees of ``row``'s value in ``raw``."""
     section, key = row
-    value = {"": raw, "backend": raw["backends"][0]}.get(section, raw.get(section)).get(
-        key, DEFAULTS.get(key) if section != "backend" else None)
+    value = _section(raw, section).get(key, DEFAULTS.get(key) if section != "backend" else None)
     if key == "rules" and value is not None:
         return [[sorted(k), t] for k, t in value]
     return float(value) if key == "min_mean_frequency" else value
