@@ -298,7 +298,9 @@ def granger_sweep(pair: AlignedPair, max_lag: int = 24) -> list[GrangerResult]:
     """Granger tests for lags 1..max_lag, each on its own effective sample.
 
     Lags infeasible at the sample tail (denominator df below 1) are simply
-    absent from the result instead of failing the sweep.
+    absent from the result instead of failing the sweep. The denominator df,
+    T - 3*lag - 1, falls as the lag grows, so the first infeasible lag ends
+    the sweep.
     """
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
@@ -307,5 +309,5 @@ def granger_sweep(pair: AlignedPair, max_lag: int = 24) -> list[GrangerResult]:
         try:
             results.append(granger_test(pair, lag))
         except InsufficientLengthError:
-            continue
+            break
     return results

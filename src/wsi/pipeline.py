@@ -4,11 +4,13 @@ Stages run ingest -> translate -> classify -> index -> granger -> report.
 Each stage persists its artifacts under ``out/<run-id>/`` so stages can also
 be re-run individually from the CLI. Every ``stage_*`` takes the config and
 an optional ``StagedRun``, the one hand-over between stages: results a stage
-produced stay on it for the next, and a stage called without one reads what
-it needs back from ``out/<run-id>/``. The run id is a digest of the semantic
-configuration, the input file digests, and the code version; execution
-knobs (parallelism, directories) deliberately do not change it, so reruns
-of the same analysis land in the same place with identical bytes.
+produced stay on it for the next. A stage called without one reads the
+ingest and classify artifacts it needs back from ``out/<run-id>/`` and
+recomputes the index series and Granger sweeps, which are never read back.
+The run id is a digest of the semantic configuration, the input file
+digests, and the code version; execution knobs (parallelism, directories)
+deliberately do not change it, so reruns of the same analysis land in the
+same place with identical bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import os
 import re
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, field, fields
-from itertools import groupby, islice
+from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
@@ -49,14 +51,7 @@ from .corpus import (
     write_wages,
 )
 from .econometrics import AlignedPair, GrangerResult, granger_sweep
-from .index import (
-    IndexPoint,
-    MonthlyCounts,
-    Normalization,
-    SeriesResult,
-    build_series,
-    series_csv_rows,
-)
+from .index import Normalization, SeriesResult, build_series, series_csv_rows
 from . import lexicon
 from .lexicon import (
     LexiconBackend,
@@ -88,6 +83,8 @@ CACHE_DIR_ENV = "WSI_CACHE_DIR"
 INDEX_KINDS = ("standard", "weighted")
 # One day; the transports fail on timeouts past about 2.1e6 s (the selector's limit).
 MAX_TIMEOUT = 86400.0
+# wire.retry's backoff doubles: 10 retries sleep 0.1 s * (2^10 - 1), about 102 s per batch.
+MAX_RETRIES = 10
 
 
 class StageError(RuntimeError):
@@ -183,6 +180,16 @@ _JSON_TYPES = {  # annotation, or JSON type: (the types it takes, as messages na
     "int": ((int,), "an integer"), "float": ((int, float), "a number"),
     "str": ((str,), "a string"), "str | None": ((str, type(None)), "a string"),
     "list": ((list,), "a JSON list"), "object": ((dict,), "a JSON object")}
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object's pairs as a dict; a key given twice is a ConfigError."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"{key} is given twice in one JSON object")
+        obj[key] = value
+    return obj
 
 
 def _typed(value, name: str, expected: str):
@@ -290,7 +297,8 @@ class BackendConfig:
     fallback_model_id: str | None = setting(None, key="fallback_model", when=_remote,
                                             digest_key="fallback")
     batch_size: int = setting(32, knob=True, at_least=1)
-    max_retries: int = setting(2, knob=True, at_least=0)
+    max_retries: int = setting(2, knob=True, at_least=0, check=(
+        lambda value: value <= MAX_RETRIES, f"at most {MAX_RETRIES}"))
     timeout: float = setting(30.0, knob=True, check=(  # NaN fails too
         lambda value: 0 < value <= MAX_TIMEOUT, f"positive and at most {MAX_TIMEOUT:g} seconds"))
     rules: tuple | None = setting(
@@ -369,7 +377,10 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = json.loads(Path(path).read_text(encoding="utf-8"),
+                             object_pairs_hook=_unique_keys)
+        except ConfigError:
+            raise
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(raw)
@@ -465,12 +476,14 @@ class StagedRun:
     classify each backend's comments, index the series, granger the
     sweeps) and its stats, which ``put_stats`` also writes to
     ``stages/<stage>.json``. A later stage gets what it needs from memory
-    when a stage sharing this object produced or loaded it, else from
-    ``out/<run-id>/`` on first use; a missing file fails the stage that
-    asked. Of the later stages, only classify reads ``stages/records.csv``,
-    and only ``get_stats`` reads a ``stages/<stage>.json``. ``run`` passes
-    one instance through every stage; ``stage_report`` runs index or
-    granger on its own instance only when it lacks their results.
+    when a stage sharing this object produced or loaded it. Otherwise an
+    ingest or classify result is read from ``out/<run-id>/`` on first use,
+    and a missing file fails the stage that asked; the series and sweeps
+    come from running index or granger on this instance (``get_series``,
+    ``get_sweeps``). Of the later stages, only classify reads
+    ``stages/records.csv``, and only ``get_stats`` reads a
+    ``stages/<stage>.json``. ``run`` passes one instance through every
+    stage.
     """
 
     def __init__(self, config: RunConfig, run_id: str):
@@ -532,21 +545,19 @@ class StagedRun:
         self.stats[stage] = stats
         _write_json(self.out / "stages" / f"{stage}.json", stats)
 
-    def get_series(self, stage: str) -> dict[str, SeriesResult]:
-        """Each indexed backend's series; a recorded index failure is left out."""
+    def get_series(self) -> dict[str, SeriesResult]:
+        """Each indexed backend's series, an index failure left out; from
+        memory, else from ``stage_index`` run on this instance."""
         if self.series is None:
-            index = self.get_stats("index")
-            series: dict[str, SeriesResult] = {}
-            for backend_id in [b.backend_id for b in self.config.backends]:
-                path = self.out / "series" / f"{backend_id}.csv"
-                if not path.exists():
-                    if backend_id in index.get("failures", {}):
-                        continue  # recorded index failure, nothing to sweep
-                    raise StageError(stage, f"no series for {backend_id}; run `wsi index` first")
-                skipped = index.get("series", {}).get(backend_id, {}).get("skipped_months", [])
-                series[backend_id] = _read_series_csv(path, [MonthKey.parse(m) for m in skipped])
-            self.series = series
+            stage_index(self.config, staged=self)  # the global, which the tracer wraps
         return self.series
+
+    def get_sweeps(self) -> SweepMap:
+        """Each feasible (backend, index kind) sweep; from memory, else from
+        ``stage_granger`` run on this instance."""
+        if self.sweeps is None:
+            stage_granger(self.config, staged=self)  # the global, which the tracer wraps
+        return self.sweeps
 
 
 def stage_ingest(config: RunConfig, *, staged: StagedRun | None = None) -> IngestResult:
@@ -699,18 +710,6 @@ def _read_classified_csv(path: Path, backend_id: str) -> ClassifiedMap:
     return classified
 
 
-def _read_series_csv(path: Path, skipped_months: list[MonthKey]) -> SeriesResult:
-    """The series ``series_csv_rows`` wrote; its last column, the count of
-    included comments, is the sum of the label counts before it."""
-    points = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for raw_month, standard, weighted, *counts, _ in islice(csv.reader(fh), 1, None):
-            month = MonthKey.parse(raw_month)
-            points.append(IndexPoint(month, float(standard), float(weighted),
-                                     MonthlyCounts(month, *map(int, counts))))
-    return SeriesResult(points, skipped_months)
-
-
 def stage_classify(config: RunConfig, only_backend: str | None = None, *,
                    staged: StagedRun | None = None
                    ) -> tuple[dict[str, ClassifiedMap], dict[str, int]]:
@@ -805,7 +804,7 @@ def stage_granger(config: RunConfig, *, staged: StagedRun | None = None
         sweeps: SweepMap = {}
         failures: dict[str, str] = {}
         stats = {}
-        for backend_id, series in staged.get_series("granger").items():
+        for backend_id, series in staged.get_series().items():
             for kind in INDEX_KINDS:
                 try:
                     pair = AlignedPair.from_series(getattr(series, f"{kind}_by_month")(),
@@ -832,7 +831,8 @@ def stage_granger(config: RunConfig, *, staged: StagedRun | None = None
 def stage_report(config: RunConfig, *, staged: StagedRun | None = None) -> ReportBundle:
     """Render charts and comparison tables, then write the manifest.
 
-    Index and granger run first when ``staged`` lacks their results.
+    The series and sweeps come from ``staged``, which runs index and
+    granger when it lacks them.
     """
     staged = StagedRun.for_stage(config, "report", staged)
     out = staged.out
@@ -841,14 +841,10 @@ def stage_report(config: RunConfig, *, staged: StagedRun | None = None) -> Repor
             record_months = [line.partition(",")[0] for line in fh.read().splitlines()[1:]]
         wages = staged.get_wages("report")
         yoy_map = wages.yoy_map
-        if staged.series is None:
-            stage_index(config, staged=staged)
-        if staged.sweeps is None:
-            stage_granger(config, staged=staged)
-        series, sweeps = staged.series, staged.sweeps
+        series, sweeps = staged.get_series(), staged.get_sweeps()
 
         chart_failures: dict[str, str] = dict(staged.get_stats("granger")["failures"])
-        chart_failures.update(staged.get_stats("index").get("failures", {}))
+        chart_failures.update(staged.get_stats("index")["failures"])
         for backend_id, result in series.items():
             try:
                 svg = render_series_chart(result.points, yoy_map,

@@ -87,9 +87,8 @@ class TranslationReport:
 
 
 def translate_all(corpus: Corpus, backend: TranslationBackend,
-                  parallelism: int = 1, *, cache: TranslationCache | None = None,
-                  source: str = "ja", target: str = "en", batch_size: int = 50,
-                  max_retries: int = 2,
+                  parallelism: int = 1, *, source: str, target: str, batch_size: int,
+                  cache: TranslationCache | None = None, max_retries: int = 2,
                   sleep: Callable[[float], None] = time.sleep) -> TranslationReport:
     """Translate each distinct comment once, via cache where possible, and
     return the corpus with one translation per text-table entry.

@@ -149,6 +149,10 @@ BAD_SETTINGS = {  # case: (config section, the setting that replaces it)
     "unknown_backend": ("backends", {"kind": "keyword", "batchsize": 0}),
     "unknown_lexicon": ("lexicon", {"windw": "rolling:2"}),
     "unknown_translation": ("translation", {"sorce": "ja"}),
+    # wire.retry's backoff doubles, so the retries are bounded
+    "max_retries_11": ("backends", {"kind": "keyword", "max_retries": 11}),
+    "max_retries_1000": ("backends", {"kind": "keyword", "max_retries": 1000}),
+    "max_retries_negative": ("backends", {"kind": "keyword", "max_retries": -1}),
 }
 
 
@@ -204,6 +208,12 @@ BAD_SETTINGS = {  # case: (config section, the setting that replaces it)
     ("unknown_backend", "error: backend mock: batchsize is not a known setting"),
     ("unknown_lexicon", "error: lexicon.windw is not a known setting"),
     ("unknown_translation", "error: translation.sorce is not a known setting"),
+    ("max_retries_11", "error: backend mock: max_retries must be at most 10, got 11"),
+    ("max_retries_1000", "error: backend mock: max_retries must be at most 10, got 1000"),
+    ("max_retries_negative", "error: backend mock: max_retries must be >= 0, got -1"),
+    # a key given twice in one object, which json.loads would take the last of
+    ("duplicate_top_level", "error: max_lag is given twice in one JSON object"),
+    ("duplicate_backend", "error: kind is given twice in one JSON object"),
 ])
 def test_config_error_is_reported_not_raised(workspace, case, message):
     """One ``error:`` line, exit 1, and no run directory."""
@@ -218,6 +228,11 @@ def test_config_error_is_reported_not_raised(workspace, case, message):
         bad_path.write_text(json.dumps(config))
     elif case == "not_json":
         bad_path.write_text(json.dumps(config)[:-1])
+    elif case == "duplicate_top_level":
+        bad_path.write_text(json.dumps(config)[:-1] + ', "max_lag": 24}')
+    elif case == "duplicate_backend":
+        bad_path.write_text(json.dumps(config).replace(
+            '"kind": "keyword"', '"kind": "keyword", "kind": "lexicon"'))
     elif case == "batch_size_text":
         config["backends"][0]["batch_size"] = "x"
         bad_path.write_text(json.dumps(config))

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -294,6 +295,16 @@ class TestGrangerSweep:
         lags = [r.lag for r in results]
         # lag feasible iff 60 >= 3*lag + 2
         assert lags == list(range(1, 20))
+
+    def test_a_huge_max_lag_stops_at_the_first_infeasible_lag(self):
+        pair = ar_pair(100, seed=35)
+        started = time.perf_counter()
+        results = granger_sweep(pair, 10**12)
+        elapsed = time.perf_counter() - started
+        # lag feasible iff 100 >= 3*lag + 2
+        assert results == granger_sweep(pair, 32)
+        assert [r.lag for r in results] == list(range(1, 33))
+        assert elapsed < 1.0
 
     def test_each_lag_uses_its_own_effective_sample(self):
         pair = ar_pair(150, seed=33)

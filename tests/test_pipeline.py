@@ -756,20 +756,46 @@ class TestStagedArtifacts:
         assert set(second.stats["classify"]) == {"mock", "baseline"}
         assert tree_bytes(second.out_dir) == before
 
-    def test_series_read_back_equal_the_ones_the_index_built(self, small_corpus):
-        import dataclasses
+    def test_get_series_of_a_finished_run_equals_the_index_stages(self, small_corpus):
+        backends = [BackendConfig(backend_id="mock", kind="keyword"),
+                    BackendConfig(backend_id="baseline", kind="lexicon")]
+        config = config_for(small_corpus, backends=backends)
+        finished = StagedRun(config, compute_run_id(config))
+        for stage in (stage_ingest, stage_classify, stage_index, stage_granger, stage_report):
+            stage(config, staged=finished)
+        fresh = StagedRun(config, finished.run_id)
+        assert fresh.get_series() == finished.series
+        assert fresh.get_stats("index") == finished.get_stats("index")
+        assert fresh.sweeps is None  # the series alone need no granger
 
+    def test_granger_and_report_rebuild_a_garbled_series_and_lost_index_stats(
+            self, small_corpus):
         config = config_for(small_corpus)
-        indexed = StagedRun(config, compute_run_id(config))
-        stage_ingest(config, staged=indexed)
-        classified, _ = stage_classify(config, staged=indexed)
-        first = min(classified["mock"])  # every comment failed: a skipped month
-        classified["mock"][first] = [dataclasses.replace(c, failed=True)
-                                     for c in classified["mock"][first]]
-        stage_index(config, staged=indexed)
-        assert indexed.series["mock"].skipped_months == [first]
-        fresh = StagedRun(config, indexed.run_id)
-        assert fresh.get_series("granger") == indexed.series
+        result = run(config)
+        out = result.out_dir
+        expected = tree_bytes(out)
+        (out / "series" / "mock.csv").write_text("yyyymm,garbage\n200001,x\n")
+        (out / "stages" / "index.json").unlink()
+        sweeps, failures = stage_granger(config)
+        assert (sweeps, failures) == (result.bundle.sweeps, {})
+        stage_report(config).validate()
+        assert tree_bytes(out) == expected
+
+    def test_granger_without_index_writes_the_tree_run_writes(self, small_corpus):
+        backends = [BackendConfig(backend_id="mock", kind="keyword"),
+                    BackendConfig(backend_id="baseline", kind="lexicon")]
+        expected = tree_bytes(run(config_for(small_corpus, backends=backends)).out_dir)
+        config = config_for(small_corpus, backends=backends,
+                            output_dir=str(small_corpus / "staged"))
+        stage_ingest(config)
+        stage_classify(config)
+        stage_granger(config)  # with no `wsi index` before it
+        written = tree_bytes(run_dir(config))
+        report_files = {"manifest.json", "charts", "tables"}
+        assert written == {name: data for name, data in expected.items()
+                           if name.split("/")[0] not in report_files}
+        stage_report(config)
+        assert tree_bytes(run_dir(config)) == expected
 
     def test_report_rerun_parses_no_records_and_keeps_the_tree(
             self, small_corpus, monkeypatch):

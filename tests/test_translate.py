@@ -36,7 +36,8 @@ def records(n, prefix="comment"):
 
 def test_identity_backend_is_pure_annotation():
     inputs = records(5)
-    report = translate_all(Corpus.from_records(inputs), IdentityTranslator())
+    report = translate_all(Corpus.from_records(inputs), IdentityTranslator(), source="ja",
+                           target="en", batch_size=50)
     assert [r.comment for r in report.corpus.records()] == [r.comment for r in inputs]
     assert all(r.comment_translated == r.comment for r in report.corpus.records())
     assert report.failed_indices == []
@@ -46,9 +47,9 @@ def test_identity_backend_is_pure_annotation():
 def test_output_order_matches_input_order_any_parallelism():
     inputs = records(1000)
     serial = translate_all(Corpus.from_records(inputs), CountingTranslator(), parallelism=1,
-                           batch_size=7)
+                           source="ja", target="en", batch_size=7)
     parallel = translate_all(Corpus.from_records(inputs), CountingTranslator(), parallelism=8,
-                             batch_size=7)
+                             source="ja", target="en", batch_size=7)
     assert serial.corpus.records() == parallel.corpus.records()
     assert [r.comment_translated for r in serial.corpus.records()] == [
         r.comment.upper() for r in inputs]
@@ -60,7 +61,8 @@ def test_warm_cache_with_offline_backend_makes_zero_calls(tmp_path):
     inputs = records(8)
     for r in inputs:
         cache.put(r.comment, backend.backend_id, "ja", "en", r.comment.upper())
-    report = translate_all(Corpus.from_records(inputs), backend, cache=cache, sleep=lambda s: None)
+    report = translate_all(Corpus.from_records(inputs), backend, source="ja", target="en",
+                           batch_size=50, cache=cache, sleep=lambda s: None)
     assert backend.calls == 0
     assert report.failed_indices == []
     assert report.cache_hits == len({r.comment for r in inputs})
@@ -70,8 +72,8 @@ def test_warm_cache_with_offline_backend_makes_zero_calls(tmp_path):
 def test_persistent_failure_marks_untranslated_and_continues():
     backend = CountingTranslator(fail_always=True)
     inputs = records(4)
-    report = translate_all(Corpus.from_records(inputs), backend, max_retries=2, batch_size=2,
-                           sleep=lambda s: None)
+    report = translate_all(Corpus.from_records(inputs), backend, source="ja", target="en",
+                           batch_size=2, max_retries=2, sleep=lambda s: None)
     assert report.failed_indices == [0, 1, 2, 3]
     assert all(r.comment_translated is None for r in report.corpus.records())
     # 2 batches x (1 try + 2 retries)
@@ -81,8 +83,8 @@ def test_persistent_failure_marks_untranslated_and_continues():
 def test_retry_then_success():
     sleeps = []
     backend = CountingTranslator(fail_times=2)
-    report = translate_all(Corpus.from_records(records(3)), backend, max_retries=2, batch_size=50,
-                           sleep=sleeps.append)
+    report = translate_all(Corpus.from_records(records(3)), backend, source="ja", target="en",
+                           batch_size=50, max_retries=2, sleep=sleeps.append)
     assert report.backend_calls == backend.calls == 3
     assert report.failed_indices == []
     assert sleeps == [0.1, 0.2]  # wire.RETRY_BASE_DELAY, doubled
@@ -91,7 +93,8 @@ def test_retry_then_success():
 def test_duplicate_texts_translated_once():
     backend = CountingTranslator()
     inputs = [make_record(MonthKey(2020, 1), "same text") for _ in range(10)]
-    report = translate_all(Corpus.from_records(inputs), backend, batch_size=1)
+    report = translate_all(Corpus.from_records(inputs), backend, source="ja", target="en",
+                           batch_size=1)
     assert backend.calls == 1
     assert all(r.comment_translated == "SAME TEXT" for r in report.corpus.records())
 
@@ -113,9 +116,11 @@ def test_changed_target_language_is_translated_again(tmp_path):
     cache = TranslationCache(tmp_path)
     backend = CountingTranslator()
     inputs = records(4)
-    translate_all(Corpus.from_records(inputs), backend, cache=cache, target="en")
+    translate_all(Corpus.from_records(inputs), backend, source="ja", target="en", batch_size=50,
+                  cache=cache)
     assert backend.calls == 1
-    report = translate_all(Corpus.from_records(inputs), backend, cache=cache, target="de")
+    report = translate_all(Corpus.from_records(inputs), backend, source="ja", target="de",
+                           batch_size=50, cache=cache)
     assert backend.calls == 2
     assert report.cache_hits == 0
 
@@ -124,9 +129,11 @@ def test_cache_fills_after_cold_run(tmp_path):
     cache = TranslationCache(tmp_path)
     backend = CountingTranslator()
     inputs = records(6)
-    translate_all(Corpus.from_records(inputs), backend, cache=cache)
+    translate_all(Corpus.from_records(inputs), backend, source="ja", target="en", batch_size=50,
+                  cache=cache)
     calls_after_cold = backend.calls
-    report = translate_all(Corpus.from_records(inputs), backend, cache=cache)
+    report = translate_all(Corpus.from_records(inputs), backend, source="ja", target="en",
+                           batch_size=50, cache=cache)
     assert backend.calls == calls_after_cold  # warm: no new calls
     assert report.cache_hits > 0
 
@@ -189,8 +196,8 @@ def test_hung_cmd_translator_fails_within_its_timeout(tmp_path):
     cache = TranslationCache(tmp_path / "cache")
     inputs = records(3)
     started = time.perf_counter()
-    report = translate_all(Corpus.from_records(inputs), backend, cache=cache, max_retries=1,
-                           sleep=lambda s: None)
+    report = translate_all(Corpus.from_records(inputs), backend, source="ja", target="en",
+                           batch_size=50, cache=cache, max_retries=1, sleep=lambda s: None)
     assert time.perf_counter() - started < 2 * 0.5 + 2.0  # two attempts, each timed out
     assert report.backend_calls == 2
     assert report.failed_indices == [0, 1, 2]
@@ -207,7 +214,8 @@ def test_malformed_translation_reply_is_a_failed_attempt(tmp_path, reply):
     backend = RemoteTranslator(f"cmd:exec {sys.executable} {script}")
     with pytest.raises(TranslationError):
         backend.translate(["hello", "world"], "ja", "en")
-    report = translate_all(Corpus.from_records(records(2)), backend, max_retries=0)
+    report = translate_all(Corpus.from_records(records(2)), backend, source="ja", target="en",
+                           batch_size=50, max_retries=0)
     assert report.failed_indices == [0, 1]
     backend.close()
 
@@ -220,7 +228,8 @@ def test_failed_translation_keeps_each_rows_loaded_translation(tmp_path):
                     "202001,K,r,Good,x,one\n202001,K,r,Good,x,two\n202001,K,r,Good,y,\n",
                     encoding="utf-8")
     backend = CountingTranslator(fail_always=True)
-    report = translate_all(load_survey(path).corpus, backend, max_retries=0)
+    report = translate_all(load_survey(path).corpus, backend, source="ja", target="en",
+                           batch_size=50, max_retries=0)
     assert report.failed_indices == [0, 1, 2]
     assert [r.comment_translated for r in report.corpus.records()] == ["one", "two", None]
     assert backend.calls == 1  # "x" and "y" in one batch
@@ -230,6 +239,7 @@ def test_translation_replaces_every_loaded_translation_of_a_comment(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("yyyymm,region,industry,judgment,comment,comment_translated\n"
                     "202001,K,r,Good,x,one\n202001,K,r,Good,x,two\n", encoding="utf-8")
-    report = translate_all(load_survey(path).corpus, CountingTranslator())
+    report = translate_all(load_survey(path).corpus, CountingTranslator(), source="ja",
+                           target="en", batch_size=50)
     assert report.failed_indices == []
     assert [r.comment_translated for r in report.corpus.records()] == ["X", "X"]
