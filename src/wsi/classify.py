@@ -20,10 +20,12 @@ import re
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, Sequence
+
+import numpy as np
 
 from . import wire
-from .corpus import SurveyRecord
+from .corpus import Codes, MonthKey, SurveyRecord
 # HttpTransport is re-exported: the benchmark's tracer wraps it under this name.
 from .wire import HttpTransport, Transport, TransportError  # noqa: F401
 
@@ -43,6 +45,11 @@ class HardLabel:
     DECREASE = "Decrease"
     NEUTRAL = "Neutral"
     UNRELATED = "Unrelated"
+
+
+# The hard labels by code, as ``Classified.label`` holds them.
+LABELS = (HardLabel.INCREASE, HardLabel.DECREASE, HardLabel.NEUTRAL, HardLabel.UNRELATED)
+LABEL_CODES = {label: code for code, label in enumerate(LABELS)}
 
 
 @dataclass(frozen=True)
@@ -129,6 +136,70 @@ class ClassifiedComment:
     @property
     def excluded(self) -> bool:
         return self.failed or self.probs.is_unrelated()
+
+
+@dataclass(eq=False)
+class Classified:
+    """One backend's classified comments as arrays.
+
+    The answer table has one row per answer the backend gave (for each
+    distinct text, say, or each distinct occurrence pair): its
+    probabilities ``u``, ``v`` and ``w`` (float64), its hard label
+    ``LABELS[label[a]]`` and whether it ``failed``. Record ``i``, in corpus
+    month order, has the answer ``codes[i]`` (``np.intp``). ``months``
+    ascend, and the records of ``months[k]`` are
+    ``codes[bounds[k]:bounds[k + 1]]``.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    label: np.ndarray
+    failed: np.ndarray
+    codes: np.ndarray
+    months: list[MonthKey]
+    bounds: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    @property
+    def excluded(self) -> np.ndarray:
+        """Per answer: failed, or the all-zero (unrelated) triple."""
+        return self.failed | ((self.u == 0.0) & (self.v == 0.0) & (self.w == 0.0))
+
+    def month_segments(self) -> Iterable[tuple[MonthKey, np.ndarray]]:
+        """Each month with its records' codes."""
+        for month, start, end in zip(self.months, self.bounds, self.bounds[1:]):
+            yield month, self.codes[start:end]
+
+    @classmethod
+    def from_answers(cls, probs: Sequence[ClassProbabilities], failed: Sequence[bool],
+                     codes, months: Sequence[MonthKey], bounds,
+                     labels: Sequence[str] | None = None) -> "Classified":
+        """The table of one answer per ``probs`` entry. Its hard label is
+        ``labels``' entry, by default Unrelated where ``failed`` and else
+        the triple's ``hard_label()``."""
+        if labels is None:
+            labels = [HardLabel.UNRELATED if f else p.hard_label() for p, f in zip(probs, failed)]
+        table = np.array([p.as_tuple() for p in probs], dtype=np.float64).reshape(-1, 3)
+        return cls(*table.T, np.array([LABEL_CODES[label] for label in labels], dtype=np.int8),
+                   np.array(failed, dtype=bool), np.asarray(codes, dtype=np.intp),
+                   list(months), np.asarray(bounds, dtype=np.intp))
+
+    @classmethod
+    def from_comments(cls, classified: Mapping[MonthKey, Sequence[ClassifiedComment]]
+                      ) -> "Classified":
+        """``{month: [ClassifiedComment]}`` as arrays, one answer per distinct
+        comment object, each with its own ``hard_label``."""
+        months = sorted(classified)
+        comments = [c for month in months for c in classified[month]]
+        rows = Codes()  # id() of each distinct comment -> its row
+        codes = [rows[id(c)] for c in comments]
+        answers = list({id(c): c for c in comments}.values())
+        return cls.from_answers([c.probs for c in answers], [c.failed for c in answers], codes,
+                                months, np.cumsum([0, *(len(classified[m]) for m in months)]),
+                                [c.hard_label for c in answers])
 
 
 @dataclass
@@ -278,29 +349,29 @@ class RemoteClassifier:
         return result
 
 
-def classify_texts(texts: Sequence[str], classifier: Classifier
-                   ) -> tuple[list[ClassifiedComment], int]:
+def classify_texts(texts: Sequence[str], classifier: Classifier) -> tuple[BatchResult, list[int]]:
     """Classify each distinct text once, in first-appearance order; returns
-    one ``ClassifiedComment`` per entry of ``texts`` (entries with one text
-    share it), with the wire calls made. Failed comments carry the unrelated
-    triple plus ``failed=True`` so the index stage can exclude and report them.
+    the result over the distinct texts and each entry of ``texts``' position
+    in it. Failed comments carry the unrelated triple plus ``failed``, so
+    the index stage can exclude and report them.
     """
-    distinct = list(dict.fromkeys(texts))
-    result = classifier.classify_batch(distinct)
-    answers = {text: ClassifiedComment(probs, classifier.backend_id,
-                                       HardLabel.UNRELATED if failed else probs.hard_label(),
-                                       failed)
-               for text, probs, failed in zip(distinct, result.probs, result.failed)}
-    return [answers[text] for text in texts], result.wire_calls
+    distinct = Codes()
+    codes = [distinct[text] for text in texts]
+    return classifier.classify_batch(distinct.table), codes
 
 
 def classify_month(records: Sequence[SurveyRecord],
                    classifier: Classifier) -> list[ClassifiedComment]:
-    """``classify_texts`` of one month's record texts; several months raise ValueError."""
+    """One ``ClassifiedComment`` per record of one month, records with one
+    text sharing it; several months raise ValueError."""
     months = {r.month for r in records}
     if len(months) > 1:
         raise ValueError(f"records span several months: {sorted(map(str, months))}")
-    return classify_texts([r.text for r in records], classifier)[0]
+    result, codes = classify_texts([r.text for r in records], classifier)
+    answers = [ClassifiedComment(probs, classifier.backend_id,
+                                 HardLabel.UNRELATED if failed else probs.hard_label(), failed)
+               for probs, failed in zip(result.probs, result.failed)]
+    return [answers[code] for code in codes]
 
 
 def prompt_template() -> str:

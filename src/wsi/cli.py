@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -84,6 +85,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command(args: argparse.Namespace) -> list[str]:
+    """Run the command ``args`` names; returns the lines it prints."""
+    if args.command == "synth":
+        spec = SyntheticSpec(
+            months=args.months,
+            start=args.start,
+            comments_per_month=args.comments_per_month,
+            lead_months=args.lead,
+        )
+        survey_paths, wage_path = generate_synthetic(spec, args.seed, args.out)
+        return [f"wrote {len(survey_paths)} survey files and {wage_path}"]
+
+    config = RunConfig.from_file(args.config)
+    if args.command == "ingest":
+        result = stage_ingest(config)
+        return [f"ingested {len(result.corpus)} records "
+                f"({result.stats['row_errors']} rejected rows, "
+                f"{result.stats['skipped_empty']} empty comments skipped)"]
+    if args.command == "classify":
+        results, wire = stage_classify(config, only_backend=args.backend)
+        return [f"{backend_id}: {len(classified)} comments over {len(classified.months)} "
+                f"months ({wire.get(backend_id, 0)} wire calls)"
+                for backend_id, classified in results.items()]
+    if args.command == "index":
+        series = stage_index(config)
+        return [f"{backend_id}: {len(result.points)} index points"
+                for backend_id, result in series.items()]
+    if args.command == "granger":
+        sweeps, failures = stage_granger(config)
+        return [*(f"{backend_id}/{kind}: {len(results)} lags, "
+                  f"{sum(1 for r in results if r.stars)} significant"
+                  for (backend_id, kind), results in sorted(sweeps.items())),
+                *(f"{key}: FAILED ({reason})" for key, reason in failures.items())]
+    if args.command == "report":
+        bundle = stage_report(config)
+        out = Path(config.output_dir) / bundle.run_id
+        return [f"report written to {out} (run {bundle.run_id})"]
+    result = run(config)  # "run"
+    return [f"run {result.bundle.run_id} complete: {result.out_dir}",
+            json.dumps(result.stats, indent=2, sort_keys=True)]
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -91,53 +134,21 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if args.command == "synth":
-            spec = SyntheticSpec(
-                months=args.months,
-                start=args.start,
-                comments_per_month=args.comments_per_month,
-                lead_months=args.lead,
-            )
-            survey_paths, wage_path = generate_synthetic(spec, args.seed, args.out)
-            print(f"wrote {len(survey_paths)} survey files and {wage_path}")
-            return 0
-
-        config = RunConfig.from_file(args.config)
-        if args.command == "ingest":
-            result = stage_ingest(config)
-            print(f"ingested {len(result.corpus)} records "
-                  f"({result.stats['row_errors']} rejected rows, "
-                  f"{result.stats['skipped_empty']} empty comments skipped)")
-        elif args.command == "classify":
-            results, wire = stage_classify(config, only_backend=args.backend)
-            for backend_id, by_month in results.items():
-                total = sum(len(v) for v in by_month.values())
-                print(f"{backend_id}: {total} comments over {len(by_month)} months "
-                      f"({wire.get(backend_id, 0)} wire calls)")
-        elif args.command == "index":
-            series = stage_index(config)
-            for backend_id, result in series.items():
-                print(f"{backend_id}: {len(result.points)} index points")
-        elif args.command == "granger":
-            sweeps, failures = stage_granger(config)
-            for (backend_id, kind), results in sorted(sweeps.items()):
-                significant = sum(1 for r in results if r.stars)
-                print(f"{backend_id}/{kind}: {len(results)} lags, "
-                      f"{significant} significant")
-            for key, reason in failures.items():
-                print(f"{key}: FAILED ({reason})")
-        elif args.command == "report":
-            bundle = stage_report(config)
-            out = Path(config.output_dir) / bundle.run_id
-            print(f"report written to {out} (run {bundle.run_id})")
-        elif args.command == "run":
-            result = run(config)
-            print(f"run {result.bundle.run_id} complete: {result.out_dir}")
-            print(json.dumps(result.stats, indent=2, sort_keys=True))
-        return 0
+        lines = _command(args)
     except (ConfigError, StageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of standard output has gone (``wsi run | head -1``); the
+        # command is done, and the interpreter's last flush must not fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return 0
 
 
 if __name__ == "__main__":

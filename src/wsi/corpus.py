@@ -138,7 +138,7 @@ class SurveyRecord:
         return self.comment_translated if self.comment_translated is not None else self.comment
 
 
-class _Codes(dict):
+class Codes(dict):
     """Value -> code, numbered in order of first lookup; ``table`` lists the
     values by code."""
 
@@ -211,7 +211,7 @@ class Corpus:
     @classmethod
     def from_records(cls, records: Sequence[SurveyRecord]) -> "Corpus":
         """The columns of ``records``, in their order."""
-        months, regions, industries, judgments, texts = (_Codes() for _ in range(5))
+        months, regions, industries, judgments, texts = (Codes() for _ in range(5))
         return _corpus(months, regions, industries, judgments, texts,
                        [months[r.month] for r in records],
                        [regions[r.region] for r in records],
@@ -220,8 +220,8 @@ class Corpus:
                        [texts[r.comment, r.comment_translated] for r in records])
 
 
-def _corpus(months: _Codes, regions: _Codes, industries: _Codes, judgments: _Codes,
-            texts: _Codes, *codes: list[int]) -> Corpus:
+def _corpus(months: Codes, regions: Codes, industries: Codes, judgments: Codes,
+            texts: Codes, *codes: list[int]) -> Corpus:
     """The ``Corpus`` of these code tables, ``texts`` keyed by (comment,
     translation), and the per-record codes in ``Corpus`` field order."""
     return Corpus(months.table, regions.table, industries.table, judgments.table,
@@ -244,7 +244,7 @@ def _in_month_order(corpus: Corpus) -> Corpus:
     def pick(column: list) -> list:
         return [column[i] for i in positions]
 
-    renumbered = _Codes()
+    renumbered = Codes()
     text_ids = [renumbered[t] for t in pick(corpus.text_ids)]
     return Corpus(months, corpus.regions, corpus.industries, corpus.judgments,
                   [corpus.comments[t] for t in renumbered.table],
@@ -297,7 +297,7 @@ class _CellCodes(dict):
     """Raw cell -> the code of ``normalize(cell)`` in ``codes``, -1 where it
     is None; each distinct raw cell is normalized once."""
 
-    def __init__(self, normalize: Callable, codes: _Codes) -> None:
+    def __init__(self, normalize: Callable, codes: Codes) -> None:
         super().__init__()
         self.normalize = normalize
         self.codes = codes
@@ -326,7 +326,7 @@ def load_surveys(paths: Iterable[str | Path]) -> SurveyLoad:
     not numbered, missing trailing fields are empty, extra fields are
     ignored, and a column named twice is read from its last position.
     """
-    months, regions, industries, judgments, texts = (_Codes() for _ in range(5))
+    months, regions, industries, judgments, texts = (Codes() for _ in range(5))
     # one parse per distinct raw month, label, region and industry, not per row
     month_of = _CellCodes(_parse_month, months)
     judgment_of = _CellCodes(resolve_judgment, judgments)

@@ -5,15 +5,25 @@ counts. The weighted index sums per-comment probability margins
 (u - v)/(u + v + w) * 100; that raw sum scales with the month's comment
 count, so the default normalization divides by it. Comments marked
 unrelated (and classification failures) are excluded from both.
+
+``build_series`` works on a backend's ``Classified`` arrays. It counts each
+month's labels with ``np.bincount`` over the month's segment of answer
+codes, and computes each answer's margin once, for included answers only
+(the unrelated answer's would be 0/0). A month's margins are summed in
+record order, one after the other, as a Python loop adds them:
+``np.cumsum`` adds sequentially, while ``np.sum`` adds pairwise and can
+change the last bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .classify import ClassifiedComment, ClassProbabilities, HardLabel
+import numpy as np
+
+from .classify import LABEL_CODES, ClassifiedComment, Classified, ClassProbabilities, HardLabel
 from .corpus import MonthKey
 
 
@@ -59,27 +69,17 @@ def weighted_wsi(triples: Sequence[ClassProbabilities],
     """Probability-margin index; input triples must exclude unrelated comments."""
     if not triples:
         return None
-    total = 0.0
-    for t in triples:
-        total += (t.u - t.v) / (t.u + t.v + t.w)
-    total *= 100.0
+    u, v, w = np.array([t.as_tuple() for t in triples], dtype=np.float64).T
+    return _weighted((u - v) / (u + v + w), normalization)
+
+
+def _weighted(margins: np.ndarray, normalization: Normalization) -> float:
+    """The weighted index of a non-empty array of margins, added in order."""
+    # a loop's sum starts at 0.0, so margins that are all -0.0 add up to 0.0
+    total = (0.0 + float(np.cumsum(margins)[-1])) * 100.0
     if normalization is Normalization.PER_COMMENT:
-        return total / len(triples)
+        return total / len(margins)
     return total
-
-
-def count_labels(classified: Iterable[ClassifiedComment], month: MonthKey) -> MonthlyCounts:
-    alpha = beta = gamma = excluded = 0
-    for c in classified:
-        if c.excluded:
-            excluded += 1
-        elif c.hard_label == HardLabel.INCREASE:
-            alpha += 1
-        elif c.hard_label == HardLabel.DECREASE:
-            beta += 1
-        else:
-            gamma += 1
-    return MonthlyCounts(month=month, alpha=alpha, beta=beta, gamma=gamma, excluded=excluded)
 
 
 @dataclass
@@ -94,23 +94,34 @@ class SeriesResult:
         return {p.month: p.wsi_weighted for p in self.points}
 
 
-def build_series(classified: Mapping[MonthKey, Sequence[ClassifiedComment]],
+def build_series(classified: Classified | Mapping[MonthKey, Sequence[ClassifiedComment]],
                  normalization: Normalization = Normalization.PER_COMMENT) -> SeriesResult:
-    """One IndexPoint per month with included comments; empty months reported."""
-    if not classified:
+    """One IndexPoint per month with included comments; empty months reported.
+
+    A ``{month: [ClassifiedComment]}`` mapping is converted to arrays first.
+    """
+    if not isinstance(classified, Classified):
+        classified = Classified.from_comments(classified)
+    if not classified.months:
         raise ValueError("no classified months")
+    excluded = classified.excluded
+    included = ~excluded
+    # each answer's MonthlyCounts field: alpha, beta, gamma (Neutral or any
+    # other label) or excluded
+    field = np.where(excluded, 3, np.minimum(classified.label, LABEL_CODES[HardLabel.NEUTRAL]))
+    u, v, w = classified.u[included], classified.v[included], classified.w[included]
+    margins = np.zeros(len(excluded))
+    margins[included] = (u - v) / (u + v + w)
     points: list[IndexPoint] = []
     skipped: list[MonthKey] = []
-    for month in sorted(classified):
-        comments = classified[month]
-        counts = count_labels(comments, month)
+    for month, codes in classified.month_segments():
+        counts = MonthlyCounts(month, *np.bincount(field[codes], minlength=4).tolist())
         if counts.total == 0:
             skipped.append(month)
             continue
-        triples = [c.probs for c in comments if not c.excluded]
         std = standard_wsi(counts)
-        wgt = weighted_wsi(triples, normalization)
-        assert std is not None and wgt is not None
+        assert std is not None
+        wgt = _weighted(margins[codes[included[codes]]], normalization)
         points.append(IndexPoint(month=month, wsi_standard=std, wsi_weighted=wgt, counts=counts))
     return SeriesResult(points=points, skipped_months=skipped)
 

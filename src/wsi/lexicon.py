@@ -325,21 +325,16 @@ def audit_rows(lexicons: Mapping[MonthKey, Lexicon]) -> list[str]:
 
 
 class LexiconBackend:
-    """Adapter presenting one month's occurrence counts as a classifier backend.
+    """The baseline's classifier backend: it answers (positive, negative)
+    occurrence-count pairs, each with ``occurrence_probabilities`` under one
+    smoothing policy, since a comment's answer depends on nothing else."""
 
-    ``occurrences`` maps each distinct comment text of the month to its
-    (positive, negative) occurrence counts under the month's lexicon; each
-    text is classified once.
-    """
-
-    def __init__(self, occurrences: Mapping[str, tuple[int, int]],
-                 smoothing: str = "laplace", backend_id: str = "lexicon-baseline"):
-        self.probs = {text: occurrence_probabilities(p, n, smoothing)
-                      for text, (p, n) in occurrences.items()}
+    def __init__(self, smoothing: str = "laplace", backend_id: str = "lexicon-baseline"):
+        self.smoothing = smoothing
         self.backend_id = backend_id
 
-    def classify_batch(self, comments: Sequence[str]):
+    def classify_batch(self, pairs: Sequence[tuple[int, int]]):
         from .classify import BatchResult
 
-        probs = [self.probs[c] for c in comments]
+        probs = [occurrence_probabilities(p, n, self.smoothing) for p, n in pairs]
         return BatchResult(probs=probs, failed=[False] * len(probs), wire_calls=0)

@@ -15,7 +15,6 @@ same place with identical bytes.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -29,11 +28,15 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .classify import (
+    LABELS,
     BatchResult,
+    Classified,
     ClassProbabilities,
-    ClassifiedComment,
+    HardLabel,
     KeywordClassifier,
     RemoteClassifier,
     PROMPT_VERSION,
@@ -41,6 +44,7 @@ from .classify import (
     default_keyword_classifier,
 )
 from .corpus import (
+    Codes,
     Corpus,
     LoadError,
     MonthKey,
@@ -464,7 +468,6 @@ class IngestResult:
     translation_calls: int
 
 
-ClassifiedMap = dict[MonthKey, list[ClassifiedComment]]
 SweepMap = dict[tuple[str, str], list[GrangerResult]]
 
 
@@ -473,8 +476,8 @@ class StagedRun:
 
     This is the only way results travel from one stage to the next. Each
     stage records what it produced here (ingest the corpus and the wages,
-    classify each backend's comments, index the series, granger the
-    sweeps) and its stats, which ``put_stats`` also writes to
+    classify each backend's ``Classified`` arrays, index the series,
+    granger the sweeps) and its stats, which ``put_stats`` also writes to
     ``stages/<stage>.json``. A later stage gets what it needs from memory
     when a stage sharing this object produced or loaded it. Otherwise an
     ingest or classify result is read from ``out/<run-id>/`` on first use,
@@ -492,7 +495,7 @@ class StagedRun:
         self.out = Path(config.output_dir) / run_id
         self.wages: WageSeries | None = None
         self.corpus: Corpus | None = None
-        self.classified: dict[str, ClassifiedMap] = {}
+        self.classified: dict[str, Classified] = {}
         self.series: dict[str, SeriesResult] | None = None
         self.sweeps: SweepMap | None = None
         self.stats: dict[str, dict] = {}
@@ -525,13 +528,13 @@ class StagedRun:
             self.corpus = load_surveys([self._ingest_file("stages/records.csv", stage)]).corpus
         return self.corpus
 
-    def get_classified(self, backend_id: str, stage: str) -> ClassifiedMap:
+    def get_classified(self, backend_id: str, stage: str) -> Classified:
         if backend_id not in self.classified:
             path = self.out / "stages" / "classified" / f"{backend_id}.csv"
             if not path.exists():
                 raise StageError(stage, f"no classified comments for {backend_id};"
                                         " run `wsi classify` first")
-            self.classified[backend_id] = _read_classified_csv(path, backend_id)
+            self.classified[backend_id] = _read_classified_csv(path)
         return self.classified[backend_id]
 
     def get_stats(self, stage: str) -> dict:
@@ -620,102 +623,159 @@ def _build_classifier(backend: BackendConfig, config: RunConfig):
 
 
 def _classify_backend(backend: BackendConfig, corpus: Corpus, wages: WageSeries,
-                      config: RunConfig, out: Path) -> tuple[ClassifiedMap, int]:
-    """Classify every month for one backend; returns (by month, wire calls).
+                      config: RunConfig, out: Path) -> tuple[Classified, int]:
+    """Classify every month for one backend; returns (answers, wire calls).
 
     A lexicon backend classifies month by month, under each month's lexicon,
-    and writes its audit files to ``out/stages``; any other classifies the
-    corpus's text table through ``classify_texts``, each distinct text once
-    in one fixed batch order (first appearance in month order), and each
-    record takes its text id's answer.
+    and writes its audit files to ``out/stages``. Its answer depends only
+    on a record's (positive, negative) occurrence counts, so its table has
+    one row per distinct pair. Any other backend classifies the corpus's
+    text table through ``classify_texts``, each distinct text once in one
+    fixed batch order (first appearance in month order), and each record
+    takes its text id's answer.
     """
     texts = corpus.texts
+    slices = corpus.month_slices()
     if backend.kind == "lexicon":
         by_month = {month: [texts[t] for t in corpus.text_ids[records]]
-                    for month, records in corpus.month_slices()}
+                    for month, records in slices}
         # Called on the module, where the benchmark's tracer wraps it.
         counts = lexicon.monthly_term_counts(by_month)
         lexicons = rolling_lexicons(counts, wages, list(by_month), config.lexicon)
-        classified: ClassifiedMap = {}
+        pairs = Codes()  # (p, n) -> answer code
+        months, segments = [], []
         # Month-level word-count aggregate logged alongside the per-comment
         # classification for comparison; both use the same occurrence counts.
         wordcount_rows = ["as_of,positive_occurrences,negative_occurrences,wordcount_index"]
-        for month in sorted(lexicons):
-            month_texts = by_month[month]
-            occurrences = {text: occurrence_counts(counts.tokens[text], lexicons[month])
-                           for text in set(month_texts)}
-            adapter = LexiconBackend(occurrences, config.lexicon.smoothing,
-                                     backend_id=backend.backend_id)
-            classified[month] = classify_texts(month_texts, adapter)[0]
-            p_total = sum(occurrences[text][0] for text in month_texts)
-            n_total = sum(occurrences[text][1] for text in month_texts)
+        for month, records in slices:
+            if month not in lexicons:
+                continue
+            distinct, inverse = np.unique(corpus.text_ids[records], return_inverse=True)
+            occurrences = [occurrence_counts(counts.tokens[texts[t]], lexicons[month])
+                           for t in distinct.tolist()]
+            months.append(month)
+            pair_codes = np.array([pairs[pair] for pair in occurrences], dtype=np.intp)
+            segments.append(pair_codes[inverse])
+            p_total, n_total = (np.bincount(inverse) @ np.array(occurrences)).tolist()
             ratio = ((p_total - n_total) / (p_total + n_total) * 100.0
                      if p_total + n_total else 0.0)
             wordcount_rows.append(f"{month},{p_total},{n_total},{ratio!r}")
         atomic_write(out / "stages" / "lexicon_audit.csv", "\n".join(audit_rows(lexicons)) + "\n")
         atomic_write(out / "stages" / "lexicon_wordcounts.csv", "\n".join(wordcount_rows) + "\n")
-        return classified, 0
+        answers = LexiconBackend(config.lexicon.smoothing,
+                                 backend_id=backend.backend_id).classify_batch(pairs.table)
+        bounds = np.cumsum([0, *map(len, segments)])
+        codes = np.concatenate([np.empty(0, dtype=np.intp), *segments])
+        return Classified.from_answers(answers.probs, answers.failed, codes, months, bounds), 0
 
     classifier = _build_classifier(backend, config)
     try:
-        answers, wire_calls = classify_texts(texts, classifier)
+        answers, text_codes = classify_texts(texts, classifier)
     finally:
         if isinstance(classifier, CachedRemoteClassifier):
             classifier.inner.transport.close()
-    by_record = [answers[t] for t in corpus.text_ids]
-    return {month: by_record[records] for month, records in corpus.month_slices()}, wire_calls
+    codes = np.fromiter(map(text_codes.__getitem__, corpus.text_ids), dtype=np.intp,
+                        count=len(corpus))
+    bounds = [0, *(records.stop for _, records in slices)]
+    return (Classified.from_answers(answers.probs, answers.failed, codes,
+                                    [month for month, _ in slices], bounds),
+            answers.wire_calls)
 
 
 CLASSIFIED_HEADER = "yyyymm,ordinal,u,v,w,label,failed"
 
 
-def _classified_csv(classified: ClassifiedMap) -> str:
-    rows = [CLASSIFIED_HEADER]
-    for month in sorted(classified):
+def _classified_csv(classified: Classified) -> str:
+    """One ``yyyymm,ordinal,u,v,w,label,failed`` row per record; each
+    answer's ``u,v,w,label,failed`` is formatted once, and each month's
+    rows are joined on their own, so one month's row strings are held at
+    a time."""
+    tails = [f"{u!r},{v!r},{w!r},{LABELS[label]},{int(failed)}"
+             for u, v, w, label, failed in zip(classified.u.tolist(), classified.v.tolist(),
+                                                classified.w.tolist(), classified.label.tolist(),
+                                                classified.failed.tolist())]
+    chunks = [CLASSIFIED_HEADER + "\n"]
+    for month, codes in classified.month_segments():
         yyyymm = str(month)
-        for i, c in enumerate(classified[month]):
-            rows.append(
-                f"{yyyymm},{i},{c.probs.u!r},{c.probs.v!r},{c.probs.w!r},"
-                f"{c.hard_label},{int(c.failed)}"
-            )
-    return "\n".join(rows) + "\n"
+        chunks.append("".join([f"{yyyymm},{i},{tails[code]}\n"
+                               for i, code in enumerate(codes.tolist())]))
+    return "".join(chunks)
 
 
-def _read_classified_csv(path: Path, backend_id: str) -> ClassifiedMap:
-    """The comments ``_classified_csv`` wrote, by month; a row whose ordinal
-    is not its position within its month raises ValueError.
+def _answer(tail: str) -> tuple[ClassProbabilities, bool]:
+    """The triple and failed flag of one ``u,v,w,label,failed`` row tail as
+    ``_classified_csv`` writes it: a triple ``ClassProbabilities`` accepts,
+    a failed flag of 0 or 1, and the label Unrelated when failed, else the
+    triple's ``hard_label()``, as ``Classified.from_answers`` labels them;
+    ValueError otherwise."""
+    u, v, w, label, failed = tail.removesuffix("\n").split(",")
+    probs = ClassProbabilities(float(u), float(v), float(w))
+    if failed not in ("0", "1"):
+        raise ValueError(f"failed flag {failed!r} is not 0 or 1")
+    expected = HardLabel.UNRELATED if failed == "1" else probs.hard_label()
+    if label != expected:
+        raise ValueError(f"label {label!r} is not {expected}")
+    return probs, failed == "1"
 
-    Rows with one (u, v, w, label, failed) share one ``ClassifiedComment``,
-    as the classify stage's records with one text do, so reading a corpus
-    builds one object per distinct classification, not one per record.
+
+def _read_classified_csv(path: Path) -> Classified:
+    """The classified comments ``_classified_csv`` wrote, with one answer
+    per distinct row tail (``u,v,w,label,failed``), numbered in order of
+    first appearance.
+
+    Each row must start with its month as ``yyyymm`` and its position within
+    that month, months ascending, and each distinct tail is checked once
+    (see ``_answer``); any other row raises ValueError naming ``path:line``.
+    The file is read one month at a time.
     """
-    classified: ClassifiedMap = {}
-    shared: dict[tuple[str, ...], ClassifiedComment] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != CLASSIFIED_HEADER.split(","):
+    months: list[MonthKey] = []
+    bounds = [0]
+    segments = [np.empty(0, dtype=np.intp)]
+    answers = Codes()  # tail -> code
+    ordinals: list[str] = []  # ",i," by i
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().removesuffix("\n") != CLASSIFIED_HEADER:
             raise ValueError(f"{path}: header is not {CLASSIFIED_HEADER}")
-        for raw_month, rows in groupby(reader, itemgetter(0)):
-            comments = classified.setdefault(MonthKey.parse(raw_month), [])
-            for _, ordinal, u, v, w, label, failed in rows:
-                if int(ordinal) != len(comments):
-                    raise ValueError(f"{path}:{reader.line_num}: ordinal {ordinal} out of order")
-                key = (u, v, w, label, failed)
-                comment = shared.get(key)
-                if comment is None:
-                    comment = shared[key] = ClassifiedComment(
-                        ClassProbabilities(float(u), float(v), float(w)),
-                        backend_id, label, bool(int(failed)))
-                comments.append(comment)
-    return classified
+        for yyyymm, run in groupby(fh, itemgetter(slice(6))):
+            line = bounds[-1] + 2
+            try:
+                month = MonthKey.parse(yyyymm)
+            except ValueError:
+                month = None
+            if str(month) != yyyymm:
+                raise ValueError(f"{path}:{line}: row does not start with a yyyymm month")
+            if months and not months[-1] < month:
+                raise ValueError(f"{path}:{line}: month {yyyymm} out of order")
+            rows = list(run)
+            ordinals.extend(f",{i}," for i in range(len(ordinals), len(rows)))
+            prefixes = list(map(yyyymm.__add__, ordinals[:len(rows)]))
+            if not all(map(str.startswith, rows, prefixes)):
+                at = next(i for i, row in enumerate(rows) if not row.startswith(prefixes[i]))
+                ordinal = rows[at][7:].partition(",")[0]
+                raise ValueError(f"{path}:{line + at}: ordinal {ordinal} out of order")
+            segments.append(np.fromiter(map(answers.__getitem__,
+                                            map(str.removeprefix, rows, prefixes)),
+                                        dtype=np.intp, count=len(rows)))
+            months.append(month)
+            bounds.append(bounds[-1] + len(rows))
+    codes = np.concatenate(segments)
+    table = []
+    for code, tail in enumerate(answers.table):
+        try:
+            table.append(_answer(tail))
+        except ValueError as exc:
+            line = int(np.argmax(codes == code)) + 2
+            raise ValueError(f"{path}:{line}: bad answer {tail.rstrip()!r}: {exc}") from exc
+    return Classified.from_answers([probs for probs, _ in table],
+                                   [failed for _, failed in table], codes, months, bounds)
 
 
 def stage_classify(config: RunConfig, only_backend: str | None = None, *,
                    staged: StagedRun | None = None
-                   ) -> tuple[dict[str, ClassifiedMap], dict[str, int]]:
+                   ) -> tuple[dict[str, Classified], dict[str, int]]:
     """Classify all months for every configured backend (or one of them).
 
-    Returns the classified comments per backend plus the wire-call counts.
+    Returns each backend's ``Classified`` arrays plus the wire-call counts.
     Wire calls are reported in memory only; the persisted artifacts stay
     byte-identical between cold-cache and warm-cache runs.
     """
@@ -728,7 +788,7 @@ def stage_classify(config: RunConfig, only_backend: str | None = None, *,
         wages = staged.get_wages("classify")
         # one backend's entry replaces its own; the others' stay as recorded
         stats = dict(staged.get_stats("classify")) if only_backend is not None else {}
-        results: dict[str, ClassifiedMap] = {}
+        results: dict[str, Classified] = {}
         wire_stats: dict[str, int] = {}
         for backend in config.backends:
             if only_backend is not None and backend.backend_id != only_backend:
@@ -736,19 +796,19 @@ def stage_classify(config: RunConfig, only_backend: str | None = None, *,
             classified, wire_calls = _classify_backend(backend, corpus, wages, config, out)
             results[backend.backend_id] = staged.classified[backend.backend_id] = classified
             wire_stats[backend.backend_id] = wire_calls
-            failed = sum(c.failed for month in classified.values() for c in month)
-            excluded = sum(c.excluded for month in classified.values() for c in month)
+            failed = int(np.count_nonzero(classified.failed[classified.codes]))
             stats[backend.backend_id] = {
                 "kind": backend.kind,
-                "months": len(classified),
-                "comments": sum(len(v) for v in classified.values()),
+                "months": len(classified.months),
+                "comments": len(classified),
                 "failed_comments": failed,
-                "excluded_comments": excluded,
+                "excluded_comments": int(np.count_nonzero(
+                    classified.excluded[classified.codes])),
             }
             atomic_write(out / "stages" / "classified" / f"{backend.backend_id}.csv",
                          _classified_csv(classified))
             log.info("classified %s: %d months, %d failures",
-                     backend.backend_id, len(classified), failed)
+                     backend.backend_id, len(classified.months), failed)
         staged.put_stats("classify", stats)
         return results, wire_stats
 
@@ -769,12 +829,12 @@ def stage_index(config: RunConfig, *, staged: StagedRun | None = None
         series: dict[str, SeriesResult] = {}
         stats: dict[str, dict] = {}
         failures: dict[str, str] = {}
-        for backend_id, by_month in classified.items():
-            if not by_month:
+        for backend_id, answers in classified.items():
+            if not answers.months:
                 failures[backend_id] = "no classifiable months"
                 log.warning("%s: nothing to index", backend_id)
                 continue
-            result = build_series(by_month, config.normalization_mode)
+            result = build_series(answers, config.normalization_mode)
             if not result.points:
                 failures[backend_id] = "every month had only excluded comments"
                 log.warning("%s: every month empty after exclusions", backend_id)

@@ -317,11 +317,13 @@ class TestClassifyMonth:
 
     def test_records_with_one_text_share_one_classified_comment(self):
         texts = ["wages were raised", "pay was cut", "wages were raised"]
-        out, wire_calls = classify_texts(texts, default_keyword_classifier())
+        result, codes = classify_texts(texts, default_keyword_classifier())
+        assert codes == [0, 1, 0]
+        assert [p.hard_label() for p in result.probs] == [HardLabel.INCREASE, HardLabel.DECREASE]
+        assert result.wire_calls == 0
+        out = classify_month([make_record(comment=text) for text in texts],
+                             default_keyword_classifier())
         assert out[0] is out[2] and out[0] is not out[1]
-        assert [c.hard_label for c in out] == [
-            HardLabel.INCREASE, HardLabel.DECREASE, HardLabel.INCREASE]
-        assert wire_calls == 0
 
     def test_translated_text_is_classified(self):
         record = make_record(comment="genkyuu", translated="allowances were reduced")

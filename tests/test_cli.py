@@ -95,6 +95,25 @@ def test_console_entry_point_installed(workspace):
     assert "complete" in proc.stdout
 
 
+def test_run_into_a_pipe_whose_reader_has_exited_ends_cleanly(workspace):
+    """``wsi run | head -1``: the run completes, exits 0, and prints no traceback."""
+    import os
+
+    tmp_path, config_path = workspace
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wsi.cli", "run", "--config", str(config_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    out = run_dir(RunConfig.from_file(config_path))
+    assert (out / "manifest.json").exists() and not (out / "FAILED").exists()
+
+
 def tree_bytes(root):
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}

@@ -10,7 +10,6 @@ from wsi.index import (
     Normalization,
     SERIES_CSV_HEADER,
     build_series,
-    count_labels,
     series_csv_rows,
     standard_wsi,
     weighted_wsi,
@@ -35,12 +34,50 @@ def classified(probs, failed=False):
     )
 
 
+def count_labels_reference(comments, month):
+    """The per-comment loop ``build_series`` counted labels with before it
+    counted over arrays."""
+    alpha = beta = gamma = excluded = 0
+    for c in comments:
+        if c.excluded:
+            excluded += 1
+        elif c.hard_label == HardLabel.INCREASE:
+            alpha += 1
+        elif c.hard_label == HardLabel.DECREASE:
+            beta += 1
+        else:
+            gamma += 1
+    return MonthlyCounts(month=month, alpha=alpha, beta=beta, gamma=gamma, excluded=excluded)
+
+
+def weighted_wsi_reference(triples, normalization=Normalization.PER_COMMENT):
+    """The sequential Python sum ``weighted_wsi`` computed before it summed arrays."""
+    if not triples:
+        return None
+    total = 0.0
+    for t in triples:
+        total += (t.u - t.v) / (t.u + t.v + t.w)
+    total *= 100.0
+    if normalization is Normalization.PER_COMMENT:
+        return total / len(triples)
+    return total
+
+
 valid_triples = st.one_of(
     st.tuples(st.floats(0.001, 1), st.floats(0.001, 1), st.floats(0.001, 1)).map(
         lambda t: (t[0] / sum(t), t[1] / sum(t), t[2] / sum(t))
     ),
     st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]),
 )
+
+# included answers, ties among them, the unrelated triple, and a margin of -0.0
+drawn_triples = st.one_of(
+    valid_triples,
+    st.sampled_from([(0.5, 0.5, 0.0), (0.4, 0.4, 0.2), (0.25, 0.25, 0.5), (0.5, 0.0, 0.5),
+                     (1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 0.0), (-0.0, 0.0, 1.0)]),
+)
+drawn_comments = st.tuples(drawn_triples, st.booleans(), st.booleans()).map(
+    lambda t: classified((0.0, 0.0, 0.0) if t[1] and t[2] else t[0], failed=t[1]))
 
 
 class TestStandardWsi:
@@ -131,7 +168,7 @@ class TestOneHotEquivalence:
             HardLabel.NEUTRAL: (0.0, 0.0, 1.0),
         }
         comments = [classified(one_hot[label]) for label in labels]
-        c = count_labels(comments, M)
+        c = count_labels_reference(comments, M)
         std = standard_wsi(c)
         wgt = weighted_wsi([x.probs for x in comments], Normalization.PER_COMMENT)
         assert abs(std - wgt) <= 1e-12
@@ -175,6 +212,49 @@ class TestBuildSeries:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             build_series({})
+
+
+class TestArrayKernelAgainstTheLoops:
+    """``build_series`` counts and sums over arrays; the bits must equal the
+    per-comment loops it replaced, in both normalizations."""
+
+    @given(st.lists(st.lists(drawn_comments, max_size=30), min_size=1, max_size=6),
+           st.data())
+    def test_series_bits_equal_the_loop_reference(self, months, data):
+        # some comments appear twice in a month, as records with one text share one
+        by_month = {}
+        for i, comments in enumerate(months):
+            repeats = data.draw(st.lists(st.sampled_from(comments), max_size=5)
+                                if comments else st.just([]))
+            by_month[M.plus(i)] = comments + repeats
+        for mode in Normalization:
+            result = build_series(by_month, mode)
+            points = {p.month: p for p in result.points}
+            for month, comments in by_month.items():
+                expected = count_labels_reference(comments, month)
+                if expected.total == 0:
+                    assert month in result.skipped_months
+                    continue
+                point = points[month]
+                weighted = weighted_wsi_reference(
+                    [c.probs for c in comments if not c.excluded], mode)
+                assert point.counts == expected
+                assert point.wsi_standard.hex() == standard_wsi(expected).hex()
+                assert point.wsi_weighted == weighted
+                assert point.wsi_weighted.hex() == weighted.hex()
+            assert len(points) + len(result.skipped_months) == len(by_month)
+
+    @given(st.lists(drawn_triples.filter(any), min_size=1, max_size=60))
+    def test_weighted_wsi_bits_equal_the_loop_reference(self, raw):
+        triples = [ClassProbabilities(*t) for t in raw]
+        for mode in Normalization:
+            assert weighted_wsi(triples, mode).hex() == weighted_wsi_reference(triples, mode).hex()
+
+    def test_margins_that_are_all_negative_zero_sum_to_zero_as_the_loop_does(self):
+        comments = [classified((-0.0, 0.0, 1.0))] * 3
+        point = build_series({M: comments}, Normalization.RAW_SUM).points[0]
+        assert point.wsi_weighted.hex() == weighted_wsi_reference(
+            [c.probs for c in comments], Normalization.RAW_SUM).hex() == (0.0).hex()
 
 
 class TestCsvExport:

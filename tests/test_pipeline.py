@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -26,7 +27,8 @@ from wsi.pipeline import (
     stage_ingest,
     stage_report,
 )
-from wsi.classify import DEFAULT_KEYWORD_RULES, ClassProbabilities, TransportError
+from wsi.classify import (DEFAULT_KEYWORD_RULES, Classified, ClassProbabilities,
+                          TransportError)
 from wsi.synthetic import SyntheticSpec, generate_synthetic
 
 from conftest import WIRE_STUB
@@ -55,6 +57,15 @@ def config_for(base, backends=None, **kw):
     )
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+def per_record(classified):
+    """Each record's (month, u, v, w, label, failed), in order."""
+    rows = []
+    for month, codes in classified.month_segments():
+        rows.extend((month, classified.u[c], classified.v[c], classified.w[c],
+                     classified.label[c], classified.failed[c]) for c in codes.tolist())
+    return rows
 
 
 def cache_key(comment, endpoint, model_id, prompt_version):
@@ -608,12 +619,11 @@ class TestStageSequencing:
         stage_ingest(config)
         classified, _ = stage_classify(config)
         staged = StagedRun(config, compute_run_id(config))
-        for backend_id, by_month in classified.items():
+        for backend_id, answers in classified.items():
             read = staged.get_classified(backend_id, "index")
-            assert read == by_month
-            comments = [c for month in read.values() for c in month]
-            # one object per distinct classification, as the classify stage shares them
-            assert len({id(c) for c in comments}) == len(set(comments)) < len(comments)
+            assert per_record(read) == per_record(answers)
+            # one answer per distinct classification
+            assert len({row[1:] for row in per_record(read)}) == len(read.u) < len(read)
 
     def test_stages_take_the_config_and_a_staged_run_only(self):
         import inspect
@@ -656,6 +666,41 @@ class TestStageSequencing:
             stage_index(config)
         assert (run_dir(config) / "FAILED").exists()
 
+    @pytest.mark.parametrize("tail", [
+        "1.0,0.0,0.0,Bogus,0",
+        "1.0,0.0,0.0,increase,0",
+        "0.0,0.0,0.0,Unrelated,7",
+        "1.0,0.0,0.0,Increase,1",  # failed, so Unrelated
+        "0.0,1.0,0.0,Increase,0",  # not the triple's hard label
+        "0.6,0.6,0.0,Neutral,0",  # sums to 1.2
+        "1.5,0.0,0.0,Increase,0",
+        "1.0,0.0,0.0,Increase",
+    ], ids=["unknown_label", "lowercase_label", "failed_flag_7", "failed_not_unrelated",
+            "label_not_argmax", "sum_not_one", "out_of_range", "four_fields"])
+    def test_a_bad_classified_answer_fails_index_with_its_line(self, small_corpus, tail):
+        config = config_for(small_corpus)
+        out = run(config).out_dir
+        path = out / "stages" / "classified" / "mock.csv"
+        lines = path.read_text().splitlines()
+        month, ordinal, _ = lines[4].split(",", 2)
+        lines[4] = f"{month},{ordinal},{tail}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StageError, match=r"mock\.csv:5: bad answer") as err:
+            stage_index(config)
+        assert err.value.stage == "index"
+
+    def test_classified_months_out_of_order_fail_index(self, small_corpus):
+        config = config_for(small_corpus)
+        out = run(config).out_dir
+        path = out / "stages" / "classified" / "mock.csv"
+        header, *rows = path.read_text().splitlines()
+        first = [row for row in rows if row.startswith(rows[0][:7])]
+        swapped = [*rows[len(first):2 * len(first)], *first, *rows[2 * len(first):]]
+        path.write_text("\n".join([header, *swapped]) + "\n")
+        with pytest.raises(StageError, match=rf"mock\.csv:{len(first) + 2}: month "
+                                             rf"{rows[0][:6]} out of order"):
+            stage_index(config)
+
     def test_out_of_order_classified_ordinal_fails_index(self, small_corpus):
         config = config_for(small_corpus)
         out = run(config).out_dir
@@ -666,6 +711,55 @@ class TestStageSequencing:
             stage_index(config)
         assert err.value.stage == "index"
         assert (out / "FAILED").read_text().startswith("stage: index\n")
+
+
+def canonical_classified(answers, months, codes):
+    """The ``Classified`` of ``answers`` ((triple, failed) pairs) and the
+    per-record ``codes`` into them, split into ``months`` segments, with
+    its table in the form the reader builds: one row per distinct answer,
+    in order of first use."""
+    order = list(dict.fromkeys(c for month in codes for c in month))
+    rows = [answers[c] for c in order]
+    renumber = {c: i for i, c in enumerate(order)}
+    return Classified.from_answers(
+        [ClassProbabilities(*triple) for triple, _ in rows], [failed for _, failed in rows],
+        [renumber[c] for month in codes for c in month], months,
+        [0, *itertools.accumulate(map(len, codes))])
+
+
+answer_triples = st.one_of(
+    st.tuples(st.floats(0.001, 1), st.floats(0.001, 1), st.floats(0.001, 1)).map(
+        lambda t: tuple(x / sum(t) for x in t)),
+    st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0),
+                     (0.5, 0.5, 0.0), (1 / 3, 1 / 3, 1 / 3), (-0.0, 0.0, 1.0)]))
+answers = st.tuples(answer_triples, st.booleans()).map(
+    lambda a: ((0.0, 0.0, 0.0), True) if a[1] else a)
+
+
+class TestClassifiedCsvRoundTrip:
+    @given(st.lists(answers, min_size=1, max_size=8,
+                    unique_by=lambda a: (tuple(map(repr, a[0])), a[1])),
+           st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
+           st.data())
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_write_then_read_gives_the_codes_the_table_and_the_bytes(
+            self, tmp_path, answers, offsets, data):
+        from wsi.pipeline import _classified_csv, _read_classified_csv
+
+        months = [MonthKey(1999, 12).plus(k * 13) for k in sorted(offsets)]
+        codes = [data.draw(st.lists(st.integers(0, len(answers) - 1), min_size=1, max_size=12))
+                 for _ in months]
+        written = canonical_classified(answers, months, codes)
+        text = _classified_csv(written)
+        path = tmp_path / "classified.csv"
+        path.write_text(text)
+        read = _read_classified_csv(path)
+        for column in ("u", "v", "w", "label", "failed", "codes", "bounds"):
+            expected, actual = getattr(written, column), getattr(read, column)
+            assert actual.dtype == expected.dtype, column
+            assert actual.tobytes() == expected.tobytes(), column
+        assert read.months == months
+        assert _classified_csv(read) == text
 
 
 class TestStagedArtifacts:
@@ -925,6 +1019,19 @@ class TestConfig:
         config = RunConfig.from_dict(raw)
         assert config.backends[0].rules == ((("bonus",), (1.0, 0.0, 0.0)),
                                             (("cut",), (0.0, 1.0, 0.0)))
+
+    def test_integer_rule_probabilities_write_float_answers(self, small_corpus):
+        """The answer table holds float64, so a rule's [0, 1, 0] is written 0.0,1.0,0.0."""
+        trees = []
+        for i, triple in enumerate(([0.0, 1.0, 0.0], [0, 1, 0])):
+            backends = [BackendConfig.from_dict(
+                {"id": "custom", "kind": "keyword", "rules": [[["cut"], triple]]})]
+            config = config_for(small_corpus, backends=backends,
+                                output_dir=str(small_corpus / f"out{i}"))
+            stage_ingest(config)
+            stage_classify(config)
+            trees.append(tree_bytes(run_dir(config))["stages/classified/custom.csv"])
+        assert trees[0] == trees[1] and b",0.0,1.0,0.0,Decrease,0\n" in trees[0]
 
 
 class TestNormalizationModes:
