@@ -111,6 +111,8 @@ class ClassificationCache(ContentCache):
     prompt version as ``PROMPT_VERSION``.
     """
 
+    kind = "classify"
+
     def get(self, comment: str, endpoint: str, model_id: str,
             fallback_model_id: str | None = None) -> ClassProbabilities | None:
         """The entry under ``model_id``, else the one under ``fallback_model_id``."""
@@ -152,10 +154,12 @@ class CachedRemoteClassifier:
         misses = [i for i, p in enumerate(probs) if p is None]
         failed = [False] * len(comments)
         result = self.inner.classify_batch([comments[i] for i in misses], self.parallelism)
-        for i, p, was_failed, model in zip(misses, result.probs, result.failed, result.models):
-            probs[i], failed[i] = p, was_failed
-            if not was_failed:
-                self.cache.put(comments[i], endpoint, model, p)
+        with self.cache.transaction():
+            for i, p, was_failed, model in zip(misses, result.probs, result.failed,
+                                               result.models):
+                probs[i], failed[i] = p, was_failed
+                if not was_failed:
+                    self.cache.put(comments[i], endpoint, model, p)
         return BatchResult(probs=probs, failed=failed, wire_calls=result.wire_calls)
 
 
@@ -577,9 +581,8 @@ def stage_ingest(config: RunConfig, *, staged: StagedRun | None = None) -> Inges
             log.warning("rejected row %s:%d: %s", error.path, error.line, error.reason)
 
         translator = _translator(config)
-        cache = None
-        if not isinstance(translator, IdentityTranslator):
-            cache = TranslationCache(Path(config.cache_dir) / "translate")
+        cache = (TranslationCache(config.cache_dir)
+                 if isinstance(translator, RemoteTranslator) else None)
         try:
             report = translate_all(
                 load.corpus, translator,
@@ -592,6 +595,8 @@ def stage_ingest(config: RunConfig, *, staged: StagedRun | None = None) -> Inges
         finally:
             if isinstance(translator, RemoteTranslator):
                 translator.close()
+            if cache is not None:
+                cache.close()
         corpus = report.corpus
         write_survey(corpus, out / "stages" / "records.csv")
         write_wages(wages.levels, out / "stages" / "wages.csv")
@@ -617,8 +622,8 @@ def _build_classifier(backend: BackendConfig, config: RunConfig):
         return default_keyword_classifier(backend_id=backend.backend_id)
     if backend.kind in REMOTE_KINDS:
         remote = RemoteClassifier(backend)
-        cache = ClassificationCache(Path(config.cache_dir) / "classify")
-        return CachedRemoteClassifier(remote, cache, parallelism=config.classify_parallelism)
+        return CachedRemoteClassifier(remote, ClassificationCache(config.cache_dir),
+                                      parallelism=config.classify_parallelism)
     raise ConfigError(f"no classifier for kind {backend.kind}")
 
 
@@ -674,6 +679,7 @@ def _classify_backend(backend: BackendConfig, corpus: Corpus, wages: WageSeries,
     finally:
         if isinstance(classifier, CachedRemoteClassifier):
             classifier.inner.transport.close()
+            classifier.cache.close()
     codes = np.fromiter(map(text_codes.__getitem__, corpus.text_ids), dtype=np.intp,
                         count=len(corpus))
     bounds = [0, *(records.stop for _, records in slices)]

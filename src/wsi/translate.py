@@ -5,7 +5,8 @@ Remote backends speak one JSON shape over either ``wsi.wire`` transport
 request ``{"texts": [...], "source": "...", "target": "..."}``, response
 ``{"translations": [...]}``. An identity backend ships for offline runs
 and tests. Cached translations are keyed by (source text, backend,
-source language, target language), one file per key.
+source language, target language) in the cache directory's
+``translate.sqlite``.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ class IdentityTranslator:
 
 
 class RemoteTranslator:
-    """A translation backend behind one ``wire.transport`` endpoint."""
+    """A translation backend behind one ``wire.transport`` endpoint, named
+    by its ``wire.endpoint_identity``."""
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
-        self.backend_id = endpoint
+        self.backend_id = wire.endpoint_identity(endpoint)
         self.transport = wire.transport(endpoint, timeout)
 
     def translate(self, texts: Sequence[str], source: str, target: str) -> list[str]:
@@ -63,6 +65,8 @@ SubprocessTranslator = RemoteTranslator
 
 class TranslationCache(wire.ContentCache):
     """Translations keyed by (source text, backend, source, target language)."""
+
+    kind = "translate"
 
     def get(self, text: str, backend_id: str, source: str, target: str) -> str | None:
         return self.read((text, backend_id, source, target), lambda entry: entry["translation"])
@@ -115,12 +119,12 @@ def translate_all(corpus: Corpus, backend: TranslationBackend,
     # The identity backend answers in process, so its batches make no backend calls.
     calls = (0 if isinstance(backend, IdentityTranslator)
              else sum(attempts for _, (_, attempts) in outcomes))
-    for batch, (outcome, _) in outcomes:
-        if outcome is None:
-            continue
-        for text, translated in zip(batch, outcome):
-            translations[text] = translated
-            if cache is not None:
+    fresh = [(text, translated) for batch, (outcome, _) in outcomes if outcome is not None
+             for text, translated in zip(batch, outcome)]
+    translations.update(fresh)
+    if cache is not None:
+        with cache.transaction():
+            for text, translated in fresh:
                 cache.put(text, backend.backend_id, source, target, translated)
 
     failed_ids = {i for i, comment in enumerate(corpus.comments) if comment not in translations}

@@ -19,9 +19,9 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager, nullcontext
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence, TextIO, TypeVar
+from typing import Any, Callable, ContextManager, Iterator, Sequence, TextIO, TypeVar
 
 log = logging.getLogger("wsi")
 
@@ -228,32 +228,98 @@ def atomic_write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-class ContentCache:
-    """One JSON file per key tuple, at ``<dir>/<digest[:2]>/<digest>.json``.
+BUSY_TIMEOUT_S = 30.0  # how long a cache write waits for another process's commit
 
-    The digest is ``sha256(json.dumps(list(key)))``. Entries are written
-    atomically, so concurrent readers and writers are safe; an entry that
-    is missing or cannot be decoded reads as a miss.
+
+def _create_cache_file(file: Path) -> None:
+    """An empty cache database in WAL mode at ``file``, unless one is there.
+
+    It is built under a temporary name and linked into place: processes
+    that open a new cache at once would otherwise race to switch its
+    journal mode, and the loser fails without waiting.
+    """
+    import sqlite3  # see ContentCache.__init__
+
+    fd, tmp = tempfile.mkstemp(dir=file.parent, suffix=".tmp")
+    os.close(fd)
+    try:
+        with closing(sqlite3.connect(tmp)) as db:
+            db.execute("PRAGMA journal_mode=WAL")
+            db.execute("CREATE TABLE entries (digest TEXT PRIMARY KEY, value TEXT) WITHOUT ROWID")
+        try:
+            os.link(tmp, file)
+        except FileExistsError:
+            pass  # another process linked its own first
+    finally:
+        os.unlink(tmp)
+
+
+class ContentCache:
+    """One SQLite file per cache kind, ``<dir>/<kind>.sqlite`` (the pipeline's
+    are ``classify.sqlite`` and ``translate.sqlite``), with one
+    ``(digest, value)`` row per key tuple.
+
+    The digest is ``sha256(json.dumps(list(key)))``; the value is the JSON
+    text ``write`` was given. The file runs in WAL mode with a busy timeout,
+    so processes sharing a cache directory read while one writes, and
+    writers wait for each other. An entry that is missing or cannot be
+    decoded reads as a miss. A file that is not a SQLite database is logged
+    once and left as it is: every read misses and writes are skipped. The
+    connection belongs to the thread that opened the cache.
+
+    The one-JSON-file-per-entry directories ``classify/`` and ``translate/``
+    of earlier versions are not read: the first run after an upgrade starts
+    cold, and those directories can be deleted.
     """
 
+    kind = "content"
+
     def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        self.file = directory / f"{self.kind}.sqlite"
+        # Imported here: a run without a remote backend opens no cache, and
+        # so never loads the SQLite library (about 1 MB of resident memory).
+        import sqlite3
+
+        if not self.file.exists():
+            _create_cache_file(self.file)
+        self._db: sqlite3.Connection | None = sqlite3.connect(
+            self.file, timeout=BUSY_TIMEOUT_S, isolation_level=None)
+        try:
+            self._db.execute("SELECT 1 FROM entries LIMIT 0")
+        except sqlite3.DatabaseError as exc:
+            log.warning("cache %s is not usable, so it is neither read nor written: %s",
+                        self.file, exc)
+            self._db.close()
+            self._db = None
 
     @staticmethod
     def digest(key: tuple) -> str:
         return hashlib.sha256(json.dumps(list(key)).encode("utf-8")).hexdigest()
 
-    def path(self, key: tuple) -> Path:
-        digest = self.digest(key)
-        return self.directory / digest[:2] / f"{digest}.json"
-
     def read(self, key: tuple, decode: Callable[[Any], T]) -> T | None:
+        if self._db is None:
+            return None
+        row = self._db.execute("SELECT value FROM entries WHERE digest = ?",
+                               (self.digest(key),)).fetchone()
         try:
-            with open(self.path(key), encoding="utf-8") as fh:
-                return decode(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError):
+            return None if row is None else decode(json.loads(row[0]))
+        except (ValueError, KeyError, TypeError):
             return None
 
     def write(self, key: tuple, text: str) -> None:
-        atomic_write(self.path(key), text)
+        if self._db is not None:
+            self._db.execute("INSERT OR REPLACE INTO entries VALUES (?, ?)",
+                             (self.digest(key), text))
+
+    def transaction(self) -> ContextManager:
+        """A block whose writes commit together, or not at all if it raises."""
+        if self._db is None:
+            return nullcontext()
+        self._db.execute("BEGIN IMMEDIATE")
+        return self._db  # leaving it commits, or rolls back after an exception
+
+    def close(self) -> None:
+        if self._db is not None:
+            self._db.close()

@@ -1,5 +1,7 @@
 import json
+import sqlite3
 import threading
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -23,6 +25,12 @@ def pytest_runtest_logreport(report):
     name = report.nodeid.split("::")[-1]
     outcome = "PASS" if report.passed else "FAIL"
     print(f"\nACCEPTANCE {outcome}: {name}", flush=True)
+
+
+def cache_rows(file):
+    """A cache file's rows as ``{digest: stored value}``, read past ``ContentCache``."""
+    with closing(sqlite3.connect(file)) as db:
+        return dict(db.execute("SELECT digest, value FROM entries"))
 
 
 def make_record(month=MonthKey(2020, 1), comment="wages were raised",

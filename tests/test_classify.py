@@ -24,7 +24,7 @@ from wsi.corpus import MonthKey
 from wsi.pipeline import BackendConfig
 from wsi.wire import SubprocessTransport
 
-from conftest import WIRE_STUB, make_record
+from conftest import WIRE_STUB, cache_rows, make_record
 
 
 class TestClassProbabilities:
@@ -269,7 +269,7 @@ class TestClassifyBatch:
         assert result.wire_calls == 2
         assert all(p == UNRELATED for p in result.probs)
         assert all(cache.get(t, "http://unused/", "primary") is None for t in texts)
-        assert not list((tmp_path / "cache").rglob("*.json"))
+        assert cache_rows(tmp_path / "cache" / "classify.sqlite") == {}
 
         rescued = remote(spec(fallback_model_id="backup", max_retries=1),
                          transport=transport).classify_batch(texts)
@@ -417,4 +417,5 @@ def test_hung_subprocess_classifier_fails_within_its_timeout(tmp_path, monkeypat
         assert child.returncode is not None  # killed and reaped
         assert child.stdin.closed and child.stdout.closed
     client.transport.close()
-    assert not list((tmp_path / "cache").rglob("*.json"))
+    classifier.cache.close()
+    assert cache_rows(tmp_path / "cache" / "classify.sqlite") == {}

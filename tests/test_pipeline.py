@@ -31,7 +31,7 @@ from wsi.classify import (DEFAULT_KEYWORD_RULES, Classified, ClassProbabilities,
                           TransportError)
 from wsi.synthetic import SyntheticSpec, generate_synthetic
 
-from conftest import WIRE_STUB
+from conftest import WIRE_STUB, cache_rows
 
 
 def tree_bytes(root):
@@ -97,14 +97,14 @@ class TestCacheKey:
         assert cache.get("a comment", endpoint, "model-x") == probs
         assert cache.get("a comment", endpoint, "other-model") is None
         assert cache.get("a comment", "cmd:other-endpoint", "model-x") is None
+        cache.close()
         # the key is [comment, endpoint as the transport reads it, model,
-        # prompt version]; the entry's fan-out path and bytes are pinned so
-        # a format change shows here
+        # prompt version]; the cache file, the entry's digest and its value
+        # bytes are pinned so a format change shows here
         digest = "e8eebdb2f69e77f76e66fd12e4e257cc4a9a70018d443d47485d99e37734a4a8"
-        assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()] == [
-            Path(digest[:2]) / f"{digest}.json"]
-        assert (tmp_path / digest[:2] / f"{digest}.json").read_bytes() == \
-            b'{"u": 0.5, "v": 0.25, "w": 0.25}'
+        assert [p.name for p in tmp_path.iterdir()] == ["classify.sqlite"]
+        assert cache_rows(tmp_path / "classify.sqlite") == {
+            digest: '{"u": 0.5, "v": 0.25, "w": 0.25}'}
 
     def test_fallback_answer_is_cached_under_the_fallback_model(self, tmp_path):
         from wsi.classify import RemoteClassifier

@@ -12,7 +12,7 @@ from wsi.translate import (
     translate_all,
 )
 
-from conftest import WIRE_STUB, make_record
+from conftest import WIRE_STUB, cache_rows, make_record
 
 
 class CountingTranslator:
@@ -106,10 +106,14 @@ def test_cache_round_trip_and_layout(tmp_path):
     assert cache.get("hello", "other-backend", "ja", "en") is None
     assert cache.get("hello", "b1", "ja", "de") is None  # a changed target misses
     assert cache.get("hello", "b1", "ko", "en") is None  # so does a changed source
+    cache.close()
     digest = TranslationCache.digest(("hello", "b1", "ja", "en"))
-    # one file per entry, in the classification cache's fan-out layout
-    assert [str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()] == [
-        f"{digest[:2]}/{digest}.json"]
+    # one file for the kind, one row per entry, its value bytes pinned
+    assert [p.name for p in tmp_path.iterdir()] == ["translate.sqlite"]
+    assert cache_rows(tmp_path / "translate.sqlite") == {digest: (
+        '{"backend": "b1", "source_sha256": '
+        '"2cf24dba5fb0a30e26e83b2ac5b9e29e1b161e5c1fa7425e73043362938b9824", '
+        '"translation": "HELLO"}')}
 
 
 def test_changed_target_language_is_translated_again(tmp_path):
@@ -202,7 +206,7 @@ def test_hung_cmd_translator_fails_within_its_timeout(tmp_path):
     assert report.backend_calls == 2
     assert report.failed_indices == [0, 1, 2]
     assert all(r.comment_translated is None for r in report.corpus.records())
-    assert not list((tmp_path / "cache").rglob("*.json"))
+    assert cache_rows(tmp_path / "cache" / "translate.sqlite") == {}
     assert backend.transport._proc is None  # the hung child was killed
     backend.close()
 

@@ -1,5 +1,7 @@
+import sqlite3
 import sys
 import time
+from contextlib import closing
 
 import pytest
 
@@ -64,9 +66,11 @@ def test_content_cache_reads_a_damaged_entry_as_a_miss(tmp_path):
     assert cache.read(("key", 1), lambda entry: entry["value"]) == 7
     assert cache.read(("key", 2), lambda entry: entry["value"]) is None
     assert cache.read(("key", 1), lambda entry: entry["other"]) is None
-    cache.path(("key", 1)).write_text('{"value": ', encoding="utf-8")
+    with closing(sqlite3.connect(cache.file)) as db, db:
+        db.execute("UPDATE entries SET value = ?", ('{"value": ',))
     assert cache.read(("key", 1), lambda entry: entry["value"]) is None
-    assert not list(tmp_path.rglob("*.tmp"))
+    cache.close()
+    assert [p.name for p in tmp_path.iterdir()] == ["content.sqlite"]
 
 
 def test_child_that_never_reads_cannot_block_a_large_request():
