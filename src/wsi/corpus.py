@@ -262,20 +262,13 @@ class RowError:
 
 @dataclass
 class SurveyLoad:
-    """Parsed records plus the row-level error report.
-
-    A list of ``SurveyRecord``s passed as ``corpus`` (as reference loaders
-    do) is converted to columns once. ``records`` builds the objects on
-    each use; no pipeline code reads it.
+    """Parsed records plus the row-level error report. ``records`` builds
+    the objects on each use; no pipeline code reads it.
     """
 
     corpus: Corpus
     errors: list[RowError]
     skipped_empty: int = 0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.corpus, Corpus):
-            self.corpus = Corpus.from_records(self.corpus)
 
     @property
     def records(self) -> list[SurveyRecord]:
@@ -306,11 +299,6 @@ class _CellCodes(dict):
         value = self.normalize(cell)
         code = self[cell] = -1 if value is None else self.codes[value]
         return code
-
-
-def load_survey(path: str | Path) -> SurveyLoad:
-    """Load one canonical survey CSV (see ``load_surveys``)."""
-    return load_surveys([path])
 
 
 def load_surveys(paths: Iterable[str | Path]) -> SurveyLoad:
@@ -458,11 +446,8 @@ class WageSeries:
 
     @property
     def yoy_map(self) -> dict[MonthKey, float]:
+        """Year-on-year growth in percent, at each month that has a level a year before."""
         return dict(self._yoy)
-
-    def yoy(self, t: MonthKey) -> float | None:
-        """Year-on-year growth in percent, or None when undefined at t."""
-        return self._yoy.get(t)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WageSeries) and self._levels == other._levels

@@ -19,7 +19,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import re
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, field, fields
@@ -83,7 +82,6 @@ from .wire import ContentCache, atomic_write, endpoint_identity
 
 log = logging.getLogger("wsi")
 
-CACHE_DIR_ENV = "WSI_CACHE_DIR"
 INDEX_KINDS = ("standard", "weighted")
 # One day; the transports fail on timeouts past about 2.1e6 s (the selector's limit).
 MAX_TIMEOUT = 86400.0
@@ -154,12 +152,15 @@ class CachedRemoteClassifier:
         misses = [i for i, p in enumerate(probs) if p is None]
         failed = [False] * len(comments)
         result = self.inner.classify_batch([comments[i] for i in misses], self.parallelism)
-        with self.cache.transaction():
-            for i, p, was_failed, model in zip(misses, result.probs, result.failed,
-                                               result.models):
-                probs[i], failed[i] = p, was_failed
-                if not was_failed:
-                    self.cache.put(comments[i], endpoint, model, p)
+        stored = []
+        for i, p, was_failed, model in zip(misses, result.probs, result.failed, result.models):
+            probs[i], failed[i] = p, was_failed
+            if not was_failed:
+                stored.append((comments[i], model, p))
+        if stored:  # nothing to store takes no write lock
+            with self.cache.transaction():
+                for comment, model, p in stored:
+                    self.cache.put(comment, endpoint, model, p)
         return BatchResult(probs=probs, failed=failed, wire_calls=result.wire_calls)
 
 
@@ -368,7 +369,6 @@ class RunConfig:
         ids = [b.backend_id for b in self.backends]
         if len(ids) != len(set(ids)):
             raise ConfigError("backend ids must be unique")
-        self.cache_dir = os.environ.get(CACHE_DIR_ENV) or self.cache_dir
 
     @property
     def normalization_mode(self) -> Normalization:
@@ -432,12 +432,20 @@ def run_dir(config: RunConfig) -> Path:
 
 
 @contextmanager
-def _stage(out: Path, name: str):
-    """Convert any stage exception into StageError and leave a FAILED marker
-    naming the stage that failed; a success removes a marker naming ``name``."""
-    marker = out / "FAILED"
+def _stage(config: RunConfig, name: str, staged: StagedRun | None):
+    """Enter stage ``name`` with ``staged``, else a ``StagedRun`` for the run
+    directory ``config`` names. Any exception becomes a StageError naming
+    ``name``, unless it is one (from a stage this one ran), and leaves a
+    FAILED marker naming the stage that failed; a success removes a marker
+    naming ``name``."""
+    if staged is None:
+        try:
+            staged = StagedRun(config, compute_run_id(config))
+        except (LoadError, OSError) as exc:
+            raise StageError(name, str(exc)) from exc
+    marker = staged.out / "FAILED"
     try:
-        yield
+        yield staged
     except BaseException as exc:
         error = exc if isinstance(exc, StageError) else StageError(name, str(exc))
         with suppress(OSError):
@@ -504,39 +512,29 @@ class StagedRun:
         self.sweeps: SweepMap | None = None
         self.stats: dict[str, dict] = {}
 
-    @classmethod
-    def for_stage(cls, config: RunConfig, stage: str, staged: StagedRun | None) -> StagedRun:
-        """``staged``, else one opened for the run directory ``config``
-        names; inputs the run id cannot be computed from fail ``stage``."""
-        if staged is not None:
-            return staged
-        try:
-            return cls(config, compute_run_id(config))
-        except (LoadError, OSError) as exc:
-            raise StageError(stage, str(exc)) from exc
-
-    def _ingest_file(self, name: str, stage: str) -> Path:
+    def _ingest_file(self, name: str) -> Path:
+        """``out/<run-id>/<name>``; FileNotFoundError when ingest has not written it."""
         path = self.out / name
         if not path.exists():
-            raise StageError(stage, "ingest artifacts missing; run `wsi ingest` first")
+            raise FileNotFoundError("ingest artifacts missing; run `wsi ingest` first")
         return path
 
-    def get_wages(self, stage: str) -> WageSeries:
+    def get_wages(self) -> WageSeries:
         if self.wages is None:
-            self.wages = load_wages(self._ingest_file("stages/wages.csv", stage))
+            self.wages = load_wages(self._ingest_file("stages/wages.csv"))
         return self.wages
 
-    def get_corpus(self, stage: str) -> Corpus:
+    def get_corpus(self) -> Corpus:
         """The ingested records, in month order."""
         if self.corpus is None:
-            self.corpus = load_surveys([self._ingest_file("stages/records.csv", stage)]).corpus
+            self.corpus = load_surveys([self._ingest_file("stages/records.csv")]).corpus
         return self.corpus
 
-    def get_classified(self, backend_id: str, stage: str) -> Classified:
+    def get_classified(self, backend_id: str) -> Classified:
         if backend_id not in self.classified:
             path = self.out / "stages" / "classified" / f"{backend_id}.csv"
             if not path.exists():
-                raise StageError(stage, f"no classified comments for {backend_id};"
+                raise FileNotFoundError(f"no classified comments for {backend_id};"
                                         " run `wsi classify` first")
             self.classified[backend_id] = _read_classified_csv(path)
         return self.classified[backend_id]
@@ -569,9 +567,8 @@ class StagedRun:
 
 def stage_ingest(config: RunConfig, *, staged: StagedRun | None = None) -> IngestResult:
     """Load surveys and wages, translate comments, persist normalized inputs."""
-    staged = StagedRun.for_stage(config, "ingest", staged)
-    out = staged.out
-    with _stage(out, "ingest"):
+    with _stage(config, "ingest", staged) as staged:
+        out = staged.out
         # the run id, computed first, has found every survey file
         load = load_surveys(expand_survey_paths(config.survey_paths))
         if not load.corpus:
@@ -787,11 +784,10 @@ def stage_classify(config: RunConfig, only_backend: str | None = None, *,
     """
     if only_backend is not None and only_backend not in {b.backend_id for b in config.backends}:
         raise ConfigError(f"no backend with id {only_backend!r} is configured")
-    staged = StagedRun.for_stage(config, "classify", staged)
-    out = staged.out
-    with _stage(out, "classify"):
-        corpus = staged.get_corpus("classify")
-        wages = staged.get_wages("classify")
+    with _stage(config, "classify", staged) as staged:
+        out = staged.out
+        corpus = staged.get_corpus()
+        wages = staged.get_wages()
         # one backend's entry replaces its own; the others' stay as recorded
         stats = dict(staged.get_stats("classify")) if only_backend is not None else {}
         results: dict[str, Classified] = {}
@@ -827,10 +823,9 @@ def stage_index(config: RunConfig, *, staged: StagedRun | None = None
     corpus too short for any selection window) is recorded as a failure
     rather than aborting the other backends.
     """
-    staged = StagedRun.for_stage(config, "index", staged)
-    out = staged.out
-    with _stage(out, "index"):
-        classified = {b.backend_id: staged.get_classified(b.backend_id, "index")
+    with _stage(config, "index", staged) as staged:
+        out = staged.out
+        classified = {b.backend_id: staged.get_classified(b.backend_id)
                       for b in config.backends}
         series: dict[str, SeriesResult] = {}
         stats: dict[str, dict] = {}
@@ -863,10 +858,9 @@ def stage_index(config: RunConfig, *, staged: StagedRun | None = None
 def stage_granger(config: RunConfig, *, staged: StagedRun | None = None
                   ) -> tuple[SweepMap, dict[str, str]]:
     """Granger sweeps for every backend and index kind against wage growth."""
-    staged = StagedRun.for_stage(config, "granger", staged)
-    out = staged.out
-    with _stage(out, "granger"):
-        yoy_map = staged.get_wages("granger").yoy_map
+    with _stage(config, "granger", staged) as staged:
+        out = staged.out
+        yoy_map = staged.get_wages().yoy_map
         sweeps: SweepMap = {}
         failures: dict[str, str] = {}
         stats = {}
@@ -900,12 +894,11 @@ def stage_report(config: RunConfig, *, staged: StagedRun | None = None) -> Repor
     The series and sweeps come from ``staged``, which runs index and
     granger when it lacks them.
     """
-    staged = StagedRun.for_stage(config, "report", staged)
-    out = staged.out
-    with _stage(out, "report"):
-        with open(staged._ingest_file("summary/month.csv", "report"), encoding="utf-8") as fh:
+    with _stage(config, "report", staged) as staged:
+        out = staged.out
+        with open(staged._ingest_file("summary/month.csv"), encoding="utf-8") as fh:
             record_months = [line.partition(",")[0] for line in fh.read().splitlines()[1:]]
-        wages = staged.get_wages("report")
+        wages = staged.get_wages()
         yoy_map = wages.yoy_map
         series, sweeps = staged.get_series(), staged.get_sweeps()
 
@@ -966,8 +959,8 @@ class RunResult:
 
 def run(config: RunConfig) -> RunResult:
     """Execute every stage; artifacts land under out/<run-id>/."""
-    staged = StagedRun.for_stage(config, "ingest", None)
-    ingest = stage_ingest(config, staged=staged)
+    with _stage(config, "ingest", None) as staged:  # opens the run directory
+        ingest = stage_ingest(config, staged=staged)
     _, wire_stats = stage_classify(config, staged=staged)
     stage_index(config, staged=staged)
     stage_granger(config, staged=staged)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Mapping, Sequence
 
@@ -38,7 +38,7 @@ def _row_cells(result: GrangerResult) -> tuple[str, str, str]:
 
 
 def render_granger_table(results: Sequence[GrangerResult], format: str = "latex") -> str:
-    """One model's lag table as csv, markdown, or latex text.
+    """One model's lag table as markdown or latex text.
 
     Rows carry the lag, the F statistic to three decimals, and the p-value
     to three decimals with significance stars appended (p < 0.10 one star,
@@ -47,10 +47,6 @@ def render_granger_table(results: Sequence[GrangerResult], format: str = "latex"
     if not results:
         raise ValueError("no results to render")
     ordered = sorted(results, key=lambda r: r.lag)
-    if format == "csv":
-        lines = ["lag,f_stat,p_value"]
-        lines.extend(",".join(_row_cells(r)) for r in ordered)
-        return "\n".join(lines) + "\n"
     if format == "markdown":
         lines = ["| Lag | F-stat | p-value |", "|---:|---:|:---|"]
         lines.extend("| " + " | ".join(_row_cells(r)) + " |" for r in ordered)
@@ -69,9 +65,8 @@ def render_granger_row(result: GrangerResult) -> str:
 
 
 def render_granger_grid(sweeps: Mapping[str, Sequence[GrangerResult]],
-                        title: str, format: str = "latex",
-                        per_row: int = 4) -> str:
-    """Comparison grid across models: per-model sub-tables under bold headers."""
+                        title: str, format: str = "latex") -> str:
+    """Comparison grid across models: per-model sub-tables under bold headers, four to a row."""
     if not sweeps:
         raise ValueError("no sweeps to render")
     backends = list(sweeps)
@@ -85,6 +80,7 @@ def render_granger_grid(sweeps: Mapping[str, Sequence[GrangerResult]],
     if format == "latex":
         lines = [r"\begin{table*}[t]", r"\centering", rf"\caption{{{title}}}"]
         lines.append(r"\resizebox{\textwidth}{!}{%")
+        per_row = 4
         lines.append(r"\begin{tabular}{" + "c" * min(per_row, len(backends)) + "}")
         for start in range(0, len(backends), per_row):
             chunk = backends[start: start + per_row]
@@ -259,7 +255,6 @@ class ReportBundle:
     series: dict[str, list[IndexPoint]]
     sweeps: dict[tuple[str, str], list[GrangerResult]]
     failures: dict[str, dict]
-    generated_at: str = field(default="", compare=False)
 
     def validate(self) -> None:
         for backend in self.series:

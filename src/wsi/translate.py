@@ -87,7 +87,6 @@ class TranslationReport:
     corpus: Corpus
     failed_indices: list[int]  # positions of the records left untranslated
     backend_calls: int
-    cache_hits: int
 
 
 def translate_all(corpus: Corpus, backend: TranslationBackend,
@@ -109,7 +108,6 @@ def translate_all(corpus: Corpus, backend: TranslationBackend,
             hit = cache.get(text, backend.backend_id, source, target)
             if hit is not None:
                 translations[text] = hit
-    cache_hits = len(translations)
     pending = [text for text in texts if text not in translations]
 
     def run_batch(batch: Sequence[str]) -> tuple[list[str] | None, int]:
@@ -122,7 +120,7 @@ def translate_all(corpus: Corpus, backend: TranslationBackend,
     fresh = [(text, translated) for batch, (outcome, _) in outcomes if outcome is not None
              for text, translated in zip(batch, outcome)]
     translations.update(fresh)
-    if cache is not None:
+    if cache is not None and fresh:  # nothing to store takes no write lock
         with cache.transaction():
             for text, translated in fresh:
                 cache.put(text, backend.backend_id, source, target, translated)
@@ -132,4 +130,4 @@ def translate_all(corpus: Corpus, backend: TranslationBackend,
     filled = [translations.get(comment, loaded)
               for comment, loaded in zip(corpus.comments, corpus.translations)]
     return TranslationReport(corpus=replace(corpus, translations=filled), failed_indices=failed,
-                             backend_calls=calls, cache_hits=cache_hits)
+                             backend_calls=calls)

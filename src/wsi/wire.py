@@ -257,7 +257,7 @@ def _create_cache_file(file: Path) -> None:
 class ContentCache:
     """One SQLite file per cache kind, ``<dir>/<kind>.sqlite`` (the pipeline's
     are ``classify.sqlite`` and ``translate.sqlite``), with one
-    ``(digest, value)`` row per key tuple.
+    ``(digest, value)`` row per key, a tuple of strings.
 
     The digest is ``sha256(json.dumps(list(key)))``; the value is the JSON
     text ``write`` was given. The file runs in WAL mode with a busy timeout,
@@ -295,8 +295,10 @@ class ContentCache:
             self._db = None
 
     @staticmethod
-    def digest(key: tuple) -> str:
-        return hashlib.sha256(json.dumps(list(key)).encode("utf-8")).hexdigest()
+    def digest(key: tuple[str, ...]) -> str:
+        """``sha256(json.dumps(list(key)))``, the JSON spelled out for ``str`` parts."""
+        text = "[" + ", ".join(map(json.encoder.encode_basestring_ascii, key)) + "]"
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def read(self, key: tuple, decode: Callable[[Any], T]) -> T | None:
         if self._db is None:

@@ -21,13 +21,14 @@ from hypothesis import strategies as st
 
 import wsi.pipeline as pipeline
 import wsi.wire as wire
-from wsi.classify import PROMPT_VERSION, ClassProbabilities
+from wsi.classify import PROMPT_VERSION, ClassProbabilities, RemoteClassifier
+from wsi.corpus import Corpus
 from wsi.pipeline import BackendConfig, ClassificationCache, RunConfig, StagedRun, run
 from wsi.synthetic import SyntheticSpec, generate_synthetic
-from wsi.translate import TranslationCache
+from wsi.translate import RemoteTranslator, TranslationCache, translate_all
 from wsi.wire import ContentCache, endpoint_identity
 
-from conftest import WIRE_STUB
+from conftest import WIRE_STUB, make_record
 
 STUB = f"cmd:{sys.executable} {WIRE_STUB}"
 
@@ -98,10 +99,10 @@ from wsi.wire import ContentCache
 cache = ContentCache(sys.argv[1])
 with cache.transaction():
     for i in range(50):
-        cache.write(("committed", i), '{"value": %d}' % i)
+        cache.write(("committed", str(i)), '{"value": %d}' % i)
 with cache.transaction():
     for i in range(50):
-        cache.write(("pending", i), '{"value": %d}' % i)
+        cache.write(("pending", str(i)), '{"value": %d}' % i)
     print("inside", flush=True)
     time.sleep(60)
 """
@@ -124,10 +125,10 @@ def test_a_writer_killed_inside_a_transaction_leaves_a_readable_cache(tmp_path):
         return entry["value"]
 
     cache = ContentCache(tmp_path)
-    assert [cache.read(("committed", i), value) for i in range(50)] == list(range(50))
-    assert [cache.read(("pending", i), value) for i in range(50)] == [None] * 50
-    cache.write(("after", 0), '{"value": 0}')
-    assert cache.read(("after", 0), value) == 0
+    assert [cache.read(("committed", str(i)), value) for i in range(50)] == list(range(50))
+    assert [cache.read(("pending", str(i)), value) for i in range(50)] == [None] * 50
+    cache.write(("after", "0"), '{"value": 0}')
+    assert cache.read(("after", "0"), value) == 0
     cache.close()
     assert [p.name for p in tmp_path.iterdir()] == ["content.sqlite"]  # no *.tmp, no WAL
 
@@ -310,7 +311,7 @@ def keys_read(base, values):
             f.name for f in fields(RunConfig)}})
     READ_KEYS.clear()
     with mock.patch.object(pipeline, "PROMPT_VERSION", values["prompt_version"]):
-        staged = StagedRun.for_stage(config, "ingest", None)
+        staged = StagedRun(config, pipeline.compute_run_id(config))
         pipeline.stage_ingest(config, staged=staged)
         pipeline.stage_classify(config, staged=staged)
     return list(READ_KEYS)
@@ -327,3 +328,41 @@ def test_the_cache_key_changes_exactly_with_what_the_wire_answer_depends_on(
     keys = keys_read(one_comment, before)
     assert len(keys) >= 2  # translation, then classification
     assert (keys_read(one_comment, after) != keys) == changes_key(name, before, after)
+
+
+def translate_comments(cache, comments):
+    corpus = Corpus.from_records([make_record(comment=c) for c in comments])
+    translator = RemoteTranslator("cmd:stub")
+    try:
+        return translate_all(corpus, translator, source="ja", target="en", batch_size=10,
+                             cache=cache)
+    finally:
+        translator.close()
+
+
+def classify_comments(cache, comments):
+    backend = BackendConfig(backend_id="r", kind="subprocess", endpoint="cmd:stub")
+    return pipeline.CachedRemoteClassifier(RemoteClassifier(backend), cache).classify_batch(
+        comments)
+
+
+@pytest.mark.parametrize("cache_cls, stage", [
+    (TranslationCache, translate_comments), (ClassificationCache, classify_comments)],
+    ids=["translate", "classify"])
+def test_a_warm_stage_reads_past_another_writer_and_a_cold_one_waits_for_it(
+        tmp_path, monkeypatch, cache_cls, stage):
+    monkeypatch.setattr(wire, "transport", FakeWire)
+    monkeypatch.setattr(wire, "BUSY_TIMEOUT_S", 0.2)
+    with closing(cache_cls(tmp_path)) as cache:
+        stage(cache, ["a", "b"])
+    file = tmp_path / f"{cache_cls.kind}.sqlite"
+    with closing(sqlite3.connect(file, isolation_level=None)) as holder, \
+            closing(cache_cls(tmp_path)) as cache:
+        holder.execute("BEGIN IMMEDIATE")  # another process is writing
+        warm = stage(cache, ["b", "a"])  # nothing to store, so no write lock wanted
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            stage(cache, ["a", "c"])  # "c" is stored, behind the other writer
+    if cache_cls is TranslationCache:
+        assert (warm.backend_calls, warm.failed_indices) == (0, [])
+    else:
+        assert (warm.wire_calls, warm.failed) == (0, [False, False])

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from wsi import pipeline
 from wsi.cli import main
-from wsi.pipeline import RunConfig, run_dir
+from wsi.pipeline import RunConfig, StageError, run_dir
 
 
 @pytest.fixture
@@ -339,6 +340,39 @@ def test_failed_then_fixed_stage_leaves_the_tree_run_writes(workspace, capsys):
     run_path.write_text(json.dumps(config))
     assert main(["run", "--config", str(run_path)]) == 0
     assert tree_bytes(staged_dir) == tree_bytes(run_dir(RunConfig.from_file(run_path)))
+
+
+INGEST_MISSING = "ingest artifacts missing; run `wsi ingest` first"
+CLASSIFY_MISSING = "no classified comments for mock; run `wsi classify` first"
+
+
+@pytest.mark.parametrize("before, command, stage, cause", [
+    ((), "classify", "classify", INGEST_MISSING),
+    (("ingest",), "index", "index", CLASSIFY_MISSING),
+    (("ingest",), "granger", "index", CLASSIFY_MISSING),  # granger runs index itself
+    ((), "report", "report", INGEST_MISSING),
+], ids=["classify_before_ingest", "index_before_classify", "granger_before_classify",
+        "report_before_ingest"])
+def test_a_stage_run_before_its_inputs_names_the_stage_that_failed(
+        workspace, capsys, before, command, stage, cause):
+    tmp_path, config_path = workspace
+    for done in before:
+        assert main([done, "--config", str(config_path)]) == 0
+    config = RunConfig.from_file(config_path)
+    marker = run_dir(config) / "FAILED"
+    with pytest.raises(StageError) as err:
+        getattr(pipeline, f"stage_{command}")(config)
+    assert (err.value.stage, err.value.cause) == (stage, cause)
+    assert marker.read_text() == f"stage: {stage}\ncause: {cause}\n"
+
+    marker.unlink()
+    capsys.readouterr()
+    assert main([command, "--config", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error: ")] == [
+        f"error: stage {stage} failed: {cause}"]
+    assert marker.read_text() == f"stage: {stage}\ncause: {cause}\n"
 
 
 @pytest.mark.parametrize("missing", ["surveys", "wages"])

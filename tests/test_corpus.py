@@ -17,7 +17,6 @@ from wsi.corpus import (
     SurveyLoad,
     SurveyRecord,
     group_by_month,
-    load_survey,
     load_surveys,
     load_wages,
     month_range,
@@ -80,7 +79,7 @@ class TestLoadSurvey:
             "202001,Tokai,food service,Bad,bonus was cut",
             "202001,Kansai,transport,Unchanged,no change in pay",
         ])
-        load = load_survey(path)
+        load = load_surveys([path])
         assert len(load.records) == 3
         assert not load.errors and load.skipped_empty == 0
         assert [str(r.month) for r in load.records] == ["202001", "202001", "202002"]
@@ -94,7 +93,7 @@ class TestLoadSurvey:
             "2000-13,Kanto,retail,Good,bad month",
             "202002,Kanto,retail,Good,also fine",
         ])
-        load = load_survey(path)
+        load = load_surveys([path])
         assert len(load.records) == 2
         assert len(load.errors) == 1
         assert load.errors[0].reason == "invalid month"
@@ -103,7 +102,7 @@ class TestLoadSurvey:
     def test_unknown_judgment_rejects_row(self, tmp_path):
         path = tmp_path / "a.csv"
         _write_csv(path, ["202001,Kanto,retail,Stellar,fine"])
-        load = load_survey(path)
+        load = load_surveys([path])
         assert not load.records
         assert load.errors[0].reason == "unknown judgment"
 
@@ -114,7 +113,7 @@ class TestLoadSurvey:
             "202001,Kanto,retail,SLIGHTLY BAD,b",
             "202001,Kanto,retail,yaya warui,c",
         ])
-        load = load_survey(path)
+        load = load_surveys([path])
         assert [r.judgment for r in load.records] == [Judgment.SLIGHTLY_BAD] * 3
 
     def test_empty_comment_skipped_with_count(self, tmp_path):
@@ -123,19 +122,19 @@ class TestLoadSurvey:
             "202001,Kanto,retail,Good,   ",
             "202001,Kanto,retail,Good,real comment",
         ])
-        load = load_survey(path)
+        load = load_surveys([path])
         assert len(load.records) == 1
         assert load.skipped_empty == 1
 
     def test_missing_file_is_hard_error(self, tmp_path):
         with pytest.raises(LoadError):
-            load_survey(tmp_path / "nope.csv")
+            load_surveys([tmp_path / "nope.csv"])
 
     def test_missing_column_is_hard_error(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("yyyymm,region\n202001,Kanto\n")
         with pytest.raises(LoadError):
-            load_survey(path)
+            load_surveys([path])
 
     def test_concatenated_files_match_line_count_oracle(self, tmp_path):
         rng = random.Random(42)
@@ -160,12 +159,12 @@ class TestLoadSurvey:
         ]
         path = tmp_path / "out.csv"
         write_survey(records, path)
-        reloaded = load_survey(path)
+        reloaded = load_surveys([path])
         assert reloaded.records == records
 
 
 def _dictreader_load_survey(path):
-    """Reference: ``load_survey`` as written on ``csv.DictReader``, one parse per row."""
+    """Reference: ``load_surveys([path])`` on ``csv.DictReader``, one parse per row."""
     month_col, region_col, industry_col, judgment_col, comment_col = SURVEY_COLUMNS
     path = Path(path)
     records, errors, skipped_empty = [], [], 0
@@ -200,7 +199,7 @@ def _dictreader_load_survey(path):
                 industry=(row[industry_col] or "").strip(), judgment=judgment,
                 comment=comment, comment_translated=translated))
     records.sort(key=lambda r: r.month)
-    return SurveyLoad(records, errors, skipped_empty)
+    return SurveyLoad(Corpus.from_records(records), errors, skipped_empty)
 
 
 def _outcome(load, path):
@@ -229,14 +228,14 @@ CELLS = st.one_of(
 
 
 class TestFastRowParser:
-    """``load_survey`` reads exactly what a ``csv.DictReader`` reads."""
+    """``load_surveys`` reads exactly what a ``csv.DictReader`` reads."""
 
     @given(header=st.lists(st.sampled_from(COLUMNS), max_size=9),
            rows=st.lists(st.lists(CELLS, max_size=9), max_size=12))
     def test_matches_dictreader_reference(self, tmp_path_factory, header, rows):
         path = tmp_path_factory.mktemp("survey") / "s.csv"
         path.write_text(_csv_text([header] + rows), encoding="utf-8")
-        outcome = _outcome(load_survey, path)
+        outcome = _outcome(load_surveys, [path])
         assert outcome == _outcome(_dictreader_load_survey, path)
         if outcome[0] != "LoadError":
             merged = sorted(outcome[0] * 2, key=lambda r: r.month)
@@ -269,14 +268,14 @@ class TestFastRowParser:
     def test_fixed_cases_match_dictreader_reference(self, tmp_path, text):
         path = tmp_path / "s.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert _outcome(load_survey, path) == _outcome(_dictreader_load_survey, path)
+        assert _outcome(load_surveys, [path]) == _outcome(_dictreader_load_survey, path)
 
     def test_fixed_cases_read_what_they_say(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("yyyymm,comment,region,industry,judgment,comment,comment_translated\n"
                         "\n202001,first,K,r,Good,last,\n202001,first,K,r,Good\n"
                         "2020-13,x,K,r,Good,y\n", encoding="utf-8")
-        load = load_survey(path)
+        load = load_surveys([path])
         assert [(r.comment, r.comment_translated) for r in load.records] == [("last", None)]
         assert load.skipped_empty == 1
         assert load.errors == [RowError(str(path), 4, "invalid month")]
@@ -292,13 +291,12 @@ class TestWages:
         path = tmp_path / "w.csv"
         path.write_text("\n".join(rows) + "\n")
         series = load_wages(path)
-        assert series.yoy(MonthKey(2020, 1)) == pytest.approx(2.0)
-        assert series.yoy(MonthKey(2019, 12)) is None
         assert series.yoy_map[MonthKey(2020, 1)] == pytest.approx(2.0)
+        assert MonthKey(2019, 12) not in series.yoy_map
 
     def test_flat_series_has_zero_growth(self):
         levels = {MonthKey(2019, 1).plus(i): 100.0 for i in range(13)}
-        assert WageSeries(levels).yoy(MonthKey(2020, 1)) == 0.0
+        assert WageSeries(levels).yoy_map[MonthKey(2020, 1)] == 0.0
 
     def test_short_series_has_empty_yoy(self):
         levels = {MonthKey(2020, 1).plus(i): 100.0 + i for i in range(12)}
@@ -330,13 +328,13 @@ class TestWages:
         rng = random.Random(7)
         start = MonthKey(2000, 1)
         levels = {start.plus(i): 80.0 + 40.0 * rng.random() for i in range(60)}
-        series = WageSeries(levels)
+        yoy = WageSeries(levels).yoy_map
         # independent spreadsheet-style recomputation
         for i in range(12, 60):
             t = start.plus(i)
             expected = (levels[t] / levels[t.minus(12)] - 1.0) * 100.0
-            assert series.yoy(t) == pytest.approx(expected, abs=1e-12)
-        assert len(series.yoy_map) == 48
+            assert yoy[t] == pytest.approx(expected, abs=1e-12)
+        assert len(yoy) == 48
 
     @given(st.floats(0.01, 1000.0))
     def test_yoy_invariant_under_uniform_scaling(self, c):
@@ -344,9 +342,9 @@ class TestWages:
         start = MonthKey(2000, 1)
         levels = {start.plus(i): 90.0 + 20.0 * rng.random() for i in range(26)}
         base = WageSeries(levels)
-        scaled = WageSeries({m: v * c for m, v in levels.items()})
+        scaled = WageSeries({m: v * c for m, v in levels.items()}).yoy_map
         for m, g in base.yoy_map.items():
-            assert scaled.yoy(m) == pytest.approx(g, abs=1e-12)
+            assert scaled[m] == pytest.approx(g, abs=1e-12)
 
     def test_write_wages_round_trip(self, tmp_path):
         levels = {MonthKey(2020, 1).plus(i): 100.0 + 0.37 * i for i in range(15)}
@@ -399,20 +397,20 @@ class TestWriteSurvey:
         root = tmp_path_factory.mktemp("round")
         (root / "in.csv").write_text(_csv_text([header] + rows), encoding="utf-8")
         try:
-            load = load_survey(root / "in.csv")
+            load = load_surveys([root / "in.csv"])
         except LoadError:
             return
         write_survey(load.corpus, root / "out.csv")
         write_survey_reference(load.records, root / "reference.csv")
         assert (root / "out.csv").read_bytes() == (root / "reference.csv").read_bytes()
-        assert load_survey(root / "out.csv").records == load.records
+        assert load_surveys([root / "out.csv"]).records == load.records
 
     def test_one_comment_with_two_loaded_translations_keeps_both(self, tmp_path):
         path = tmp_path / "s.csv"
         _write_csv(path, ["202001,K,r,Good,x,one", "202001,K,r,Good,x,two",
                           "202001,K,r,Good,x,one"], header=",".join(
                               [*SURVEY_COLUMNS, TRANSLATED_COLUMN]))
-        corpus = load_survey(path).corpus
+        corpus = load_surveys([path]).corpus
         assert corpus.comments == ["x", "x"] and corpus.translations == ["one", "two"]
         assert corpus.text_ids == [0, 1, 0]
         write_survey(corpus, tmp_path / "out.csv")
@@ -425,8 +423,8 @@ class TestByteOrderMark:
                 "202002,Kanto,retail,Good,賃上げ,wage rise\n202001,Tokai,food,Bad,cut,\n")
         (tmp_path / "plain.csv").write_bytes(text.encode("utf-8"))
         (tmp_path / "bom.csv").write_bytes(text.encode("utf-8-sig"))
-        plain = load_survey(tmp_path / "plain.csv")
-        with_bom = load_survey(tmp_path / "bom.csv")
+        plain = load_surveys([tmp_path / "plain.csv"])
+        with_bom = load_surveys([tmp_path / "bom.csv"])
         assert with_bom.records == plain.records and len(plain.records) == 2
         assert (with_bom.errors, with_bom.skipped_empty) == ([], 0)
 
@@ -456,7 +454,7 @@ class TestCorpus:
 
     def test_a_rejected_rows_month_has_no_slice(self, tmp_path):
         _write_csv(tmp_path / "a.csv", ["202001,K,r,Stellar,x", "202002,K,r,Good,y"])
-        corpus = load_survey(tmp_path / "a.csv").corpus
+        corpus = load_surveys([tmp_path / "a.csv"]).corpus
         assert [str(m) for m, _ in corpus.month_slices()] == ["202002"]
 
 

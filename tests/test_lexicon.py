@@ -49,7 +49,7 @@ def term_counts(grouped):
 def term_stats(grouped, wages, window, min_mean_frequency=5.0):
     """build_term_stats over the whole corpus's counts and the window's growth."""
     return build_term_stats(term_counts(grouped), window,
-                            [wages.yoy(m) for m in window], min_mean_frequency)
+                            list(map(wages.yoy_map.get, window)), min_mean_frequency)
 
 
 def corpus_from_counts(counts_by_term):
@@ -283,7 +283,7 @@ class TestTermStatsKernel:
             window = months[2:15]
             for threshold in (0.0, 1.0, 2.5):
                 stats = term_stats(grouped, wages, window, min_mean_frequency=threshold)
-                growth = [wages.yoy(m) for m in window]
+                growth = list(map(wages.yoy_map.get, window))
                 expected = []
                 # every corpus term: one absent from the window has mean 0
                 for term in sorted({t for records in grouped.values() for r in records

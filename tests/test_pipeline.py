@@ -620,7 +620,7 @@ class TestStageSequencing:
         classified, _ = stage_classify(config)
         staged = StagedRun(config, compute_run_id(config))
         for backend_id, answers in classified.items():
-            read = staged.get_classified(backend_id, "index")
+            read = staged.get_classified(backend_id)
             assert per_record(read) == per_record(answers)
             # one answer per distinct classification
             assert len({row[1:] for row in per_record(read)}) == len(read.u) < len(read)
@@ -638,8 +638,6 @@ class TestStageSequencing:
             assert params(stage) == [config, staged], stage.__name__
         assert params(stage_classify) == [
             config, ("only_backend", "POSITIONAL_OR_KEYWORD", None), staged]
-        assert [name for name, _, _ in params(StagedRun.for_stage)] == [
-            "config", "stage", "staged"]
 
     def test_classify_without_ingest_fails_loud(self, small_corpus):
         config = config_for(small_corpus)
@@ -1001,11 +999,6 @@ class TestConfig:
              "model": None, "fallback_model": None}]})
         backend = config.backends[0]
         assert (backend.model_id, backend.fallback_model_id) == (None, None)
-
-    def test_cache_dir_env_override(self, small_corpus, monkeypatch):
-        monkeypatch.setenv("WSI_CACHE_DIR", str(small_corpus / "env-cache"))
-        config = config_for(small_corpus)
-        assert config.cache_dir == str(small_corpus / "env-cache")
 
     def test_custom_keyword_rules_from_config(self, small_corpus):
         raw = {

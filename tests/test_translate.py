@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from wsi.corpus import Corpus, MonthKey, load_survey
+from wsi.corpus import Corpus, MonthKey, load_surveys
 from wsi.translate import (
     IdentityTranslator,
     RemoteTranslator,
@@ -64,8 +64,7 @@ def test_warm_cache_with_offline_backend_makes_zero_calls(tmp_path):
     report = translate_all(Corpus.from_records(inputs), backend, source="ja", target="en",
                            batch_size=50, cache=cache, sleep=lambda s: None)
     assert backend.calls == 0
-    assert report.failed_indices == []
-    assert report.cache_hits == len({r.comment for r in inputs})
+    assert (report.backend_calls, report.failed_indices) == (0, [])
     assert all(r.comment_translated == r.comment.upper() for r in report.corpus.records())
 
 
@@ -123,10 +122,10 @@ def test_changed_target_language_is_translated_again(tmp_path):
     translate_all(Corpus.from_records(inputs), backend, source="ja", target="en", batch_size=50,
                   cache=cache)
     assert backend.calls == 1
-    report = translate_all(Corpus.from_records(inputs), backend, source="ja", target="de",
-                           batch_size=50, cache=cache)
+    assert all(cache.get(r.comment, backend.backend_id, "ja", "de") is None for r in inputs)
+    translate_all(Corpus.from_records(inputs), backend, source="ja", target="de",
+                  batch_size=50, cache=cache)
     assert backend.calls == 2
-    assert report.cache_hits == 0
 
 
 def test_cache_fills_after_cold_run(tmp_path):
@@ -139,7 +138,7 @@ def test_cache_fills_after_cold_run(tmp_path):
     report = translate_all(Corpus.from_records(inputs), backend, source="ja", target="en",
                            batch_size=50, cache=cache)
     assert backend.calls == calls_after_cold  # warm: no new calls
-    assert report.cache_hits > 0
+    assert report.backend_calls == 0
 
 
 def test_subprocess_translator_round_trip():
@@ -232,7 +231,7 @@ def test_failed_translation_keeps_each_rows_loaded_translation(tmp_path):
                     "202001,K,r,Good,x,one\n202001,K,r,Good,x,two\n202001,K,r,Good,y,\n",
                     encoding="utf-8")
     backend = CountingTranslator(fail_always=True)
-    report = translate_all(load_survey(path).corpus, backend, source="ja", target="en",
+    report = translate_all(load_surveys([path]).corpus, backend, source="ja", target="en",
                            batch_size=50, max_retries=0)
     assert report.failed_indices == [0, 1, 2]
     assert [r.comment_translated for r in report.corpus.records()] == ["one", "two", None]
@@ -243,7 +242,7 @@ def test_translation_replaces_every_loaded_translation_of_a_comment(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("yyyymm,region,industry,judgment,comment,comment_translated\n"
                     "202001,K,r,Good,x,one\n202001,K,r,Good,x,two\n", encoding="utf-8")
-    report = translate_all(load_survey(path).corpus, CountingTranslator(), source="ja",
+    report = translate_all(load_surveys([path]).corpus, CountingTranslator(), source="ja",
                            target="en", batch_size=50)
     assert report.failed_indices == []
     assert [r.comment_translated for r in report.corpus.records()] == ["X", "X"]

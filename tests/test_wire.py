@@ -1,9 +1,13 @@
+import hashlib
+import json
 import sqlite3
 import sys
 import time
 from contextlib import closing
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wsi.wire import ContentCache, SubprocessTransport, TransportError, map_batches, retry
 
@@ -60,15 +64,26 @@ def test_map_batches_rejects_sizes_below_one(batch_size, parallelism):
         map_batches([1, 2], batch_size, parallelism, len)
 
 
+# any code point, lone surrogates included, with the ones JSON escapes drawn often
+KEY_PARTS = st.text(st.one_of(st.characters(exclude_categories=()),
+                              st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u65e5\ud800\udfff')))
+
+
+@given(st.lists(KEY_PARTS, max_size=5).map(tuple))
+def test_the_cache_digest_is_the_sha256_of_the_keys_json_list(key):
+    expected = hashlib.sha256(json.dumps(list(key)).encode("utf-8")).hexdigest()
+    assert ContentCache.digest(key) == expected
+
+
 def test_content_cache_reads_a_damaged_entry_as_a_miss(tmp_path):
     cache = ContentCache(tmp_path)
-    cache.write(("key", 1), '{"value": 7}')
-    assert cache.read(("key", 1), lambda entry: entry["value"]) == 7
-    assert cache.read(("key", 2), lambda entry: entry["value"]) is None
-    assert cache.read(("key", 1), lambda entry: entry["other"]) is None
+    cache.write(("key", "1"), '{"value": 7}')
+    assert cache.read(("key", "1"), lambda entry: entry["value"]) == 7
+    assert cache.read(("key", "2"), lambda entry: entry["value"]) is None
+    assert cache.read(("key", "1"), lambda entry: entry["other"]) is None
     with closing(sqlite3.connect(cache.file)) as db, db:
         db.execute("UPDATE entries SET value = ?", ('{"value": ',))
-    assert cache.read(("key", 1), lambda entry: entry["value"]) is None
+    assert cache.read(("key", "1"), lambda entry: entry["value"]) is None
     cache.close()
     assert [p.name for p in tmp_path.iterdir()] == ["content.sqlite"]
 
