@@ -18,7 +18,7 @@ import math
 import numbers
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, Sequence
 
@@ -204,16 +204,11 @@ class Classified:
 
 @dataclass
 class BatchResult:
-    """Position-aligned classification output for one list of comments.
-
-    ``models`` names, for a remote classifier, the model that answered each
-    comment (None where it failed); local classifiers leave it empty.
-    """
+    """Position-aligned classification output for one list of comments."""
 
     probs: list[ClassProbabilities]
     failed: list[bool]
     wire_calls: int = 0
-    models: list[str | None] = field(default_factory=list)
 
 
 class Classifier(Protocol):
@@ -321,8 +316,10 @@ class RemoteClassifier:
                 raise TransportError(f"malformed probability row {row!r}: {exc}") from exc
         return out
 
-    def _classify_chunk(self, chunk: Sequence[str]) -> BatchResult:
-        """One batch, primary model first; the result's ``models`` names who answered."""
+    def _classify_chunk(self, chunk: Sequence[str]
+                        ) -> tuple[list[tuple[str, ClassProbabilities]] | None, int]:
+        """One batch, primary model first: each answer with the model that
+        gave it, or None when every model failed, and the wire calls made."""
         calls = 0
         for i, model_id in enumerate(self.models):
             if i > 0:
@@ -331,22 +328,19 @@ class RemoteClassifier:
             probs, model_calls = self._call_model(chunk, model_id)
             calls += model_calls
             if probs is not None:
-                return BatchResult(probs, [False] * len(chunk), calls, [model_id] * len(chunk))
-        return BatchResult([UNRELATED] * len(chunk), [True] * len(chunk), calls,
-                           [None] * len(chunk))
+                return [(model_id, p) for p in probs], calls
+        return None, calls
 
-    def classify_batch(self, comments: Sequence[str], parallelism: int = 1) -> BatchResult:
-        """``comments`` in batches of the backend's ``batch_size``, ``parallelism`` at a time."""
+    def classify_batch(self, comments: Sequence[str], parallelism: int = 1,
+                       **cached) -> BatchResult:
+        """``comments`` in batches of the backend's ``batch_size``, ``parallelism`` at a
+        time, through ``wire.fetch_cached`` with ``cached`` (a cache, read, write)."""
         if any(not c for c in comments):
             raise ValueError("comments must be non-empty")
-        result = BatchResult([], [])
-        for _, outcome in wire.map_batches(comments, self.backend.batch_size, parallelism,
-                                           self._classify_chunk):
-            result.probs.extend(outcome.probs)
-            result.failed.extend(outcome.failed)
-            result.models.extend(outcome.models)
-            result.wire_calls += outcome.wire_calls
-        return result
+        answers, calls = wire.fetch_cached(comments, self._classify_chunk,
+                                           self.backend.batch_size, parallelism, **cached)
+        return BatchResult([UNRELATED if a is None else a[1] for a in answers],
+                           [a is None for a in answers], calls)
 
 
 def classify_texts(texts: Sequence[str], classifier: Classifier) -> tuple[BatchResult, list[int]]:

@@ -20,8 +20,8 @@ import json
 import logging
 import math
 import re
-from contextlib import contextmanager, suppress
-from dataclasses import MISSING, dataclass, field, fields
+from contextlib import closing, contextmanager, suppress
+from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -73,9 +73,9 @@ from .report import (
     summarize_corpus,
 )
 from .translate import (
-    IdentityTranslator,
     RemoteTranslator,
     TranslationCache,
+    TranslationReport,
     translate_all,
 )
 from .wire import ContentCache, atomic_write, endpoint_identity
@@ -146,22 +146,15 @@ class CachedRemoteClassifier:
         self.backend_id = inner.backend_id
 
     def classify_batch(self, comments: Sequence[str]) -> BatchResult:
-        endpoint = self.inner.backend.endpoint
-        probs: list[ClassProbabilities | None] = [
-            self.cache.get(c, endpoint, *self.inner.models) for c in comments]
-        misses = [i for i, p in enumerate(probs) if p is None]
-        failed = [False] * len(comments)
-        result = self.inner.classify_batch([comments[i] for i in misses], self.parallelism)
-        stored = []
-        for i, p, was_failed, model in zip(misses, result.probs, result.failed, result.models):
-            probs[i], failed[i] = p, was_failed
-            if not was_failed:
-                stored.append((comments[i], model, p))
-        if stored:  # nothing to store takes no write lock
-            with self.cache.transaction():
-                for comment, model, p in stored:
-                    self.cache.put(comment, endpoint, model, p)
-        return BatchResult(probs=probs, failed=failed, wire_calls=result.wire_calls)
+        endpoint, models = self.inner.backend.endpoint, self.inner.models
+
+        def read(comment: str) -> tuple[None, ClassProbabilities] | None:
+            probs = self.cache.get(comment, endpoint, *models)
+            return None if probs is None else (None, probs)  # a hit needs no model
+
+        return self.inner.classify_batch(
+            comments, self.parallelism, cache=self.cache, read=read,
+            write=lambda comment, answer: self.cache.put(comment, endpoint, *answer))
 
 
 REMOTE_KINDS = ("http", "subprocess")
@@ -467,12 +460,6 @@ def _read_json(path: Path):
         return json.load(fh)
 
 
-def _translator(config: RunConfig) -> IdentityTranslator | RemoteTranslator:
-    if config.translation_backend == "identity":
-        return IdentityTranslator()
-    return RemoteTranslator(config.translation_backend)
-
-
 @dataclass
 class IngestResult:
     corpus: Corpus
@@ -577,23 +564,16 @@ def stage_ingest(config: RunConfig, *, staged: StagedRun | None = None) -> Inges
         for error in load.errors[:20]:
             log.warning("rejected row %s:%d: %s", error.path, error.line, error.reason)
 
-        translator = _translator(config)
-        cache = (TranslationCache(config.cache_dir)
-                 if isinstance(translator, RemoteTranslator) else None)
-        try:
-            report = translate_all(
-                load.corpus, translator,
-                parallelism=config.translation_parallelism,
-                cache=cache,
-                source=config.translation_source,
-                target=config.translation_target,
-                batch_size=config.translation_batch_size,
-            )
-        finally:
-            if isinstance(translator, RemoteTranslator):
-                translator.close()
-            if cache is not None:
-                cache.close()
+        if config.translation_backend == "identity":  # each comment is its own translation
+            corpus = replace(load.corpus, translations=list(load.corpus.comments))
+            report = TranslationReport(corpus, failed_indices=[], backend_calls=0)
+        else:
+            with closing(RemoteTranslator(config.translation_backend)) as translator, \
+                    closing(TranslationCache(config.cache_dir)) as cache:
+                report = translate_all(
+                    load.corpus, translator, config.translation_parallelism, cache=cache,
+                    source=config.translation_source, target=config.translation_target,
+                    batch_size=config.translation_batch_size)
         corpus = report.corpus
         write_survey(corpus, out / "stages" / "records.csv")
         write_wages(wages.levels, out / "stages" / "wages.csv")

@@ -3,10 +3,11 @@
 Remote backends speak one JSON shape over either ``wsi.wire`` transport
 (an http(s) URL, or ``cmd:<command>`` for a line-JSON child process):
 request ``{"texts": [...], "source": "...", "target": "..."}``, response
-``{"translations": [...]}``. An identity backend ships for offline runs
-and tests. Cached translations are keyed by (source text, backend,
-source language, target language) in the cache directory's
-``translate.sqlite``.
+``{"translations": [...]}``, each translation a non-empty string. Cached
+translations are keyed by (source text, backend, source language, target
+language) in the cache directory's ``translate.sqlite``. The identity
+"backend" is no backend: the pipeline takes each comment as its own
+translation without calling anything.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Callable, Protocol, Sequence
 
 from . import wire
@@ -31,13 +33,10 @@ class TranslationBackend(Protocol):
     def translate(self, texts: Sequence[str], source: str, target: str) -> list[str]: ...
 
 
-class IdentityTranslator:
-    """Returns the input unchanged; the offline/test backend."""
-
-    backend_id = "identity"
-
-    def translate(self, texts: Sequence[str], source: str, target: str) -> list[str]:
-        return list(texts)
+def _is_translation(entry) -> bool:
+    """A non-empty string: ``null`` or ``""`` would read back from
+    ``records.csv`` as no translation at all."""
+    return isinstance(entry, str) and entry != ""
 
 
 class RemoteTranslator:
@@ -51,9 +50,10 @@ class RemoteTranslator:
     def translate(self, texts: Sequence[str], source: str, target: str) -> list[str]:
         body = self.transport({"texts": list(texts), "source": source, "target": target})
         translations = body.get("translations") if isinstance(body, dict) else None
-        if not isinstance(translations, list) or len(translations) != len(texts):
+        if (not isinstance(translations, list) or len(translations) != len(texts)
+                or not all(map(_is_translation, translations))):
             raise TranslationError("malformed translation response")
-        return [str(t) for t in translations]
+        return translations
 
     def close(self) -> None:
         self.transport.close()
@@ -69,7 +69,8 @@ class TranslationCache(wire.ContentCache):
     kind = "translate"
 
     def get(self, text: str, backend_id: str, source: str, target: str) -> str | None:
-        return self.read((text, backend_id, source, target), lambda entry: entry["translation"])
+        translation = self.read((text, backend_id, source, target), itemgetter("translation"))
+        return translation if _is_translation(translation) else None
 
     def put(self, text: str, backend_id: str, source: str, target: str,
             translation: str) -> None:
@@ -102,32 +103,17 @@ def translate_all(corpus: Corpus, backend: TranslationBackend,
     records holding them are reported by position; the pipeline continues.
     """
     texts = list(dict.fromkeys(corpus.comments))
-    translations: dict[str, str] = {}
-    if cache is not None:
-        for text in texts:
-            hit = cache.get(text, backend.backend_id, source, target)
-            if hit is not None:
-                translations[text] = hit
-    pending = [text for text in texts if text not in translations]
+    key = (backend.backend_id, source, target)
+    answers, calls = wire.fetch_cached(
+        texts, lambda batch: wire.retry(lambda: backend.translate(batch, source, target),
+                                        max_retries, sleep),
+        batch_size, parallelism, cache=cache, read=lambda text: cache.get(text, *key),
+        write=lambda text, translated: cache.put(text, *key, translated))
+    translations = dict(zip(texts, answers))
 
-    def run_batch(batch: Sequence[str]) -> tuple[list[str] | None, int]:
-        return wire.retry(lambda: backend.translate(batch, source, target), max_retries, sleep)
-
-    outcomes = wire.map_batches(pending, batch_size, parallelism, run_batch)
-    # The identity backend answers in process, so its batches make no backend calls.
-    calls = (0 if isinstance(backend, IdentityTranslator)
-             else sum(attempts for _, (_, attempts) in outcomes))
-    fresh = [(text, translated) for batch, (outcome, _) in outcomes if outcome is not None
-             for text, translated in zip(batch, outcome)]
-    translations.update(fresh)
-    if cache is not None and fresh:  # nothing to store takes no write lock
-        with cache.transaction():
-            for text, translated in fresh:
-                cache.put(text, backend.backend_id, source, target, translated)
-
-    failed_ids = {i for i, comment in enumerate(corpus.comments) if comment not in translations}
+    failed_ids = {i for i, comment in enumerate(corpus.comments) if translations[comment] is None}
     failed = [i for i, t in enumerate(corpus.text_ids) if t in failed_ids] if failed_ids else []
-    filled = [translations.get(comment, loaded)
+    filled = [loaded if translations[comment] is None else translations[comment]
               for comment, loaded in zip(corpus.comments, corpus.translations)]
     return TranslationReport(corpus=replace(corpus, translations=filled), failed_indices=failed,
                              backend_calls=calls)

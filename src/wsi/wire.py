@@ -1,4 +1,5 @@
-"""The one wire layer: transports, the retry loop, the batch map and the content cache.
+"""The one wire layer: transports, the retry loop, the batch map, the content
+cache, and ``fetch_cached``, the one loop over them that every remote backend runs.
 
 Every remote backend, classifier or translator, is reached through a
 transport: a callable ``payload -> dict`` that raises ``TransportError``
@@ -8,6 +9,7 @@ on any failure, over HTTP or a line-JSON child process.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
@@ -49,7 +51,9 @@ class HttpTransport:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 return json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
+        # ValueError covers a body that is not UTF-8 or not JSON; HTTPException a
+        # bad status line or a body shorter than its Content-Length
+        except (urllib.error.URLError, OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(f"http call to {self.url} failed: {exc}") from exc
 
     def close(self) -> None:
@@ -92,7 +96,7 @@ class SubprocessTransport:
                 raise
         try:
             return json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise TransportError(f"malformed child process line: {exc}") from exc
 
     def _round_trip(self, proc: subprocess.Popen, request: bytes) -> bytes:
@@ -203,6 +207,36 @@ def map_batches(items: Sequence[T], batch_size: int, parallelism: int,
         with ThreadPoolExecutor(max_workers=min(parallelism, len(batches))) as pool:
             return list(zip(batches, pool.map(call, batches)))
     return [(batch, call(batch)) for batch in batches]
+
+
+def fetch_cached(texts: Sequence[str], fetch: Callable[[Sequence[str]], tuple[list[T] | None, int]],
+                 batch_size: int, parallelism: int, *, cache: ContentCache | None = None,
+                 read: Callable[[str], T | None] | None = None,
+                 write: Callable[[str, T], None] | None = None) -> tuple[list[T | None], int]:
+    """Each text's answer, from ``cache`` where it holds one, else from ``fetch``.
+
+    ``read`` looks each text up once. The misses go to ``fetch`` in
+    ``map_batches``' batches of ``batch_size``, ``parallelism`` at a time; a
+    fetch returns its batch's answers, or None when it failed, and the
+    attempts it made. The fresh answers are stored through ``write`` in one
+    ``cache.transaction()``, opened only when there is one to store, so a
+    warm run takes no write lock; a failure is never stored. Returns the
+    answers in ``texts``' order, None where a batch failed, and the attempts
+    summed. Without a cache every text is fetched.
+    """
+    answers = [read(text) for text in texts] if cache is not None else [None] * len(texts)
+    misses = [i for i, answer in enumerate(answers) if answer is None]
+    outcomes = map_batches([texts[i] for i in misses], batch_size, parallelism, fetch)
+    fetched = [answer for batch, (outcome, _) in outcomes
+               for answer in outcome or [None] * len(batch)]
+    for i, answer in zip(misses, fetched):
+        answers[i] = answer
+    fresh = [i for i in misses if answers[i] is not None]
+    if cache is not None and fresh:
+        with cache.transaction():
+            for i in fresh:
+                write(texts[i], answers[i])
+    return answers, sum(attempts for _, (_, attempts) in outcomes)
 
 
 @contextmanager

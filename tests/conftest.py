@@ -1,7 +1,9 @@
 import json
+import re
+import socket
 import sqlite3
 import threading
-from contextlib import closing
+from contextlib import closing, suppress
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -121,5 +123,56 @@ class WireServer:
 @pytest.fixture
 def wire_server():
     server = WireServer()
+    yield server
+    server.close()
+
+
+class RawServer:
+    """An HTTP endpoint that reads each request whole and answers it with
+    the raw bytes in ``reply``, then closes the connection."""
+
+    def __init__(self):
+        self.reply = b""
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)
+        self.stopped = threading.Event()
+        self.thread = threading.Thread(target=self.serve, daemon=True)
+        self.thread.start()
+
+    @property
+    def url(self):
+        host, port = self.listener.getsockname()
+        return f"http://{host}:{port}/"
+
+    def serve(self):
+        while not self.stopped.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5.0)
+                data = b""
+                with suppress(OSError):  # the client may hang up first
+                    while not self.whole(data) and (chunk := conn.recv(1 << 16)):
+                        data += chunk
+                    conn.sendall(self.reply)
+
+    @staticmethod
+    def whole(request):
+        head, blank, body = request.partition(b"\r\n\r\n")
+        length = re.search(rb"content-length: *(\d+)", head, re.I)
+        return bool(blank) and len(body) >= int(length.group(1) if length else 0)
+
+    def close(self):
+        self.stopped.set()
+        self.thread.join(5.0)
+        assert not self.thread.is_alive()
+        self.listener.close()
+
+
+@pytest.fixture
+def raw_server():
+    server = RawServer()
     yield server
     server.close()

@@ -37,16 +37,20 @@ def test_every_wrapped_name_exists_and_is_restored(tracing):
 
 def test_a_traced_run_feeds_the_ingest_metrics(tracing, tmp_path):
     """The per-layer ingest metrics read the loader, writer, translator and
-    summary through the names the tracer wraps, once per run."""
+    summary through the names the tracer wraps, once per run. The translator
+    is a remote one: an identity run calls no translator at all."""
     import json
 
     from wsi.pipeline import BackendConfig, RunConfig, run
     from wsi.synthetic import SyntheticSpec, generate_synthetic
 
+    from conftest import WIRE_STUB
+
     generate_synthetic(SyntheticSpec(months=30, comments_per_month=20), 4, tmp_path / "data")
     config = RunConfig(survey_paths=[str(tmp_path / "data" / "surveys")],
                        wage_path=str(tmp_path / "data" / "wages.csv"),
                        backends=[BackendConfig(backend_id="mock", kind="keyword")],
+                       translation_backend=f"cmd:{sys.executable} {WIRE_STUB}",
                        max_lag=4, output_dir=str(tmp_path / "out"),
                        cache_dir=str(tmp_path / "cache"))
     tracer = tracing.Tracer(run_id="contract")

@@ -374,7 +374,7 @@ def test_retries_and_fallback_switch_are_logged(caplog):
     with caplog.at_level("WARNING", logger="wsi"):
         result = client.classify_batch(["up", "down"])
     assert result.failed == [False, False]
-    assert result.models == ["backup", "backup"]
+    assert [p["model"] for p in transport.payloads] == ["primary", "primary", "backup"]
     messages = [r.getMessage() for r in caplog.records if r.name == "wsi"]
     assert messages == [
         "wire attempt 1 of 2 failed: induced failure",

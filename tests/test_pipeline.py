@@ -173,6 +173,19 @@ class TestRunSmoke:
         assert stats["translation_calls"] == 0
         assert stats["translation_failed"] == 0
 
+    def test_identity_translation_takes_each_comment_off_the_wire_path(
+            self, small_corpus, monkeypatch):
+        import wsi.pipeline as pipeline
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("identity translation called translate_all")
+
+        monkeypatch.setattr(pipeline, "translate_all", no_call)
+        ingest = stage_ingest(config_for(small_corpus))
+        assert ingest.corpus.translations == ingest.corpus.comments
+        assert (ingest.translation_calls, ingest.stats["translation_failed"]) == (0, 0)
+        assert not (small_corpus / "cache").exists()  # no cache opened
+
     def test_run_id_ignores_execution_knobs(self, small_corpus):
         a = config_for(small_corpus, classify_parallelism=1)
         b = config_for(small_corpus, classify_parallelism=8,
@@ -227,6 +240,20 @@ class TestWireBackendCaching:
         cold = run(config)
         warm = run(config)
         assert cold.bundle == warm.bundle
+
+    def test_a_reply_that_is_not_utf8_fails_its_comments_not_the_run(
+            self, tmp_path, raw_server):
+        self.make_wire_corpus(tmp_path)
+        raw_server.reply = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n\xff\xfe"
+        backends = [BackendConfig(backend_id="remote", kind="http", endpoint=raw_server.url,
+                                  model_id="m1", fallback_model_id="m2", batch_size=100,
+                                  max_retries=1),
+                    BackendConfig(backend_id="mock", kind="keyword")]
+        result = run(config_for(tmp_path, backends=backends))
+        assert result.stats["classify"]["remote"]["failed_comments"] == 360
+        # 360 distinct comments in 4 batches, each tried twice on both models
+        assert result.stats["wire_calls"]["remote"] == 16
+        assert not (result.out_dir / "FAILED").exists()
 
     def poison_two_comments(self, tmp_path):
         """Two comments in one month that the HTTP wire server fails with a 500."""
@@ -464,20 +491,51 @@ def test_cmd_translator_child_is_stopped_after_ingest(small_corpus, recorded_chi
     assert_all_stopped(recorded_children)
 
 
+def test_blank_translations_are_itemized_and_stages_write_the_run_tree(small_corpus):
+    """A translator answering "" or null for some comments: those records
+    are counted as untranslated, the run finishes, and the stage-by-stage
+    rerun into a second output directory writes the same tree."""
+    from test_translate import BLANKING_TRANSLATOR
+
+    script = small_corpus / "blanking.py"
+    script.write_text(BLANKING_TRANSLATOR)
+    child = BackendConfig(backend_id="child", kind="subprocess",
+                          endpoint=f"cmd:{sys.executable} {WIRE_STUB}", max_retries=0)
+    config = config_for(small_corpus, backends=[child, BackendConfig(backend_id="mock")],
+                        translation_backend=f"cmd:exec {sys.executable} {script}",
+                        translation_batch_size=1, translation_parallelism=8)
+    result = run(config)
+    records = (result.out_dir / "stages" / "records.csv").read_text(encoding="utf-8")
+    rows = list(csv.DictReader(records.splitlines()))
+    blanked = [r for r in rows if "bonus" in r["comment"] or "cut" in r["comment"]]
+    assert blanked and all(r["comment_translated"] == "" for r in blanked)
+    assert result.stats["translation_failed"] == len(blanked)
+    assert "None" not in records
+    staged = config_for(small_corpus, backends=config.backends,
+                        translation_backend=config.translation_backend,
+                        translation_batch_size=1, translation_parallelism=8,
+                        output_dir=str(small_corpus / "staged"))
+    for stage in (stage_ingest, stage_classify, stage_index, stage_granger, stage_report):
+        stage(staged)
+    assert tree_bytes(run_dir(staged)) == tree_bytes(result.out_dir)
+
+
 def test_translation_endpoint_is_a_url_or_a_command(small_corpus):
-    from wsi.pipeline import _translator
+    from wsi.translate import RemoteTranslator
     from wsi.wire import HttpTransport, SubprocessTransport
 
+    def translator(endpoint):
+        return RemoteTranslator(config_for(small_corpus,
+                                           translation_backend=endpoint).translation_backend)
+
     for url in ("http://localhost:1/", "https://translate.example/v1"):
-        translator = _translator(config_for(small_corpus, translation_backend=url))
-        assert isinstance(translator.transport, HttpTransport)
-        assert translator.transport.url == url
-    translator = _translator(config_for(small_corpus, translation_backend="cmd:tr a-z A-Z"))
-    assert isinstance(translator.transport, SubprocessTransport)
-    assert translator.transport.command == "tr a-z A-Z"
+        assert isinstance(translator(url).transport, HttpTransport)
+        assert translator(url).transport.url == url
+    assert isinstance(translator("cmd:tr a-z A-Z").transport, SubprocessTransport)
+    assert translator("cmd:tr a-z A-Z").transport.command == "tr a-z A-Z"
     for bad in ("http:https://translate.example", "ftp://host/", "deepl"):
         with pytest.raises(ConfigError):
-            _translator(config_for(small_corpus, translation_backend=bad))
+            translator(bad)
 
 
 class TestTwoBackends:

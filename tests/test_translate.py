@@ -1,3 +1,4 @@
+import json
 import sys
 import time
 
@@ -5,7 +6,6 @@ import pytest
 
 from wsi.corpus import Corpus, MonthKey, load_surveys
 from wsi.translate import (
-    IdentityTranslator,
     RemoteTranslator,
     TranslationCache,
     TranslationError,
@@ -32,16 +32,6 @@ class CountingTranslator:
 
 def records(n, prefix="comment"):
     return [make_record(MonthKey(2020, 1 + i % 3), f"{prefix} {i}") for i in range(n)]
-
-
-def test_identity_backend_is_pure_annotation():
-    inputs = records(5)
-    report = translate_all(Corpus.from_records(inputs), IdentityTranslator(), source="ja",
-                           target="en", batch_size=50)
-    assert [r.comment for r in report.corpus.records()] == [r.comment for r in inputs]
-    assert all(r.comment_translated == r.comment for r in report.corpus.records())
-    assert report.failed_indices == []
-    assert report.backend_calls == 0  # answered in process, not a backend call
 
 
 def test_output_order_matches_input_order_any_parallelism():
@@ -246,3 +236,42 @@ def test_translation_replaces_every_loaded_translation_of_a_comment(tmp_path):
                            target="en", batch_size=50)
     assert report.failed_indices == []
     assert [r.comment_translated for r in report.corpus.records()] == ["X", "X"]
+
+
+BLANKING_TRANSLATOR = (
+    "import json, sys\n"
+    "for line in sys.stdin:\n"
+    "    texts = json.loads(line)['texts']\n"
+    "    out = ['' if 'bonus' in t else None if 'cut' in t else t.upper() for t in texts]\n"
+    "    print(json.dumps({'translations': out}), flush=True)\n"
+)
+
+
+def test_an_empty_or_null_translation_is_a_failed_attempt_and_never_cached(tmp_path):
+    script = tmp_path / "blanking.py"
+    script.write_text(BLANKING_TRANSLATOR)
+    backend = RemoteTranslator(f"cmd:exec {sys.executable} {script}")
+    for texts in (["pay bonus"], ["pay cut"], ["fine", "pay cut"]):
+        with pytest.raises(TranslationError):
+            backend.translate(texts, "ja", "en")
+    inputs = [make_record(comment=c) for c in ("a bonus", "fine", "a cut", "a bonus")]
+    cache = TranslationCache(tmp_path / "cache")
+    report = translate_all(Corpus.from_records(inputs), backend, source="ja", target="en",
+                           batch_size=1, cache=cache, max_retries=1, sleep=lambda s: None)
+    assert report.failed_indices == [0, 2, 3]
+    assert report.backend_calls == 2 + 1 + 2  # each blanked batch retried once
+    assert [r.comment_translated for r in report.corpus.records()] == [None, "FINE", None, None]
+    assert cache.get("fine", backend.backend_id, "ja", "en") == "FINE"
+    assert len(cache_rows(tmp_path / "cache" / "translate.sqlite")) == 1
+    cache.close()
+    backend.close()
+
+
+def test_a_cached_translation_that_is_not_a_nonempty_string_reads_as_a_miss(tmp_path):
+    cache = TranslationCache(tmp_path)
+    for i, bad in enumerate(["", None, 5, ["x"], {"t": "x"}]):
+        cache.write((f"text {i}", "b", "ja", "en"), json.dumps({"translation": bad}))
+        assert cache.get(f"text {i}", "b", "ja", "en") is None, bad
+    cache.put("good", "b", "ja", "en", " ")
+    assert cache.get("good", "b", "ja", "en") == " "
+    cache.close()

@@ -1,15 +1,17 @@
 import hashlib
 import json
+import shlex
 import sqlite3
 import sys
 import time
-from contextlib import closing
+from contextlib import closing, contextmanager
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsi.wire import ContentCache, SubprocessTransport, TransportError, map_batches, retry
+from wsi.wire import (ContentCache, HttpTransport, SubprocessTransport, TransportError,
+                      fetch_cached, map_batches, retry)
 
 
 def flaky(failures, value="ok"):
@@ -97,3 +99,80 @@ def test_child_that_never_reads_cannot_block_a_large_request():
     assert time.perf_counter() - started < 0.5 + 2.0
     assert transport._proc is None
     transport.close()
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n\xff\xfe",
+    b"not a status line\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{}",
+], ids=["body-not-utf8", "bad-status-line", "short-body"])
+def test_a_malformed_http_reply_is_a_transport_error(raw_server, reply):
+    raw_server.reply = reply
+    with pytest.raises(TransportError, match="http call"):
+        HttpTransport(raw_server.url, timeout=5.0)({"texts": ["x"]})
+
+
+def test_a_child_reply_line_that_is_not_utf8_is_a_transport_error():
+    child = "import sys\nsys.stdin.readline()\nsys.stdout.buffer.write(b'\\xff\\xfe\\n')\n"
+    transport = SubprocessTransport(f"exec {sys.executable} -c {shlex.quote(child)}", 5.0)
+    with pytest.raises(TransportError, match="malformed child process line"):
+        transport({"texts": ["x"]})
+    transport.close()
+
+
+class RecordingCache:
+    """A cache stand-in: ``entries`` to read, and the writes, each with
+    whether it happened inside a transaction."""
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.reads, self.writes = [], []
+        self.transactions = 0
+        self.open = False
+
+    @contextmanager
+    def transaction(self):
+        self.transactions += 1
+        self.open = True
+        yield
+        self.open = False
+
+    def read(self, text):
+        self.reads.append(text)
+        return self.entries.get(text)
+
+    def write(self, text, answer):
+        self.writes.append((text, answer, self.open))
+
+
+@settings(max_examples=200)
+@given(texts=st.lists(st.text(max_size=3), unique=True, max_size=30), data=st.data(),
+       batch_size=st.integers(1, 6), parallelism=st.integers(1, 4))
+def test_fetch_cached_fetches_the_misses_in_batches_and_stores_fresh_answers(
+        texts, data, batch_size, parallelism):
+    def flags(n, values=st.booleans()):
+        return data.draw(st.lists(values, min_size=n, max_size=n))
+
+    cached = flags(len(texts))
+    cache = RecordingCache({t: f"cached {t}" for t, hit in zip(texts, cached) if hit})
+    misses = [t for t, hit in zip(texts, cached) if not hit]
+    batches = [misses[i: i + batch_size] for i in range(0, len(misses), batch_size)]
+    failed, attempts = flags(len(batches)), flags(len(batches), st.integers(1, 3))
+    fetched = []
+
+    def fetch(batch):
+        fetched.append(list(batch))
+        k = misses.index(batch[0]) // batch_size
+        return (None if failed[k] else [f"fetched {t}" for t in batch]), attempts[k]
+
+    answers, calls = fetch_cached(texts, fetch, batch_size, parallelism, cache=cache,
+                                  read=cache.read, write=cache.write)
+    lost = {t for batch, f in zip(batches, failed) if f for t in batch}
+    assert answers == [f"cached {t}" if hit else None if t in lost else f"fetched {t}"
+                       for t, hit in zip(texts, cached)]
+    assert cache.reads == texts
+    assert sorted(fetched, key=lambda batch: misses.index(batch[0])) == batches
+    fresh = [t for t in misses if t not in lost]
+    assert cache.writes == [(t, f"fetched {t}", True) for t in fresh]
+    assert cache.transactions == (1 if fresh else 0)
+    assert calls == sum(attempts)
