@@ -67,6 +67,47 @@ def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _householder(x: np.ndarray, y: np.ndarray) -> list[int]:
+    """Column-pivoted Householder QR of ``x``, applied to ``y``, both in place.
+
+    Leaves R in the upper triangle of ``x`` (columns in pivot order) and
+    Q'y in ``y``, whose entries past the first k square-sum to the residual
+    sum of squares; returns the pivot order. Each step pivots on the
+    largest remaining column norm; a pivot whose norm falls below
+    ``PIVOT_RTOL`` times its column's original norm raises
+    SingularDesignError naming that (original) column.
+    """
+    k = x.shape[1]
+    perm = list(range(k))
+    for j in range(k):
+        sub = x[j:, j:]
+        remaining = np.sqrt((sub ** 2).sum(axis=0))
+        if j == 0:  # nothing is reflected yet: these are the original norms
+            orig_norms = remaining
+        p = j + int(remaining.argmax())
+        if p != j:
+            swapped = x[:, j].copy()
+            x[:, j] = x[:, p]
+            x[:, p] = swapped
+            perm[j], perm[p] = perm[p], perm[j]
+        col = x[j:, j]
+        alpha = math.sqrt(float(col @ col))  # on the strided view, as BLAS sums it
+        reference = orig_norms[perm[j]]
+        if reference == 0.0 or alpha <= PIVOT_RTOL * reference:
+            raise SingularDesignError(perm[j])
+        v = col.copy()
+        v[0] += math.copysign(alpha, v[0])
+        v /= math.sqrt(float(v @ v))
+        # outer(v, v'sub) doubled, then subtracted: scaling v by 2 first
+        # would round differently where a product is subnormal
+        update = np.multiply.outer(v, v @ sub)
+        update *= 2.0
+        sub -= update
+        tail = y[j:]
+        tail -= 2.0 * v * float(v @ tail)
+    return perm
+
+
 def ols(design: np.ndarray, response: Sequence[float]) -> tuple[np.ndarray, float]:
     """Least-squares fit via column-pivoted Householder QR.
 
@@ -83,28 +124,19 @@ def ols(design: np.ndarray, response: Sequence[float]) -> tuple[np.ndarray, floa
         raise ValueError("response length must match design rows")
     if n <= k:
         raise InsufficientLengthError(f"need more than {k} rows, got {n}")
-    orig_norms = np.sqrt((x * x).sum(axis=0))
-    perm = np.arange(k)
-    for j in range(k):
-        remaining = np.sqrt((x[j:, j:] ** 2).sum(axis=0))
-        p = j + int(np.argmax(remaining))
-        if p != j:
-            x[:, [j, p]] = x[:, [p, j]]
-            perm[[j, p]] = perm[[p, j]]
-        col = x[j:, j]
-        alpha = math.sqrt(float(col @ col))
-        reference = orig_norms[perm[j]]
-        if reference == 0.0 or alpha <= PIVOT_RTOL * reference:
-            raise SingularDesignError(int(perm[j]))
-        v = col.copy()
-        v[0] += math.copysign(alpha, col[0])
-        v /= math.sqrt(float(v @ v))
-        x[j:, j:] -= 2.0 * np.outer(v, v @ x[j:, j:])
-        y[j:] -= 2.0 * v * float(v @ y[j:])
+    perm = _householder(x, y)
     coef = np.empty(k)
     coef[perm] = _back_substitute(x[:k, :k], y[:k])
-    rss = float(y[k:] @ y[k:])
-    return coef, rss
+    return coef, float(y[k:] @ y[k:])
+
+
+def _residual_ss(x: np.ndarray, y: np.ndarray) -> float:
+    """The residual sum of squares of ``ols(x, y)``, bit for bit, without its
+    coefficients. ``x`` (more rows than columns) and ``y`` are float arrays
+    it overwrites."""
+    _householder(x, y)
+    tail = y[x.shape[1]:]
+    return float(tail @ tail)
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -237,27 +269,31 @@ class GrangerResult:
     stars: str
 
 
-def _lagged_designs(y: np.ndarray, x: np.ndarray, lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lagged_design(y: np.ndarray, x: np.ndarray, lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """The response ``y[lag:]`` and a fresh unrestricted design: an intercept,
+    then lags 1..``lag`` of y, then lags 1..``lag`` of x. Its first
+    ``lag + 1`` columns are the restricted design."""
     t = len(y)
-    t_eff = t - lag
-    target = y[lag:]
-    cols = [np.ones(t_eff)]
+    design = np.empty((t - lag, 2 * lag + 1))
+    design[:, 0] = 1.0
     for j in range(1, lag + 1):
-        cols.append(y[lag - j: t - j])
-    restricted = np.column_stack(cols)
-    for j in range(1, lag + 1):
-        cols.append(x[lag - j: t - j])
-    unrestricted = np.column_stack(cols)
-    return target, restricted, unrestricted
+        design[:, j] = y[lag - j: t - j]
+        design[:, lag + j] = x[lag - j: t - j]
+    return y[lag:], design
 
 
-def granger_test(pair: AlignedPair, lag: int) -> GrangerResult:
+def granger_test(pair: AlignedPair, lag: int,
+                 restricted: dict[int, float] | None = None) -> GrangerResult:
     """F-test of whether lags of x improve the autoregression of y.
 
     The restricted model regresses y_t on an intercept and its own first
     ``lag`` lags; the unrestricted model adds the same lags of x. The
     statistic is the residual-sum-of-squares F with numerator df = lag and
-    denominator df = T_eff - 2*lag - 1, where T_eff = T - lag.
+    denominator df = T_eff - 2*lag - 1, where T_eff = T - lag. Only the
+    residual sums are computed, never coefficients.
+
+    ``restricted`` maps lags to restricted residual sums already fitted on
+    this pair's y over its months; a lag it lacks is fitted and added.
     """
     if lag < 1:
         raise ValueError("lag must be >= 1")
@@ -267,9 +303,13 @@ def granger_test(pair: AlignedPair, lag: int) -> GrangerResult:
         raise InsufficientLengthError(
             f"lag {lag} needs at least {3 * lag + 2} observations, got {len(pair)}"
         )
-    target, restricted, unrestricted = _lagged_designs(pair.y, pair.x, lag)
-    _, rss_r = ols(restricted, target)
-    _, rss_u = ols(unrestricted, target)
+    target, design = _lagged_design(pair.y, pair.x, lag)
+    if restricted is None:
+        restricted = {}
+    if lag not in restricted:
+        restricted[lag] = _residual_ss(design[:, :lag + 1].copy(), target.copy())
+    rss_r = restricted[lag]
+    rss_u = _residual_ss(design, target.copy())
     if rss_u > rss_r * (1.0 + 1e-9) + 1e-12:
         raise ArithmeticError(f"nesting violated at lag {lag}: {rss_u} > {rss_r}")
     rss_u = min(rss_u, rss_r)
@@ -290,20 +330,26 @@ def granger_test(pair: AlignedPair, lag: int) -> GrangerResult:
     )
 
 
-def granger_sweep(pair: AlignedPair, max_lag: int = 24) -> list[GrangerResult]:
+def granger_sweep(pair: AlignedPair, max_lag: int = 24,
+                  restricted: dict[int, float] | None = None) -> list[GrangerResult]:
     """Granger tests for lags 1..max_lag, each on its own effective sample.
 
     Lags infeasible at the sample tail (denominator df below 1) are simply
     absent from the result instead of failing the sweep. The denominator df,
     T - 3*lag - 1, falls as the lag grows, so the first infeasible lag ends
     the sweep.
+
+    ``restricted``, a dict from lag to restricted residual sum, is shared by
+    sweeps whose pairs hold the same y over the same months (in the pipeline,
+    one wage-growth span): each such lag's restricted model is then fitted
+    once, and the results equal those of unshared sweeps.
     """
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
     results = []
     for lag in range(1, max_lag + 1):
         try:
-            results.append(granger_test(pair, lag))
+            results.append(granger_test(pair, lag, restricted))
         except InsufficientLengthError:
             break
     return results

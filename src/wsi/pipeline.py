@@ -844,12 +844,16 @@ def stage_granger(config: RunConfig, *, staged: StagedRun | None = None
         sweeps: SweepMap = {}
         failures: dict[str, str] = {}
         stats = {}
+        # every pair's y is wage growth, so pairs over one span share each
+        # lag's restricted fit: {months: {lag: restricted RSS}}
+        restricted: dict[tuple, dict[int, float]] = {}
         for backend_id, series in staged.get_series().items():
             for kind in INDEX_KINDS:
                 try:
                     pair = AlignedPair.from_series(getattr(series, f"{kind}_by_month")(),
                                                    yoy_map)
-                    results = granger_sweep(pair, config.max_lag)
+                    results = granger_sweep(pair, config.max_lag,
+                                            restricted=restricted.setdefault(pair.months, {}))
                     if not results:
                         raise ValueError("no feasible lag")
                 except (ValueError, ArithmeticError) as exc:

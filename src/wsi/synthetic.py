@@ -92,6 +92,20 @@ def _bonus_factor(month: MonthKey, amplitude: float) -> float:
     return 1.0 + (amplitude if month.month in (6, 7, 12) else 0.0)
 
 
+def _choice_cdf(weights: np.ndarray) -> np.ndarray:
+    """The cdf ``rng.choice(len(weights), p=weights / weights.sum())`` builds."""
+    p = weights / weights.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """One draw of ``rng.choice(len(cdf), p=...)`` from its prebuilt cdf: the
+    same index, from the same one uniform, so the stream stays as it was."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def synthesize(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
     """Deterministic in-memory corpus for a (spec, seed) pair."""
     rng = np.random.default_rng(seed)
@@ -122,8 +136,7 @@ def synthesize(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
     directional = max(0.0, 1.0 - spec.unrelated_share - spec.neutral_share)
     records: list[SurveyRecord] = []
     judgment_values = [j for j, _ in _JUDGMENTS]
-    judgment_weights = np.array([w for _, w in _JUDGMENTS])
-    judgment_weights = judgment_weights / judgment_weights.sum()
+    judgment_cdf = _choice_cdf(np.array([w for _, w in _JUDGMENTS]))
     for i, month in enumerate(months):
         pos_frac = 0.5 * (1.0 + np.tanh(spec.polarity_swing * sentiment[i]))
         shares = np.array([
@@ -157,9 +170,7 @@ def synthesize(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
                     month=month,
                     region=_REGIONS[rng.integers(len(_REGIONS))],
                     industry=_INDUSTRIES[rng.integers(len(_INDUSTRIES))],
-                    judgment=judgment_values[
-                        rng.choice(len(judgment_values), p=judgment_weights)
-                    ],
+                    judgment=judgment_values[_draw_index(rng, judgment_cdf)],
                     comment=text,
                 )
             )

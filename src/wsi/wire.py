@@ -21,9 +21,9 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import closing, contextmanager
 from pathlib import Path
-from typing import Any, Callable, ContextManager, Iterator, Sequence, TextIO, TypeVar
+from typing import Any, Callable, Iterator, Sequence, TextIO, TypeVar
 
 log = logging.getLogger("wsi")
 
@@ -220,7 +220,10 @@ def fetch_cached(texts: Sequence[str], fetch: Callable[[Sequence[str]], tuple[li
     fetch returns its batch's answers, or None when it failed, and the
     attempts it made. The fresh answers are stored through ``write`` in one
     ``cache.transaction()``, opened only when there is one to store, so a
-    warm run takes no write lock; a failure is never stored. Returns the
+    warm run takes no write lock; a failure is never stored. A cache that
+    cannot be written (locked past ``BUSY_TIMEOUT_S``, read-only, disk full)
+    is logged once and rolled back, and the fresh answers are still
+    returned, so a later run fetches and stores them. Returns the
     answers in ``texts``' order, None where a batch failed, and the attempts
     summed. Without a cache every text is fetched.
     """
@@ -233,9 +236,15 @@ def fetch_cached(texts: Sequence[str], fetch: Callable[[Sequence[str]], tuple[li
         answers[i] = answer
     fresh = [i for i in misses if answers[i] is not None]
     if cache is not None and fresh:
-        with cache.transaction():
-            for i in fresh:
-                write(texts[i], answers[i])
+        import sqlite3  # loaded already: the cache opened it
+
+        try:
+            with cache.transaction():
+                for i in fresh:
+                    write(texts[i], answers[i])
+        except sqlite3.OperationalError as exc:  # locked too long, read-only, disk full
+            log.warning("cache %s was not written (%s): this stage's %d fresh answers "
+                        "are used but not stored", cache.file, exc, len(fresh))
     return answers, sum(attempts for _, (_, attempts) in outcomes)
 
 
@@ -349,12 +358,20 @@ class ContentCache:
             self._db.execute("INSERT OR REPLACE INTO entries VALUES (?, ?)",
                              (self.digest(key), text))
 
-    def transaction(self) -> ContextManager:
-        """A block whose writes commit together, or not at all if it raises."""
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """A block whose writes commit together, or not at all: a block or a
+        commit that raises is rolled back and leaves no transaction open."""
         if self._db is None:
-            return nullcontext()
+            yield
+            return
         self._db.execute("BEGIN IMMEDIATE")
-        return self._db  # leaving it commits, or rolls back after an exception
+        try:
+            yield
+            self._db.execute("COMMIT")
+        finally:
+            if self._db.in_transaction:
+                self._db.execute("ROLLBACK")
 
     def close(self) -> None:
         if self._db is not None:

@@ -11,7 +11,7 @@ import sqlite3
 import subprocess
 import sys
 import threading
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import fields
 from unittest import mock
 
@@ -90,6 +90,61 @@ def test_a_cache_file_that_is_not_a_database_is_bypassed(data, tmp_path, caplog)
     # and nothing was written
     assert sorted(p.name for p in cache_dir.iterdir()) == ["classify.sqlite", "translate.sqlite"]
     assert all(p.read_bytes() == garbage for p in cache_dir.iterdir())
+
+
+@contextmanager
+def held_by_another_writer(cache_dir, monkeypatch):
+    """Both cache files inside another connection's write transaction, and
+    a busy timeout short enough for a test to wait out."""
+    monkeypatch.setattr(wire, "BUSY_TIMEOUT_S", 0.2)
+    holders = []
+    try:
+        for cache_cls in (ClassificationCache, TranslationCache):
+            cache_cls(cache_dir).close()  # creates the file
+            holders.append(sqlite3.connect(cache_dir / f"{cache_cls.kind}.sqlite",
+                                           isolation_level=None))
+            holders[-1].execute("BEGIN IMMEDIATE")
+        yield "locked"
+    finally:
+        for holder in holders:
+            holder.close()  # rolls the held transaction back
+
+
+@contextmanager
+def opened_read_only(cache_dir, monkeypatch):
+    """Every cache connection opened with ``PRAGMA query_only=ON``."""
+    open_cache = ContentCache.__init__
+
+    def open_read_only(self, directory):
+        open_cache(self, directory)
+        self._db.execute("PRAGMA query_only=ON")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ContentCache, "__init__", open_read_only)
+        yield "readonly"
+
+
+@pytest.mark.parametrize("unwritable", [held_by_another_writer, opened_read_only],
+                         ids=["locked", "read-only"])
+def test_a_cache_that_cannot_be_written_fails_no_stage(data, tmp_path, monkeypatch, caplog,
+                                                        unwritable):
+    cold = run(RunConfig.from_dict(stub_config(data, tmp_path / "cold")))
+    config = RunConfig.from_dict(stub_config(data, tmp_path / "unwritable"))
+    with unwritable(tmp_path / "unwritable" / "cache", monkeypatch) as cause, \
+            caplog.at_level(logging.WARNING, logger="wsi"):
+        unstored = run(config)
+    warnings = [r.getMessage() for r in caplog.records if "not written" in r.getMessage()]
+    assert len(warnings) == 2  # one per cache file
+    assert all(cause in w for w in warnings)
+    assert any("classify.sqlite" in w for w in warnings)
+    assert any("translate.sqlite" in w for w in warnings)
+    assert unstored.stats == cold.stats and cold.stats["wire_calls"]["child"] > 0
+    assert tree_bytes(unstored.out_dir) == tree_bytes(cold.out_dir)
+    # nothing was stored, so the next run fetches and stores it all, and the one after is warm
+    assert run(config).stats == cold.stats
+    warm = run(config)
+    assert warm.stats["translation_calls"] == 0 and warm.stats["wire_calls"] == {"child": 0}
+    assert tree_bytes(warm.out_dir) == tree_bytes(cold.out_dir)
 
 
 KILLED_WRITER = """
@@ -346,11 +401,15 @@ def classify_comments(cache, comments):
         comments)
 
 
+def wire_calls(result):
+    return result.backend_calls if hasattr(result, "backend_calls") else result.wire_calls
+
+
 @pytest.mark.parametrize("cache_cls, stage", [
     (TranslationCache, translate_comments), (ClassificationCache, classify_comments)],
     ids=["translate", "classify"])
 def test_a_warm_stage_reads_past_another_writer_and_a_cold_one_waits_for_it(
-        tmp_path, monkeypatch, cache_cls, stage):
+        tmp_path, monkeypatch, caplog, cache_cls, stage):
     monkeypatch.setattr(wire, "transport", FakeWire)
     monkeypatch.setattr(wire, "BUSY_TIMEOUT_S", 0.2)
     with closing(cache_cls(tmp_path)) as cache:
@@ -360,9 +419,17 @@ def test_a_warm_stage_reads_past_another_writer_and_a_cold_one_waits_for_it(
             closing(cache_cls(tmp_path)) as cache:
         holder.execute("BEGIN IMMEDIATE")  # another process is writing
         warm = stage(cache, ["b", "a"])  # nothing to store, so no write lock wanted
-        with pytest.raises(sqlite3.OperationalError, match="locked"):
-            stage(cache, ["a", "c"])  # "c" is stored, behind the other writer
+        with caplog.at_level(logging.WARNING, logger="wsi"):
+            cold = stage(cache, ["a", "c"])  # "c" waits for the other writer, then is not stored
+        assert not cache._db.in_transaction
+    warnings = [r.getMessage() for r in caplog.records if "not written" in r.getMessage()]
+    assert len(warnings) == 1 and "locked" in warnings[0]
     if cache_cls is TranslationCache:
         assert (warm.backend_calls, warm.failed_indices) == (0, [])
+        assert (cold.backend_calls, cold.failed_indices) == (1, [])
+        assert cold.corpus.comments == ["a", "c"] and cold.corpus.translations == ["A", "C"]
     else:
         assert (warm.wire_calls, warm.failed) == (0, [False, False])
+        assert (cold.wire_calls, cold.failed) == (1, [False, False])
+    with closing(cache_cls(tmp_path)) as cache:  # the writer is gone: "c" is fetched and stored
+        assert [wire_calls(stage(cache, ["c"])) for _ in range(2)] == [1, 0]

@@ -8,10 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from wsi.corpus import MonthKey
 from wsi.econometrics import (
+    PIVOT_RTOL,
     AlignedPair,
     InsufficientLengthError,
     SingularDesignError,
     UndefinedCorrelationError,
+    _lagged_design,
+    _residual_ss,
     f_upper_tail,
     granger_sweep,
     granger_test,
@@ -316,3 +319,138 @@ class TestGrangerSweep:
         pair = ar_pair(300, seed=34)
         results = granger_sweep(pair, 24)
         assert [r.lag for r in results] == list(range(1, 25))
+
+
+def back_substitute_reference(r, b):
+    k = r.shape[0]
+    out = np.zeros(k)
+    for i in range(k - 1, -1, -1):
+        out[i] = (b[i] - r[i, i + 1:] @ out[i + 1:]) / r[i, i]
+    return out
+
+
+def ols_reference(design, response):
+    """The column-pivoted Householder OLS as it was before the in-place loop,
+    kept verbatim: the loop must reproduce it bit for bit."""
+    x = np.array(design, dtype=float)
+    y = np.array(response, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("design must be a 2-d matrix")
+    n, k = x.shape
+    if y.shape != (n,):
+        raise ValueError("response length must match design rows")
+    if n <= k:
+        raise InsufficientLengthError(f"need more than {k} rows, got {n}")
+    orig_norms = np.sqrt((x * x).sum(axis=0))
+    perm = np.arange(k)
+    for j in range(k):
+        remaining = np.sqrt((x[j:, j:] ** 2).sum(axis=0))
+        p = j + int(np.argmax(remaining))
+        if p != j:
+            x[:, [j, p]] = x[:, [p, j]]
+            perm[[j, p]] = perm[[p, j]]
+        col = x[j:, j]
+        alpha = math.sqrt(float(col @ col))
+        reference = orig_norms[perm[j]]
+        if reference == 0.0 or alpha <= PIVOT_RTOL * reference:
+            raise SingularDesignError(int(perm[j]))
+        v = col.copy()
+        v[0] += math.copysign(alpha, col[0])
+        v /= math.sqrt(float(v @ v))
+        x[j:, j:] -= 2.0 * np.outer(v, v @ x[j:, j:])
+        y[j:] -= 2.0 * v * float(v @ y[j:])
+    coef = np.empty(k)
+    coef[perm] = back_substitute_reference(x[:k, :k], y[:k])
+    rss = float(y[k:] @ y[k:])
+    return coef, rss
+
+
+def lagged_designs_reference(y, x, lag):
+    """(target, restricted, unrestricted) built column by column."""
+    t = len(y)
+    cols = [np.ones(t - lag)] + [y[lag - j: t - j] for j in range(1, lag + 1)]
+    restricted = np.column_stack(cols)
+    cols += [x[lag - j: t - j] for j in range(1, lag + 1)]
+    return y[lag:], restricted, np.column_stack(cols)
+
+
+@st.composite
+def series(draw, t, stream):
+    """A length-``t`` series: noise or a random walk scaled by 1e-6..1e6,
+    or a constant. Distinct ``stream``s draw distinct values from one seed."""
+    rng = np.random.default_rng([draw(st.integers(0, 2**32 - 1)), stream])
+    shape = draw(st.sampled_from(["noise", "walk", "noise", "walk", "constant"]))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    if shape == "constant":
+        return np.full(t, draw(st.sampled_from([0.0, 1.0, -2.5])) * scale)
+    values = rng.normal(size=t)
+    return scale * (values.cumsum() if shape == "walk" else values)
+
+
+@st.composite
+def lagged_pairs(draw):
+    """(y, [x, ...], lag): one response and up to three regressors, some of
+    them duplicates of the response or of each other."""
+    t = draw(st.integers(8, 300))
+    lag = draw(st.integers(1, max(1, min(24, (t - 2) // 3))))
+    y = draw(series(t, 0))
+    xs = []
+    for stream in range(1, draw(st.integers(1, 3)) + 1):
+        source = draw(st.sampled_from(["new", "new", "new", "response", "previous"]))
+        if source == "response":
+            xs.append(y.copy())
+        elif source == "previous" and xs:
+            xs.append(xs[-1].copy())
+        else:
+            xs.append(draw(series(t, stream)))
+    return y, xs, lag
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def fit_or_singular(fit, design, target):
+    """The bits of what ``fit`` returns, or the column a SingularDesignError names."""
+    try:
+        fitted = fit(design, target)
+    except SingularDesignError as exc:
+        return ("singular", exc.column)
+    return tuple(map(bits, fitted)) if isinstance(fitted, tuple) else bits(fitted)
+
+
+def sweep_or_error(pair, max_lag, **kwargs):
+    try:
+        return [(r.lag, repr(r.f_stat), repr(r.p_value), r.df_num, r.df_den, r.stars)
+                for r in granger_sweep(pair, max_lag, **kwargs)]
+    except (ValueError, ArithmeticError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+class TestBitExactness:
+    """The one Householder loop against ``ols_reference``: the same bits,
+    not only close values, because ``granger/*.csv`` holds ``repr`` floats."""
+
+    @given(lagged_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_rss_and_coefficients_equal_the_reference_bit_for_bit(self, drawn):
+        y, xs, lag = drawn
+        target, restricted, unrestricted = lagged_designs_reference(y, xs[0], lag)
+        fresh_target, design = _lagged_design(y, xs[0], lag)
+        assert bits(fresh_target) == bits(target) and bits(design) == bits(unrestricted)
+        for matrix in (restricted, unrestricted):
+            expected = fit_or_singular(ols_reference, matrix, target)
+            fitted = fit_or_singular(ols, matrix, target)
+            rss = fit_or_singular(lambda d, r: _residual_ss(d.copy(), r.copy()), matrix, target)
+            assert fitted == expected
+            assert rss == (expected if expected[0] == "singular" else expected[1])
+
+    @given(lagged_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_a_shared_restricted_dict_changes_no_result(self, drawn):
+        y, xs, lag = drawn
+        pairs = [AlignedPair.from_arrays(x, y) for x in xs]
+        shared = {}
+        assert [sweep_or_error(pair, lag, restricted=shared) for pair in pairs] == \
+            [sweep_or_error(pair, lag) for pair in pairs]
+        assert set(shared) <= set(range(1, lag + 1))

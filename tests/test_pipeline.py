@@ -557,6 +557,43 @@ class TestTwoBackends:
         assert (out / "stages" / "lexicon_audit.csv").exists()
         assert (out / "stages" / "lexicon_wordcounts.csv").exists()
 
+    def test_restricted_fits_are_shared_within_one_response_span_only(
+            self, small_corpus, monkeypatch):
+        """The lexicon series start later than the keyword ones, so their
+        pairs cover another span of wage growth. Each (span, lag) restricted
+        model is fitted once, shared by both index kinds, and every sweep
+        equals an unshared one."""
+        import wsi.econometrics
+        from wsi.econometrics import AlignedPair, granger_sweep
+        from wsi.report import granger_csv_rows
+
+        fits = []
+        real_fit = wsi.econometrics._residual_ss
+        monkeypatch.setattr(wsi.econometrics, "_residual_ss",
+                            lambda x, y: fits.append((x.tobytes(), y.tobytes())) or real_fit(x, y))
+        backends = [BackendConfig(backend_id="mock", kind="keyword"),
+                    BackendConfig(backend_id="baseline", kind="lexicon")]
+        config = config_for(small_corpus, backends=backends)
+        staged = StagedRun(config, compute_run_id(config))
+        for stage in (stage_ingest, stage_classify, stage_index, stage_granger):
+            stage(config, staged=staged)
+        monkeypatch.setattr(wsi.econometrics, "_residual_ss", real_fit)
+
+        yoy = staged.get_wages().yoy_map
+        lags, span_lags = 0, {}
+        for backend_id, series in staged.get_series().items():
+            for kind in ("standard", "weighted"):
+                pair = AlignedPair.from_series(getattr(series, f"{kind}_by_month")(), yoy)
+                results = granger_sweep(pair, config.max_lag)
+                csv_text = "\n".join(granger_csv_rows(backend_id, kind, results)) + "\n"
+                assert (staged.out / "granger" / f"{backend_id}_{kind}.csv").read_text() == csv_text
+                lags += len(results)
+                span_lags[pair.months] = len(results)
+        assert len(span_lags) == 2
+        # one unrestricted fit per pair and lag, one restricted fit per span and lag
+        assert len(fits) == lags + sum(span_lags.values())
+        assert len(set(fits)) == len(fits)
+
     def test_lexicon_tokenizes_each_text_once_and_word_counts_agree(
             self, small_corpus, monkeypatch):
         import wsi.lexicon

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsi.classify import default_keyword_classifier
 from wsi.corpus import MonthKey, WageSeries, load_surveys, load_wages
-from wsi.synthetic import SyntheticSpec, generate_synthetic, synthesize
+from wsi.synthetic import (
+    _JUDGMENTS,
+    SyntheticSpec,
+    _choice_cdf,
+    _draw_index,
+    generate_synthetic,
+    synthesize,
+)
 
 
 def tree_bytes(root):
@@ -22,6 +30,20 @@ class TestDeterminism:
         generate_synthetic(spec, seed=3, out_dir=tmp_path / "a")
         generate_synthetic(spec, seed=4, out_dir=tmp_path / "b")
         assert tree_bytes(tmp_path / "a") != tree_bytes(tmp_path / "b")
+
+
+class TestJudgmentDraw:
+    @given(st.integers(0, 2**63 - 1), st.integers(1, 300))
+    @settings(max_examples=50, deadline=None)
+    def test_prebuilt_cdf_draws_what_choice_draws(self, seed, draws):
+        """Same indices and the same generator state afterwards as one
+        ``rng.choice(5, p=...)`` per draw, the generator's old form."""
+        weights = np.array([w for _, w in _JUDGMENTS])
+        cdf = _choice_cdf(weights)
+        by_choice, by_cdf = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(draws):
+            assert _draw_index(by_cdf, cdf) == by_choice.choice(5, p=weights / weights.sum())
+        assert by_cdf.bit_generator.state == by_choice.bit_generator.state
 
 
 class TestShape:
