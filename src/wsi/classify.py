@@ -6,13 +6,14 @@ speaking one JSON object per line):
     request  {"model": "...", "comments": ["..."], "labels": ["increase", "decrease", "neutral"]}
     response {"probabilities": [[u, v, w], ...], "unrelated": [bool, ...]?}
 
-The transports and the retry loop live in ``wsi.wire``; the remote client
-adds batching and fallback-model switching on top of them. A deterministic
-keyword classifier serves as the test double.
+The transports, the retry loop and the batch loop live in ``wsi.wire``; the
+remote client adds fallback-model switching and the classification cache
+on top of them. A deterministic keyword classifier serves as the test double.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import numbers
@@ -265,22 +266,55 @@ def default_keyword_classifier(backend_id: str = "keyword-mock") -> KeywordClass
     return KeywordClassifier(DEFAULT_KEYWORD_RULES, backend_id=backend_id)
 
 
+class ClassificationCache(wire.ContentCache):
+    """Per-comment classification results keyed by (comment, endpoint, model, prompt version).
+
+    The endpoint enters the key as ``wire.endpoint_identity`` spells it, the
+    prompt version as ``PROMPT_VERSION``.
+    """
+
+    kind = "classify"
+
+    def get(self, comment: str, endpoint: str, model_id: str,
+            fallback_model_id: str | None = None) -> ClassProbabilities | None:
+        """The entry under ``model_id``, else the one under ``fallback_model_id``."""
+        endpoint = wire.endpoint_identity(endpoint)
+        for model in (model_id, fallback_model_id):
+            if model is not None:
+                probs = self.read((comment, endpoint, model, PROMPT_VERSION),
+                                  lambda e: ClassProbabilities(e["u"], e["v"], e["w"]))
+                if probs is not None:
+                    return probs
+        return None
+
+    def put(self, comment: str, endpoint: str, model_id: str, probs: ClassProbabilities) -> None:
+        self.write((comment, wire.endpoint_identity(endpoint), model_id, PROMPT_VERSION),
+                   json.dumps({"u": probs.u, "v": probs.v, "w": probs.w}, sort_keys=True))
+
+
 class RemoteClassifier:
     """Wire-protocol client for one remote ``BackendConfig``: batching,
-    retries, and model fallback.
+    retries, model fallback and the classification cache.
 
     The primary model is the backend's ``model_id``, or its ``backend_id``
     when it names none; the transport follows its ``endpoint`` and
-    ``timeout`` unless one is passed in.
+    ``timeout`` unless one is passed in. With a ``cache``, each comment is
+    looked up once, the primary model's entry before the fallback model's,
+    and only the misses go over the wire; each answer is stored under the
+    endpoint and the model that gave it, and failures are never stored.
+    ``close()`` closes the transport and the cache.
     """
 
-    def __init__(self, backend: BackendConfig, transport: Transport | None = None,
+    def __init__(self, backend: BackendConfig, cache: ClassificationCache | None = None,
+                 parallelism: int = 1, transport: Transport | None = None,
                  sleep: Callable[[float], None] = time.sleep):
         self.backend = backend
         self.backend_id = backend.backend_id
         self.models = [backend.model_id or backend.backend_id]
         if backend.fallback_model_id:
             self.models.append(backend.fallback_model_id)
+        self.cache = cache
+        self.parallelism = parallelism
         self.transport = transport if transport is not None else wire.transport(
             backend.endpoint, backend.timeout)
         self._sleep = sleep
@@ -299,10 +333,12 @@ class RemoteClassifier:
         if not isinstance(rows, list) or len(rows) != expected:
             raise TransportError(f"malformed response: expected {expected} probability rows")
         unrelated = response.get("unrelated")
+        # a flag must be a JSON boolean: the string "false" is truthy
         if unrelated is not None and (not isinstance(unrelated, list)
-                                      or len(unrelated) != expected):
+                                      or len(unrelated) != expected
+                                      or not all(isinstance(flag, bool) for flag in unrelated)):
             raise TransportError("malformed response: unrelated mask is not a list "
-                                 f"of {expected} flags")
+                                 f"of {expected} booleans")
         out = []
         for i, row in enumerate(rows):
             if unrelated is not None and unrelated[i]:
@@ -331,16 +367,28 @@ class RemoteClassifier:
                 return [(model_id, p) for p in probs], calls
         return None, calls
 
-    def classify_batch(self, comments: Sequence[str], parallelism: int = 1,
-                       **cached) -> BatchResult:
-        """``comments`` in batches of the backend's ``batch_size``, ``parallelism`` at a
-        time, through ``wire.fetch_cached`` with ``cached`` (a cache, read, write)."""
+    def classify_batch(self, comments: Sequence[str]) -> BatchResult:
+        """``comments``, distinct texts, through ``wire.fetch_cached``: the cache
+        misses in batches of the backend's ``batch_size``, ``parallelism`` at a time."""
         if any(not c for c in comments):
             raise ValueError("comments must be non-empty")
-        answers, calls = wire.fetch_cached(comments, self._classify_chunk,
-                                           self.backend.batch_size, parallelism, **cached)
+        endpoint = self.backend.endpoint
+
+        def read(comment: str) -> tuple[None, ClassProbabilities] | None:
+            probs = self.cache.get(comment, endpoint, *self.models)
+            return None if probs is None else (None, probs)  # a hit needs no model
+
+        answers, calls = wire.fetch_cached(
+            comments, self._classify_chunk, self.backend.batch_size, self.parallelism,
+            cache=self.cache, read=read,
+            write=lambda comment, answer: self.cache.put(comment, endpoint, *answer))
         return BatchResult([UNRELATED if a is None else a[1] for a in answers],
                            [a is None for a in answers], calls)
+
+    def close(self) -> None:
+        self.transport.close()
+        if self.cache is not None:
+            self.cache.close()
 
 
 def classify_texts(texts: Sequence[str], classifier: Classifier) -> tuple[BatchResult, list[int]]:

@@ -32,13 +32,12 @@ import numpy as np
 from . import __version__
 from .classify import (
     LABELS,
-    BatchResult,
+    ClassificationCache,
     Classified,
     ClassProbabilities,
     HardLabel,
     KeywordClassifier,
     RemoteClassifier,
-    PROMPT_VERSION,
     classify_texts,
     default_keyword_classifier,
 )
@@ -78,7 +77,7 @@ from .translate import (
     TranslationReport,
     translate_all,
 )
-from .wire import ContentCache, atomic_write, endpoint_identity
+from .wire import atomic_write
 
 log = logging.getLogger("wsi")
 
@@ -102,59 +101,8 @@ class ConfigError(ValueError):
     """The run configuration is invalid."""
 
 
-class ClassificationCache(ContentCache):
-    """Per-comment classification results keyed by (comment, endpoint, model, prompt version).
-
-    The endpoint enters the key as ``wire.endpoint_identity`` spells it, the
-    prompt version as ``PROMPT_VERSION``.
-    """
-
-    kind = "classify"
-
-    def get(self, comment: str, endpoint: str, model_id: str,
-            fallback_model_id: str | None = None) -> ClassProbabilities | None:
-        """The entry under ``model_id``, else the one under ``fallback_model_id``."""
-        endpoint = endpoint_identity(endpoint)
-        for model in (model_id, fallback_model_id):
-            if model is not None:
-                probs = self.read((comment, endpoint, model, PROMPT_VERSION),
-                                  lambda e: ClassProbabilities(e["u"], e["v"], e["w"]))
-                if probs is not None:
-                    return probs
-        return None
-
-    def put(self, comment: str, endpoint: str, model_id: str, probs: ClassProbabilities) -> None:
-        self.write((comment, endpoint_identity(endpoint), model_id, PROMPT_VERSION),
-                   json.dumps({"u": probs.u, "v": probs.v, "w": probs.w}, sort_keys=True))
-
-
-class CachedRemoteClassifier:
-    """Remote classifier that consults the cache before the wire.
-
-    One cache pass over the comments, then the misses go to the inner
-    client in its fixed batches, ``parallelism`` batches at a time; the
-    caller passes distinct texts. Failures are never cached. Each answer is
-    stored under the inner client's endpoint and the model that gave it,
-    and a read tries the primary model's entry before the fallback model's.
-    """
-
-    def __init__(self, inner: RemoteClassifier, cache: ClassificationCache,
-                 parallelism: int = 1):
-        self.inner = inner
-        self.cache = cache
-        self.parallelism = parallelism
-        self.backend_id = inner.backend_id
-
-    def classify_batch(self, comments: Sequence[str]) -> BatchResult:
-        endpoint, models = self.inner.backend.endpoint, self.inner.models
-
-        def read(comment: str) -> tuple[None, ClassProbabilities] | None:
-            probs = self.cache.get(comment, endpoint, *models)
-            return None if probs is None else (None, probs)  # a hit needs no model
-
-        return self.inner.classify_batch(
-            comments, self.parallelism, cache=self.cache, read=read,
-            write=lambda comment, answer: self.cache.put(comment, endpoint, *answer))
+# The benchmark's tracer wraps ``CachedRemoteClassifier.classify_batch`` by this name.
+CachedRemoteClassifier = RemoteClassifier
 
 
 REMOTE_KINDS = ("http", "subprocess")
@@ -592,18 +540,6 @@ def stage_ingest(config: RunConfig, *, staged: StagedRun | None = None) -> Inges
         return IngestResult(corpus, stats, report.backend_calls)
 
 
-def _build_classifier(backend: BackendConfig, config: RunConfig):
-    if backend.kind == "keyword":
-        if backend.rules is not None:
-            return KeywordClassifier(backend.rules, backend_id=backend.backend_id)
-        return default_keyword_classifier(backend_id=backend.backend_id)
-    if backend.kind in REMOTE_KINDS:
-        remote = RemoteClassifier(backend)
-        return CachedRemoteClassifier(remote, ClassificationCache(config.cache_dir),
-                                      parallelism=config.classify_parallelism)
-    raise ConfigError(f"no classifier for kind {backend.kind}")
-
-
 def _classify_backend(backend: BackendConfig, corpus: Corpus, wages: WageSeries,
                       config: RunConfig, out: Path) -> tuple[Classified, int]:
     """Classify every month for one backend; returns (answers, wire calls).
@@ -650,13 +586,16 @@ def _classify_backend(backend: BackendConfig, corpus: Corpus, wages: WageSeries,
         codes = np.concatenate([np.empty(0, dtype=np.intp), *segments])
         return Classified.from_answers(answers.probs, answers.failed, codes, months, bounds), 0
 
-    classifier = _build_classifier(backend, config)
-    try:
+    if backend.kind == "keyword":
+        if backend.rules is not None:
+            classifier = KeywordClassifier(backend.rules, backend_id=backend.backend_id)
+        else:
+            classifier = default_keyword_classifier(backend_id=backend.backend_id)
         answers, text_codes = classify_texts(texts, classifier)
-    finally:
-        if isinstance(classifier, CachedRemoteClassifier):
-            classifier.inner.transport.close()
-            classifier.cache.close()
+    else:
+        with closing(RemoteClassifier(backend, ClassificationCache(config.cache_dir),
+                                      config.classify_parallelism)) as remote:
+            answers, text_codes = classify_texts(texts, remote)
     codes = np.fromiter(map(text_codes.__getitem__, corpus.text_ids), dtype=np.intp,
                         count=len(corpus))
     bounds = [0, *(records.stop for _, records in slices)]

@@ -79,20 +79,23 @@ class SubprocessTransport:
     def __call__(self, payload: dict) -> dict:
         request = (json.dumps(payload) + "\n").encode("utf-8")
         with self._lock:
-            if self._proc is None or self._proc.poll() is not None:
-                if self._proc is not None:
-                    self._stop(self._proc, 0)
-                self._proc = subprocess.Popen(self.command, shell=True,
-                                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            if self._proc is not None and self._proc.poll() is not None:
+                self._stop(self._proc, 0)
+                self._proc = None
             proc = self._proc
             try:
                 try:
+                    if proc is None:  # a child that cannot start fails this call only
+                        proc = self._proc = subprocess.Popen(
+                            self.command, shell=True, stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE)
                     line = self._round_trip(proc, request)
                 except (OSError, ValueError) as exc:
                     raise TransportError(f"child process call failed: {exc}") from exc
             except TransportError:
                 self._proc = None
-                self._stop(proc, 0)
+                if proc is not None:
+                    self._stop(proc, 0)
                 raise
         try:
             return json.loads(line)
@@ -306,9 +309,9 @@ class ContentCache:
     text ``write`` was given. The file runs in WAL mode with a busy timeout,
     so processes sharing a cache directory read while one writes, and
     writers wait for each other. An entry that is missing or cannot be
-    decoded reads as a miss. A file that is not a SQLite database is logged
-    once and left as it is: every read misses and writes are skipped. The
-    connection belongs to the thread that opened the cache.
+    decoded reads as a miss. A file that cannot be opened or is not a SQLite
+    database is logged once and left as it is: every read misses and writes
+    are skipped. The connection belongs to the thread that opened the cache.
 
     The one-JSON-file-per-entry directories ``classify/`` and ``translate/``
     of earlier versions are not read: the first run after an upgrade starts
@@ -318,24 +321,24 @@ class ContentCache:
     kind = "content"
 
     def __init__(self, directory: str | Path):
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        self.file = directory / f"{self.kind}.sqlite"
+        self.file = Path(directory) / f"{self.kind}.sqlite"
         # Imported here: a run without a remote backend opens no cache, and
         # so never loads the SQLite library (about 1 MB of resident memory).
         import sqlite3
 
-        if not self.file.exists():
-            _create_cache_file(self.file)
-        self._db: sqlite3.Connection | None = sqlite3.connect(
-            self.file, timeout=BUSY_TIMEOUT_S, isolation_level=None)
+        self._db: sqlite3.Connection | None = None
         try:
+            self.file.parent.mkdir(parents=True, exist_ok=True)
+            if not self.file.exists():
+                _create_cache_file(self.file)
+            self._db = sqlite3.connect(self.file, timeout=BUSY_TIMEOUT_S, isolation_level=None)
             self._db.execute("SELECT 1 FROM entries LIMIT 0")
-        except sqlite3.DatabaseError as exc:
+        except (OSError, sqlite3.Error) as exc:  # cannot be opened, or no cache database
             log.warning("cache %s is not usable, so it is neither read nor written: %s",
                         self.file, exc)
-            self._db.close()
-            self._db = None
+            if self._db is not None:
+                self._db.close()
+                self._db = None
 
     @staticmethod
     def digest(key: tuple[str, ...]) -> str:

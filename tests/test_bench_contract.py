@@ -66,3 +66,49 @@ def test_a_traced_run_feeds_the_ingest_metrics(tracing, tmp_path):
     assert tracer.values["corpus.rows_rejected"] == 0
     for name in ("corpus.write_survey", "translate.translate_all", "report.summarize_corpus"):
         assert tracer.calls[name] == 1, name
+
+
+def test_a_traced_remote_run_reads_each_text_once_and_a_warm_one_calls_no_wire(
+        tracing, tmp_path):
+    """A ``subprocess`` classifier under the tracer, cold and then warm. The
+    tracer wraps the remote client's ``classify_batch`` under two names,
+    ``classify.RemoteClassifier`` and ``pipeline.CachedRemoteClassifier``:
+    the one call per run is recorded under both, and both are restored."""
+    import csv
+
+    import wsi.classify
+    from wsi.pipeline import BackendConfig, RunConfig, run
+    from wsi.synthetic import SyntheticSpec, generate_synthetic
+
+    from conftest import WIRE_STUB
+
+    generate_synthetic(SyntheticSpec(months=24, comments_per_month=20), 4, tmp_path / "data")
+    distinct = set()
+    for path in sorted((tmp_path / "data" / "surveys").glob("*.csv")):
+        with open(path, encoding="utf-8", newline="") as fh:
+            distinct.update(row["comment"] for row in csv.DictReader(fh))
+    backend = BackendConfig(backend_id="child", kind="subprocess", model_id="m",
+                            endpoint=f"cmd:{sys.executable} {WIRE_STUB}")
+    config = RunConfig(survey_paths=[str(tmp_path / "data" / "surveys")],
+                       wage_path=str(tmp_path / "data" / "wages.csv"), backends=[backend],
+                       max_lag=4, output_dir=str(tmp_path / "out"),
+                       cache_dir=str(tmp_path / "cache"))
+    original = wsi.classify.RemoteClassifier.__dict__["classify_batch"]
+    tracers, results = [], []
+    for phase in ("cold", "warm"):
+        tracer = tracing.Tracer(run_id=phase)
+        tracing.install(tracer)
+        try:
+            results.append(run(config))
+        finally:
+            tracer.close()
+        tracers.append(tracer)
+        assert wsi.classify.RemoteClassifier.__dict__["classify_batch"] is original
+        assert tracer.calls["classify.classify_batch"] == 2, phase  # one call, two names
+        assert tracer.calls["pipeline.cache_get"] == len(distinct), phase
+    cold, warm = tracers
+    assert results[0].stats["wire_calls"]["child"] > 0
+    assert cold.calls["pipeline.cache_put"] == len(distinct)
+    assert warm.hits["pipeline.cache_get"] == len(distinct)
+    assert warm.calls["classify.wire"] == 0 and warm.calls["pipeline.cache_put"] == 0
+    assert results[1].stats["wire_calls"] == {"child": 0}

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import wsi.classify as classify
 import wsi.pipeline as pipeline
 import wsi.wire as wire
 from wsi.classify import PROMPT_VERSION, ClassProbabilities, RemoteClassifier
@@ -71,15 +72,42 @@ def test_a_row_that_is_not_json_or_lacks_a_probability_reads_as_a_miss(tmp_path)
     cache.close()
 
 
-def test_a_cache_file_that_is_not_a_database_is_bypassed(data, tmp_path, caplog):
-    cold = run(RunConfig.from_dict(stub_config(data, tmp_path / "cold")))
-    cache_dir = tmp_path / "garbage" / "cache"
+GARBAGE = b"these bytes are no SQLite database\n" * 50
+
+
+def not_a_database(cache_dir):
     cache_dir.mkdir(parents=True)
-    garbage = b"these bytes are no SQLite database\n" * 50
     for kind in ("classify", "translate"):
-        (cache_dir / f"{kind}.sqlite").write_bytes(garbage)
+        (cache_dir / f"{kind}.sqlite").write_bytes(GARBAGE)
+
+
+def a_directory(cache_dir):
+    for kind in ("classify", "translate"):
+        (cache_dir / f"{kind}.sqlite").mkdir(parents=True)
+
+
+def cache_dir_a_file(cache_dir):
+    cache_dir.parent.mkdir(parents=True)
+    cache_dir.write_bytes(GARBAGE)
+
+
+def contents(path):
+    """A file's bytes, or a directory's paths with each file's bytes."""
+    if path.is_file():
+        return path.read_bytes()
+    return {str(p.relative_to(path)): p.read_bytes() if p.is_file() else None
+            for p in sorted(path.rglob("*"))}
+
+
+@pytest.mark.parametrize("block", [not_a_database, a_directory, cache_dir_a_file],
+                         ids=["not-a-database", "a-directory", "cache-dir-a-file"])
+def test_a_cache_file_that_is_not_a_database_is_bypassed(data, tmp_path, caplog, block):
+    cold = run(RunConfig.from_dict(stub_config(data, tmp_path / "cold")))
+    cache_dir = tmp_path / "blocked" / "cache"
+    block(cache_dir)
+    before = contents(cache_dir)
     with caplog.at_level(logging.WARNING, logger="wsi"):
-        bypassed = run(RunConfig.from_dict(stub_config(data, tmp_path / "garbage")))
+        bypassed = run(RunConfig.from_dict(stub_config(data, tmp_path / "blocked")))
     warnings = [r.getMessage() for r in caplog.records if "not usable" in r.getMessage()]
     assert len(warnings) == 2  # one per file
     assert any("classify.sqlite" in w for w in warnings)
@@ -88,8 +116,7 @@ def test_a_cache_file_that_is_not_a_database_is_bypassed(data, tmp_path, caplog)
     assert bypassed.stats == cold.stats and cold.stats["wire_calls"]["child"] > 0
     assert tree_bytes(bypassed.out_dir) == tree_bytes(cold.out_dir)
     # and nothing was written
-    assert sorted(p.name for p in cache_dir.iterdir()) == ["classify.sqlite", "translate.sqlite"]
-    assert all(p.read_bytes() == garbage for p in cache_dir.iterdir())
+    assert contents(cache_dir) == before
 
 
 @contextmanager
@@ -365,7 +392,7 @@ def keys_read(base, values):
         **{name: values[name] for name in CACHE_KEY_SETTINGS if name in {
             f.name for f in fields(RunConfig)}})
     READ_KEYS.clear()
-    with mock.patch.object(pipeline, "PROMPT_VERSION", values["prompt_version"]):
+    with mock.patch.object(classify, "PROMPT_VERSION", values["prompt_version"]):
         staged = StagedRun(config, pipeline.compute_run_id(config))
         pipeline.stage_ingest(config, staged=staged)
         pipeline.stage_classify(config, staged=staged)
@@ -397,8 +424,7 @@ def translate_comments(cache, comments):
 
 def classify_comments(cache, comments):
     backend = BackendConfig(backend_id="r", kind="subprocess", endpoint="cmd:stub")
-    return pipeline.CachedRemoteClassifier(RemoteClassifier(backend), cache).classify_batch(
-        comments)
+    return RemoteClassifier(backend, cache).classify_batch(comments)
 
 
 def wire_calls(result):

@@ -159,9 +159,9 @@ def spec(**kw):
     return BackendConfig(**defaults)
 
 
-def remote(backend, transport=None):
+def remote(backend, transport=None, **options):
     """A client for ``backend`` that retries without waiting."""
-    return RemoteClassifier(backend, transport=transport, sleep=lambda s: None)
+    return RemoteClassifier(backend, transport=transport, sleep=lambda s: None, **options)
 
 
 class TestClassifyBatch:
@@ -251,9 +251,11 @@ class TestClassifyBatch:
         {"probabilities": [[0, 1, 0], [1, 0, 0]], "unrelated": 5},
         {"probabilities": [[math.nan, 1, 0], [1, 0, 0]]},
         [[0, 1, 0], [1, 0, 0]],
-    ], ids=["negative", "inf", "string", "unrelated-not-a-list", "nan", "not-an-object"])
+        {"probabilities": [[1, 0, 0], [1, 0, 0]], "unrelated": ["false", "false"]},
+    ], ids=["negative", "inf", "string", "unrelated-not-a-list", "nan", "not-an-object",
+            "unrelated-flag-a-string"])
     def test_malformed_row_fails_the_attempt_and_is_not_cached(self, body, tmp_path):
-        from wsi.pipeline import CachedRemoteClassifier, ClassificationCache
+        from wsi.classify import ClassificationCache
 
         def transport(payload):
             if payload["model"] == "primary":
@@ -262,8 +264,7 @@ class TestClassifyBatch:
 
         texts = ["first comment", "second comment"]
         cache = ClassificationCache(tmp_path / "cache")
-        failing = CachedRemoteClassifier(
-            remote(spec(max_retries=1), transport=transport), cache)
+        failing = remote(spec(max_retries=1), transport=transport, cache=cache)
         result = failing.classify_batch(texts)
         assert result.failed == [True, True]
         assert result.wire_calls == 2
@@ -289,8 +290,8 @@ class TestClassifyBatch:
         texts = [f"n{i} {'up' if i % 2 else 'down'}" for i in range(40)]
         serial = remote(spec(batch_size=5), transport=FakeTransport()).classify_batch(
             texts)
-        parallel = remote(spec(batch_size=5), transport=FakeTransport()).classify_batch(
-            texts, parallelism=8)
+        parallel = remote(spec(batch_size=5), transport=FakeTransport(),
+                          parallelism=8).classify_batch(texts)
         assert [p.as_tuple() for p in serial.probs] == [p.as_tuple() for p in parallel.probs]
 
 
@@ -389,7 +390,7 @@ HUNG_CHILD = "import sys, time\nsys.stdin.readline()\ntime.sleep(60)\n"
 def test_hung_subprocess_classifier_fails_within_its_timeout(tmp_path, monkeypatch):
     import subprocess
 
-    from wsi.pipeline import BackendConfig, CachedRemoteClassifier, ClassificationCache
+    from wsi.classify import ClassificationCache
 
     children = []
 
@@ -404,8 +405,7 @@ def test_hung_subprocess_classifier_fails_within_its_timeout(tmp_path, monkeypat
     backend = BackendConfig(backend_id="hung", kind="subprocess", model_id="m",
                             endpoint=f"exec {sys.executable} {script}",
                             timeout=0.5, max_retries=0)
-    client = RemoteClassifier(backend)
-    classifier = CachedRemoteClassifier(client, ClassificationCache(tmp_path / "cache"))
+    classifier = RemoteClassifier(backend, ClassificationCache(tmp_path / "cache"))
     records = [make_record(comment=f"wages went up {i}") for i in range(3)]
     for call in range(2):  # the second call starts a new child
         started = time.perf_counter()
@@ -416,6 +416,5 @@ def test_hung_subprocess_classifier_fails_within_its_timeout(tmp_path, monkeypat
         child = children[-1]
         assert child.returncode is not None  # killed and reaped
         assert child.stdin.closed and child.stdout.closed
-    client.transport.close()
-    classifier.cache.close()
+    classifier.close()
     assert cache_rows(tmp_path / "cache" / "classify.sqlite") == {}

@@ -108,7 +108,6 @@ class TestCacheKey:
 
     def test_fallback_answer_is_cached_under_the_fallback_model(self, tmp_path):
         from wsi.classify import RemoteClassifier
-        from wsi.pipeline import CachedRemoteClassifier
 
         calls = []
 
@@ -122,7 +121,7 @@ class TestCacheKey:
             backend = BackendConfig(backend_id="remote", kind="http", endpoint="http://unused/",
                                     model_id="primary", fallback_model_id=fallback,
                                     max_retries=0)
-            return CachedRemoteClassifier(RemoteClassifier(backend, transport=transport), cache)
+            return RemoteClassifier(backend, cache, transport=transport)
 
         cache = ClassificationCache(tmp_path)
         cold = classifier("backup").classify_batch(["a comment"])

@@ -1,7 +1,9 @@
+import errno
 import hashlib
 import json
 import shlex
 import sqlite3
+import subprocess
 import sys
 import time
 from contextlib import closing, contextmanager
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 
 from wsi.wire import (ContentCache, HttpTransport, SubprocessTransport, TransportError,
                       fetch_cached, map_batches, retry)
+
+from conftest import WIRE_STUB
 
 
 def flaky(failures, value="ok"):
@@ -118,6 +122,51 @@ def test_a_child_reply_line_that_is_not_utf8_is_a_transport_error():
     with pytest.raises(TransportError, match="malformed child process line"):
         transport({"texts": ["x"]})
     transport.close()
+
+
+def failing_popen(monkeypatch, failures):
+    """``subprocess.Popen`` raising EAGAIN on its first ``failures`` calls."""
+    popen, starts = subprocess.Popen, []
+
+    def start(*args, **kwargs):
+        starts.append(None)
+        if len(starts) <= failures:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return popen(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", start)
+    return starts
+
+
+def test_a_child_that_cannot_start_fails_one_call_and_the_next_starts_one(monkeypatch):
+    starts = failing_popen(monkeypatch, failures=1)
+    transport = SubprocessTransport(f"{sys.executable} {WIRE_STUB}", 5.0)
+    with pytest.raises(TransportError, match="Resource temporarily unavailable"):
+        transport({"texts": ["x"]})
+    assert transport._proc is None
+    assert transport({"texts": ["x"]}) == {"translations": ["X"]}
+    assert len(starts) == 2
+    transport.close()
+
+
+def test_a_classifier_child_that_never_starts_fails_its_comments_not_the_run(
+        monkeypatch, tmp_path):
+    from wsi.pipeline import BackendConfig, RunConfig, run
+    from wsi.synthetic import SyntheticSpec, generate_synthetic
+
+    generate_synthetic(SyntheticSpec(months=12, comments_per_month=10), 2, tmp_path / "data")
+    starts = failing_popen(monkeypatch, failures=10**6)
+    backend = BackendConfig(backend_id="child", kind="subprocess", model_id="m",
+                            fallback_model_id="f", endpoint=f"{sys.executable} {WIRE_STUB}",
+                            max_retries=0)
+    result = run(RunConfig(survey_paths=[str(tmp_path / "data" / "surveys")],
+                           wage_path=str(tmp_path / "data" / "wages.csv"), backends=[backend],
+                           max_lag=2, output_dir=str(tmp_path / "out"),
+                           cache_dir=str(tmp_path / "cache")))
+    assert result.stats["classify"]["child"]["failed_comments"] == 12 * 10
+    assert result.stats["wire_calls"] == {"child": len(starts)} and len(starts) >= 2
+    rows = (result.out_dir / "stages" / "classified" / "child.csv").read_text().splitlines()
+    assert len(rows) == 1 + 12 * 10 and all(row.endswith(",Unrelated,1") for row in rows[1:])
 
 
 class RecordingCache:
