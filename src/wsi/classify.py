@@ -221,6 +221,12 @@ class Classifier(Protocol):
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
+def words(text: str) -> list[str]:
+    """The lowercased text's ``[a-z0-9]+`` runs, in order: the one tokenizer
+    of the keyword rules and the lexicon baseline."""
+    return _TOKEN_RE.findall(text.lower())
+
+
 @dataclass(frozen=True)
 class KeywordRule:
     keywords: frozenset[str]
@@ -244,7 +250,7 @@ class KeywordClassifier:
         ]
 
     def classify_one(self, comment: str) -> ClassProbabilities:
-        tokens = set(_TOKEN_RE.findall(comment.lower()))
+        tokens = set(words(comment))
         for rule in self.rules:
             if rule.keywords & tokens:
                 return rule.triple

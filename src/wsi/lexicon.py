@@ -10,11 +10,12 @@ occurrence counts.
 The corpus is tokenized once, each distinct comment text a single time,
 into a dense term x month count matrix (:class:`TermCounts`): rows are the
 sorted terms, columns every month from the corpus's first to its last. A
-target month's window is a set of columns of that matrix, and
+target month's window is one contiguous span of those columns, and
 :func:`term_correlations` correlates every eligible term with wage growth
 in one centred matrix-vector product. The same token lists give each
 comment's (positive, negative) occurrence counts, which drive both the
-classification and the month-level word-count audit.
+classification (:meth:`LexiconBackend.classify_corpus`) and the month-level
+word-count audit.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classify import _TOKEN_RE, ClassProbabilities, UNRELATED
-from .corpus import MonthKey, WageSeries, month_range
+from .classify import BatchResult, Classified, ClassProbabilities, UNRELATED, words
+from .corpus import Codes, Corpus, MonthKey, WageSeries, month_range
 # Re-exported: ``term_correlations`` is the row-wise form of ``pearson``, and
 # the benchmark's tracer (perfbench/tracing.py) wraps ``wsi.lexicon.pearson``.
 from .econometrics import pearson  # noqa: F401
@@ -49,7 +50,7 @@ STOP_WORDS = _load_stop_words()
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on non-alphanumeric runs, drop stop words."""
-    return [t for t in _TOKEN_RE.findall(text.lower()) if t not in STOP_WORDS]
+    return [t for t in words(text) if t not in STOP_WORDS]
 
 
 def _ordinal(month: MonthKey) -> int:
@@ -112,17 +113,6 @@ class TermCounts:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def window_counts(self, window: Sequence[MonthKey]) -> np.ndarray:
-        """Counts with one column per window month; months outside the
-        corpus's range count zero for every term."""
-        out = np.zeros((len(self.terms), len(window)), dtype=np.int64)
-        if self.months:
-            cols = np.array([_ordinal(m) for m in window], dtype=np.int64)
-            cols -= _ordinal(self.months[0])
-            inside = (cols >= 0) & (cols < len(self.months))
-            out[:, inside] = self.matrix[:, cols[inside]]
-        return out
-
 
 def monthly_term_counts(texts_by_month: Mapping[MonthKey, Sequence[str]]) -> TermCounts:
     """Token occurrence counts per term per month, over each month's
@@ -175,17 +165,18 @@ def term_correlations(freqs: np.ndarray, growth: Sequence[float]) -> np.ndarray:
     return out
 
 
-def build_term_stats(counts: TermCounts, window: Sequence[MonthKey], growth: Sequence[float],
+def build_term_stats(counts: TermCounts, window: slice, growth: Sequence[float],
                      min_mean_frequency: float) -> list[TermStats]:
     """Frequency-filtered terms with their correlation against wage growth.
 
-    ``growth`` holds the wage growth of each ``window`` month. Terms must
-    average at least ``min_mean_frequency`` occurrences per window month.
-    Correlation is None for terms whose frequency does not vary within the
-    window (they cannot be ranked).
+    ``window`` is a span of ``counts.months`` and ``growth`` holds the wage
+    growth of each of its months. Terms must average at least
+    ``min_mean_frequency`` occurrences per window month. Correlation is None
+    for terms whose frequency does not vary within the window (they cannot
+    be ranked).
     """
-    freqs = counts.window_counts(window)
-    means = freqs.sum(axis=1) / len(window)
+    freqs = counts.matrix[:, window]
+    means = freqs.sum(axis=1) / freqs.shape[1]
     eligible = np.flatnonzero(means >= min_mean_frequency)
     correlations = term_correlations(freqs[eligible], growth)
     return [
@@ -269,20 +260,6 @@ class LexiconPolicy:
         return None if self.window == "expanding" else int(self.window.partition(":")[2])
 
 
-def window_for(as_of: MonthKey, history_start: MonthKey,
-               policy: LexiconPolicy) -> list[MonthKey]:
-    """Correlation window for one target month under the configured policy."""
-    end = as_of.minus(2)
-    width = policy.rolling_width()
-    if width is not None:
-        start = end.minus(width - 1)
-        if start < history_start:
-            start = history_start
-    else:
-        start = history_start
-    return month_range(start, end)
-
-
 def rolling_lexicons(
     counts: TermCounts,
     wages: WageSeries,
@@ -291,24 +268,29 @@ def rolling_lexicons(
 ) -> dict[MonthKey, Lexicon]:
     """Lexicons for every feasible target month, from one corpus's counts.
 
-    A target is feasible when its window holds at least two months that all
-    have defined wage growth; infeasible targets are absent from the result.
-    The expanding window starts at the first month covered by both the
-    comment history (``counts.months``) and the wage-growth series.
+    A target's window is a column span of ``counts`` that ends two months
+    before it and starts at the first month covered by both the comment
+    history and the wage-growth series, or, rolling with width w, w - 1
+    months before its end if that is later. A target is feasible when its
+    window holds at least two months, none past ``counts.months``, all
+    with defined wage growth; infeasible targets are absent from the
+    result.
     """
     growth_at = wages.yoy_map
     if not counts.months or not growth_at:
         return {}
-    history_start = max(counts.months[0], min(growth_at))
+    origin = _ordinal(counts.months[0])
+    growth = [growth_at.get(m) for m in counts.months]
+    first = max(0, _ordinal(min(growth_at)) - origin)
+    width = policy.rolling_width()
     lexicons: dict[MonthKey, Lexicon] = {}
     for as_of in targets:
-        window = window_for(as_of, history_start, policy)
-        if len(window) < 2:
+        end = _ordinal(as_of) - 1 - origin  # one past the column of as_of - 2
+        start = first if width is None else max(first, end - width)
+        if end - start < 2 or end > len(growth) or None in growth[start:end]:
             continue
-        growth = [growth_at.get(m) for m in window]
-        if any(g is None for g in growth):
-            continue
-        stats = build_term_stats(counts, window, growth, policy.min_mean_frequency)
+        stats = build_term_stats(counts, slice(start, end), growth[start:end],
+                                 policy.min_mean_frequency)
         lexicons[as_of] = select_lexicon(stats, as_of, max_terms=policy.max_terms)
     return lexicons
 
@@ -333,8 +315,42 @@ class LexiconBackend:
         self.smoothing = smoothing
         self.backend_id = backend_id
 
-    def classify_batch(self, pairs: Sequence[tuple[int, int]]):
-        from .classify import BatchResult
-
+    def classify_batch(self, pairs: Sequence[tuple[int, int]]) -> BatchResult:
         probs = [occurrence_probabilities(p, n, self.smoothing) for p, n in pairs]
         return BatchResult(probs=probs, failed=[False] * len(probs), wire_calls=0)
+
+    def classify_corpus(self, corpus: Corpus, counts: TermCounts,
+                        lexicons: Mapping[MonthKey, Lexicon]) -> tuple[Classified, list[str]]:
+        """The records of each month with a lexicon, classified under it, and
+        the rows of the word-count CSV.
+
+        ``counts`` holds the tokens of the corpus's texts. A month's distinct
+        texts are counted once each; a month without a lexicon is absent.
+        A record's answer depends only on its (positive, negative) pair, so
+        the answer table has one row per distinct pair, from one batch. The
+        rows ``as_of,positive_occurrences,negative_occurrences,wordcount_index``
+        are a month-level word-count aggregate, logged alongside the
+        per-comment classification for comparison; both use the same
+        occurrence counts.
+        """
+        texts = corpus.texts
+        pairs = Codes()  # (p, n) -> answer code
+        months, segments = [], []
+        rows = ["as_of,positive_occurrences,negative_occurrences,wordcount_index"]
+        for month, records in corpus.month_slices():
+            if month not in lexicons:
+                continue
+            distinct, inverse = np.unique(corpus.text_ids[records], return_inverse=True)
+            occurrences = [occurrence_counts(counts.tokens[texts[t]], lexicons[month])
+                           for t in distinct.tolist()]
+            months.append(month)
+            pair_codes = np.array([pairs[pair] for pair in occurrences], dtype=np.intp)
+            segments.append(pair_codes[inverse])
+            p_total, n_total = (np.bincount(inverse) @ np.array(occurrences)).tolist()
+            ratio = ((p_total - n_total) / (p_total + n_total) * 100.0
+                     if p_total + n_total else 0.0)
+            rows.append(f"{month},{p_total},{n_total},{ratio!r}")
+        answers = self.classify_batch(pairs.table)
+        bounds = np.cumsum([0, *map(len, segments)])
+        codes = np.concatenate([np.empty(0, dtype=np.intp), *segments])
+        return Classified.from_answers(answers.probs, answers.failed, codes, months, bounds), rows

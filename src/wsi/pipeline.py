@@ -40,6 +40,7 @@ from .classify import (
     RemoteClassifier,
     classify_texts,
     default_keyword_classifier,
+    words,
 )
 from .corpus import (
     Codes,
@@ -59,7 +60,6 @@ from .lexicon import (
     LexiconBackend,
     LexiconPolicy,
     audit_rows,
-    occurrence_counts,
     rolling_lexicons,
     tokenize,  # noqa: F401  (re-exported; the benchmark's tracer wraps it here)
 )
@@ -208,8 +208,9 @@ def _identity(entry) -> dict:
 
 
 def _keyword_rules(value, name: str) -> tuple | None:
-    """A list of [[keyword, ...], [u, v, w]] pairs, each triple a valid
-    probability triple, as a tuple of (keywords, triple) tuples."""
+    """A list of [[keyword, ...], [u, v, w]] pairs, each keyword one token of
+    ``words`` (else it never fires) and each triple a valid probability
+    triple of numbers, as a tuple of (keywords, triple) tuples."""
     if value is None:
         return None
     for i, rule in enumerate(_typed(value, name, "list")):
@@ -218,6 +219,10 @@ def _keyword_rules(value, name: str) -> tuple | None:
             if not (isinstance(keywords, list) and all(isinstance(k, str) for k in keywords)
                     and isinstance(triple, list)):
                 raise TypeError("keywords and triple must be lists, keywords strings")
+            if not all(words(k) == [k.lower()] for k in keywords):
+                raise ValueError("each keyword must be one [a-z0-9]+ token")
+            if not all(type(p) in _JSON_TYPES["float"][0] for p in triple):
+                raise TypeError("probabilities must be JSON numbers, not booleans")
             ClassProbabilities(*triple)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{name}[{i}] must be [[keyword, ...], [u, v, w]], "
@@ -544,10 +549,9 @@ def _classify_backend(backend: BackendConfig, corpus: Corpus, wages: WageSeries,
                       config: RunConfig, out: Path) -> tuple[Classified, int]:
     """Classify every month for one backend; returns (answers, wire calls).
 
-    A lexicon backend classifies month by month, under each month's lexicon,
-    and writes its audit files to ``out/stages``. Its answer depends only
-    on a record's (positive, negative) occurrence counts, so its table has
-    one row per distinct pair. Any other backend classifies the corpus's
+    A lexicon backend classifies month by month, under each month's lexicon
+    (``LexiconBackend.classify_corpus``), and writes its audit files to
+    ``out/stages``. Any other backend classifies the corpus's
     text table through ``classify_texts``, each distinct text once in one
     fixed batch order (first appearance in month order), and each record
     takes its text id's answer.
@@ -560,31 +564,11 @@ def _classify_backend(backend: BackendConfig, corpus: Corpus, wages: WageSeries,
         # Called on the module, where the benchmark's tracer wraps it.
         counts = lexicon.monthly_term_counts(by_month)
         lexicons = rolling_lexicons(counts, wages, list(by_month), config.lexicon)
-        pairs = Codes()  # (p, n) -> answer code
-        months, segments = [], []
-        # Month-level word-count aggregate logged alongside the per-comment
-        # classification for comparison; both use the same occurrence counts.
-        wordcount_rows = ["as_of,positive_occurrences,negative_occurrences,wordcount_index"]
-        for month, records in slices:
-            if month not in lexicons:
-                continue
-            distinct, inverse = np.unique(corpus.text_ids[records], return_inverse=True)
-            occurrences = [occurrence_counts(counts.tokens[texts[t]], lexicons[month])
-                           for t in distinct.tolist()]
-            months.append(month)
-            pair_codes = np.array([pairs[pair] for pair in occurrences], dtype=np.intp)
-            segments.append(pair_codes[inverse])
-            p_total, n_total = (np.bincount(inverse) @ np.array(occurrences)).tolist()
-            ratio = ((p_total - n_total) / (p_total + n_total) * 100.0
-                     if p_total + n_total else 0.0)
-            wordcount_rows.append(f"{month},{p_total},{n_total},{ratio!r}")
+        baseline = LexiconBackend(config.lexicon.smoothing, backend_id=backend.backend_id)
+        classified, wordcount_rows = baseline.classify_corpus(corpus, counts, lexicons)
         atomic_write(out / "stages" / "lexicon_audit.csv", "\n".join(audit_rows(lexicons)) + "\n")
         atomic_write(out / "stages" / "lexicon_wordcounts.csv", "\n".join(wordcount_rows) + "\n")
-        answers = LexiconBackend(config.lexicon.smoothing,
-                                 backend_id=backend.backend_id).classify_batch(pairs.table)
-        bounds = np.cumsum([0, *map(len, segments)])
-        codes = np.concatenate([np.empty(0, dtype=np.intp), *segments])
-        return Classified.from_answers(answers.probs, answers.failed, codes, months, bounds), 0
+        return classified, 0
 
     if backend.kind == "keyword":
         if backend.rules is not None:

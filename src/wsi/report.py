@@ -84,7 +84,9 @@ def render_granger_grid(sweeps: Mapping[str, Sequence[GrangerResult]],
         lines.append(r"\begin{tabular}{" + "c" * min(per_row, len(backends)) + "}")
         for start in range(0, len(backends), per_row):
             chunk = backends[start: start + per_row]
-            lines.append(" &\n".join(rf"\textbf{{{b}}}" for b in chunk) + r" \\")
+            # an id may hold "_", which LaTeX takes in text mode only as "\_"
+            heads = [r"\textbf{" + b.replace("_", r"\_") + "}" for b in chunk]
+            lines.append(" &\n".join(heads) + r" \\")
             subtables = [render_granger_table(sweeps[b], "latex").rstrip() for b in chunk]
             lines.append(" &\n".join(subtables) + (r" \\\\" if start + per_row < len(backends) else r" \\"))
         lines.extend([r"\end{tabular}", "}", r"\end{table*}"])

@@ -138,6 +138,11 @@ BAD_SETTINGS = {  # case: (config section, the setting that replaces it)
     "rules_keyword_not_a_string": ("backends", {
         "kind": "keyword", "rules": [[["x"], [1, 0, 0]], [[3], [0, 1, 0]]]}),
     "rules_bad_triple": ("backends", {"kind": "keyword", "rules": [[["x"], [0.5, 0.5, 0.5]]]}),
+    # a bool is no probability, and a keyword that is not one token never fires
+    "rules_bool_triple": ("backends", {
+        "kind": "keyword", "rules": [[["raise"], [True, False, False]]]}),
+    "rules_keyword_not_a_token": ("backends", {
+        "kind": "keyword", "rules": [[["raise"], [1, 0, 0]], [["pay-cut"], [0, 1, 0]]]}),
     "max_terms_negative": ("lexicon", {"max_terms": -1}),
     "max_terms_zero": ("lexicon", {"max_terms": 0}),
     "min_mean_frequency_nan": ("lexicon", {"min_mean_frequency": float("nan")}),
@@ -199,6 +204,10 @@ BAD_SETTINGS = {  # case: (config section, the setting that replaces it)
      "backend mock: rules[1] must be [[keyword, ...], [u, v, w]], got [[3], [0, 1, 0]]"),
     ("rules_bad_triple", "backend mock: rules[0] must be [[keyword, ...], [u, v, w]], "
                          "got [['x'], [0.5, 0.5, 0.5]]"),
+    ("rules_bool_triple", "backend mock: rules[0] must be [[keyword, ...], [u, v, w]], "
+                          "got [['raise'], [True, False, False]]"),
+    ("rules_keyword_not_a_token", "backend mock: rules[1] must be [[keyword, ...], [u, v, w]], "
+                                  "got [['pay-cut'], [0, 1, 0]]"),
     ("max_terms_negative", "lexicon.max_terms must be >= 1, got -1"),
     ("max_terms_zero", "lexicon.max_terms must be >= 1, got 0"),
     ("min_mean_frequency_nan", "lexicon.min_mean_frequency must be finite and >= 0, got nan"),

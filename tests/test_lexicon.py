@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wsi.lexicon
-from wsi.classify import HardLabel, UNRELATED
-from wsi.corpus import MonthKey, WageSeries, month_range
+from wsi.classify import LABELS, HardLabel, UNRELATED
+from wsi.corpus import Corpus, MonthKey, WageSeries, month_range
 from wsi.econometrics import UndefinedCorrelationError, pearson
 from wsi.lexicon import (
     Lexicon,
+    LexiconBackend,
     LexiconPolicy,
     STOP_WORDS,
     TermStats,
@@ -23,7 +24,6 @@ from wsi.lexicon import (
     select_lexicon,
     term_correlations,
     tokenize,
-    window_for,
 )
 
 from conftest import make_record
@@ -47,9 +47,14 @@ def term_counts(grouped):
 
 
 def term_stats(grouped, wages, window, min_mean_frequency=5.0):
-    """build_term_stats over the whole corpus's counts and the window's growth."""
-    return build_term_stats(term_counts(grouped), window,
-                            list(map(wages.yoy_map.get, window)), min_mean_frequency)
+    """build_term_stats over the whole corpus's counts, for the span of its
+    months that ``window`` lists, and the window's growth."""
+    counts = term_counts(grouped)
+    start = counts.months.index(window[0])
+    span = slice(start, start + len(window))
+    assert list(counts.months[span]) == list(window)
+    return build_term_stats(counts, span, list(map(wages.yoy_map.get, window)),
+                            min_mean_frequency)
 
 
 def corpus_from_counts(counts_by_term):
@@ -243,13 +248,6 @@ class TestTermCounts:
             for j, month in enumerate(counts.months):
                 assert counts.matrix[i, j] == expected.get((term, month), 0)
 
-    def test_window_counts_zero_outside_the_corpus(self):
-        grouped = corpus_from_counts({"w": {START.plus(1): 2, START.plus(2): 3}})
-        counts = term_counts(grouped)
-        window = month_range(START, START.plus(3))
-        assert counts.terms == ("mentioned", "w")
-        assert counts.window_counts(window).tolist() == [[0, 2, 3, 0], [0, 2, 3, 0]]
-
     def test_each_distinct_text_tokenized_once(self, monkeypatch):
         calls = []
 
@@ -441,6 +439,43 @@ class TestLexiconClassify:
         assert occurrence_counts(["bonus", "cut", "bonus"], lex) == (2, 1)
 
 
+class TestClassifyCorpus:
+    @pytest.mark.parametrize("smoothing", ["laplace", "none"])
+    def test_matches_per_record_loop(self, smoothing):
+        grouped, wages, _ = random_corpus(7)
+        for records in grouped.values():
+            records.extend(records[:2])  # repeated texts within each month
+        corpus = Corpus.from_records([r for records in grouped.values() for r in records])
+        counts = term_counts(grouped)
+        lexicons = rolling_lexicons(counts, wages, list(grouped),
+                                    LexiconPolicy(min_mean_frequency=1.0))
+        months = [m for m in grouped if m in lexicons]
+        assert lexicons and len(months) < len(grouped)
+        classified, rows = LexiconBackend(smoothing).classify_corpus(corpus, counts, lexicons)
+
+        expected, pairs = [], set()
+        wordcounts = ["as_of,positive_occurrences,negative_occurrences,wordcount_index"]
+        for month in months:
+            occurrences = [occurrence_counts(tokenize(r.text), lexicons[month])
+                           for r in grouped[month]]
+            expected += [occurrence_probabilities(p, n, smoothing) for p, n in occurrences]
+            pairs.update(occurrences)
+            p_total = sum(p for p, _ in occurrences)
+            n_total = sum(n for _, n in occurrences)
+            ratio = (p_total - n_total) / (p_total + n_total) * 100.0 if p_total + n_total else 0.0
+            wordcounts.append(f"{month},{p_total},{n_total},{ratio!r}")
+        assert classified.months == months  # a month without a lexicon is absent
+        assert np.diff(classified.bounds).tolist() == [len(grouped[m]) for m in months]
+        codes = classified.codes
+        assert list(zip(classified.u[codes], classified.v[codes], classified.w[codes])) == \
+            [p.as_tuple() for p in expected]
+        assert [LABELS[label] for label in classified.label[codes]] == \
+            [p.hard_label() for p in expected]
+        assert not classified.failed.any()
+        assert len(classified.u) == len(pairs)  # one answer per distinct pair
+        assert rows == wordcounts
+
+
 def build_planted_setup(n_months=30, seed=13, negate=False):
     """Corpus where 'bonus' tracks growth positively and 'cut' negatively."""
     rng = random.Random(seed)
@@ -512,12 +547,33 @@ class TestRollingLexicons:
         full = rolling_lexicons(counts, wages, targets)
         assert lexicons == {m: full[m] for m in lexicons}
 
-    def test_rolling_window_policy(self):
-        policy = LexiconPolicy(window="rolling:6")
-        as_of = MonthKey(2020, 12)
-        window = window_for(as_of, MonthKey(2015, 1), policy)
-        assert len(window) == 6
-        assert window[-1] == MonthKey(2020, 10)
+    def test_target_past_the_corpus_is_absent(self):
+        """A window may not leave the corpus's months, even where wage growth is defined."""
+        grouped, wages, window = build_planted_setup()
+        last = window[-5]
+        counts = term_counts({m: records for m, records in grouped.items() if m <= last})
+        targets = window[-8:]
+        lexicons = rolling_lexicons(counts, wages, targets)
+        assert sorted(lexicons) == [m for m in targets if m.minus(2) <= last]
+        full = rolling_lexicons(term_counts(grouped), wages, targets)
+        assert lexicons == {m: full[m] for m in lexicons}
+
+    def test_rolling_window_policy(self, monkeypatch):
+        grouped, wages, window = build_planted_setup()
+        counts = term_counts(grouped)
+        spans = []
+
+        def recording(counts, span, growth, min_mean_frequency):
+            spans.append(span)
+            return build_term_stats(counts, span, growth, min_mean_frequency)
+
+        monkeypatch.setattr(wsi.lexicon, "build_term_stats", recording)
+        targets = [window[20], window[4]]
+        lexicons = rolling_lexicons(counts, wages, targets, LexiconPolicy(window="rolling:6"))
+        assert sorted(lexicons) == sorted(targets)
+        # six months ending at as_of - 2, cut at the corpus's first month
+        assert [counts.months[span] for span in spans] == [
+            tuple(month_range(window[13], window[18])), tuple(window[:3])]
         with pytest.raises(ValueError):
             LexiconPolicy(window="rolling:x").rolling_width()
 

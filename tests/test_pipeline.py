@@ -1107,6 +1107,13 @@ class TestConfig:
         assert config.backends[0].rules == ((("bonus",), (1.0, 0.0, 0.0)),
                                             (("cut",), (0.0, 1.0, 0.0)))
 
+    @pytest.mark.parametrize("keyword", ["pay-cut", "pay cut", "", "賃上げ"])
+    def test_keyword_that_is_not_one_token_rejected(self, keyword):
+        """Comments split into lowercase [a-z0-9]+ runs, which such a keyword never is."""
+        with pytest.raises(ConfigError, match=r"rules\[1\] must be .*one \[a-z0-9\]\+ token"):
+            BackendConfig.from_dict({"id": "k", "kind": "keyword", "rules": [
+                [["Raise", "pay2"], [1, 0, 0]], [["cut", keyword], [0, 1, 0]]]})
+
     def test_integer_rule_probabilities_write_float_answers(self, small_corpus):
         """The answer table holds float64, so a rule's [0, 1, 0] is written 0.0,1.0,0.0."""
         trees = []

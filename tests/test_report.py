@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -102,6 +103,13 @@ class TestTableFormats:
         assert tex.count("\\begin{tabular}{rrl}") == 2
         md = render_granger_grid(sweeps, "Comparison", "markdown")
         assert "### modelA" in md and "### modelB" in md
+
+    def test_grid_escapes_underscores_in_latex_headers(self):
+        sweeps = {"lex_base": self.results, "mock": self.results}
+        tex = render_granger_grid(sweeps, "Comparison", "latex")
+        assert "\\textbf{lex\\_base}" in tex
+        assert re.search(r"(?<!\\)_", tex) is None
+        assert "### lex_base" in render_granger_grid(sweeps, "Comparison", "markdown")
 
     def test_csv_export_rows(self):
         rows = granger_csv_rows("modelA", "standard", self.results)
