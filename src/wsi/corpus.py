@@ -42,7 +42,8 @@ class MonthKey:
 
     @classmethod
     def parse(cls, text: str) -> "MonthKey":
-        """Parse ``yyyymm`` or ``yyyy-mm``; raises ValueError otherwise."""
+        """Parse ``yyyymm`` or ``yyyy-mm``; raises ValueError otherwise,
+        also for a year above 9999, which ``str`` could not write back."""
         raw = text.strip()
         if "-" in raw:
             year_part, _, month_part = raw.partition("-")
@@ -53,7 +54,7 @@ class MonthKey:
         if not (year_part.isdigit() and month_part.isdigit()):
             raise ValueError(f"invalid month: {text!r}")
         year, month = int(year_part), int(month_part)
-        if not 1 <= month <= 12:
+        if not (1 <= month <= 12 and year <= 9999):
             raise ValueError(f"invalid month: {text!r}")
         return cls(year, month)
 

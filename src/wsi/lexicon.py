@@ -10,9 +10,12 @@ occurrence counts.
 The corpus is tokenized once, each distinct comment text a single time,
 into a dense term x month count matrix (:class:`TermCounts`): rows are the
 sorted terms, columns every month from the corpus's first to its last. A
-target month's window is one contiguous span of those columns, and
-:func:`term_correlations` correlates every eligible term with wage growth
-in one centred matrix-vector product. The same token lists give each
+target month's window is one contiguous span of those columns.
+:func:`select_lexicon` works on that span alone: the window means give the
+eligible rows, :func:`term_correlations` correlates them with wage growth
+in one pass, and one ``np.lexsort`` per polarity ranks them. Rows are in
+alphabetical order, so an exact tie at the cut goes to the alphabetically
+lower term without a Python sort. The same token lists give each
 comment's (positive, negative) occurrence counts, which drive both the
 classification (:meth:`LexiconBackend.classify_corpus`) and the month-level
 word-count audit.
@@ -58,31 +61,19 @@ def _ordinal(month: MonthKey) -> int:
 
 
 @dataclass(frozen=True)
-class TermStats:
-    term: str
-    mean_frequency: float
-    correlation: float | None  # None when undefined (zero variance)
-
-
-@dataclass(frozen=True)
 class Lexicon:
     """Word lists selected for one target month.
 
     ``positive`` and ``negative`` are (term, correlation) pairs, positive
     sorted by descending and negative by ascending correlation, ties at the
-    cut resolved toward the alphabetically lower term. ``degenerate`` marks
-    a lexicon where either polarity fell short of the requested size.
+    cut resolved toward the alphabetically lower term.
     """
 
     as_of: MonthKey
-    window_end: MonthKey
     positive: tuple[tuple[str, float], ...]
     negative: tuple[tuple[str, float], ...]
-    degenerate: bool
 
     def __post_init__(self) -> None:
-        if self.window_end != self.as_of.minus(2):
-            raise ValueError("window must end exactly two months before as_of")
         overlap = self.positive_terms & self.negative_terms
         if overlap:
             raise ValueError(f"polarity lists overlap: {sorted(overlap)}")
@@ -165,44 +156,28 @@ def term_correlations(freqs: np.ndarray, growth: Sequence[float]) -> np.ndarray:
     return out
 
 
-def build_term_stats(counts: TermCounts, window: slice, growth: Sequence[float],
-                     min_mean_frequency: float) -> list[TermStats]:
-    """Frequency-filtered terms with their correlation against wage growth.
+def select_lexicon(counts: TermCounts, window: slice, growth: Sequence[float],
+                   as_of: MonthKey, min_mean_frequency: float, max_terms: int) -> Lexicon:
+    """Top positively and negatively correlated terms for one target month.
 
     ``window`` is a span of ``counts.months`` and ``growth`` holds the wage
-    growth of each of its months. Terms must average at least
-    ``min_mean_frequency`` occurrences per window month. Correlation is None
-    for terms whose frequency does not vary within the window (they cannot
-    be ranked).
+    growth of each of its months. A term is eligible when it averages at
+    least ``min_mean_frequency`` occurrences per window month and its
+    frequency varies within the window (else it has no correlation). Rows
+    are the sorted terms, so ordering by (correlation, row) cuts an exact
+    tie toward the alphabetically lower term.
     """
     freqs = counts.matrix[:, window]
-    means = freqs.sum(axis=1) / freqs.shape[1]
-    eligible = np.flatnonzero(means >= min_mean_frequency)
-    correlations = term_correlations(freqs[eligible], growth)
-    return [
-        TermStats(term=counts.terms[i], mean_frequency=float(means[i]),
-                  correlation=None if np.isnan(c) else float(c))
-        for i, c in zip(eligible, correlations)
-    ]
-
-
-def select_lexicon(stats: Sequence[TermStats], as_of: MonthKey,
-                   max_terms: int = 10) -> Lexicon:
-    """Top positively and negatively correlated terms for one target month."""
-    ranked = [(s.term, s.correlation) for s in stats if s.correlation is not None]
-    positive = sorted(
-        ((t, c) for t, c in ranked if c > 0), key=lambda tc: (-tc[1], tc[0])
-    )[:max_terms]
-    negative = sorted(
-        ((t, c) for t, c in ranked if c < 0), key=lambda tc: (tc[1], tc[0])
-    )[:max_terms]
-    return Lexicon(
-        as_of=as_of,
-        window_end=as_of.minus(2),
-        positive=tuple(positive),
-        negative=tuple(negative),
-        degenerate=len(positive) < max_terms or len(negative) < max_terms,
-    )
+    rows = np.flatnonzero(freqs.sum(axis=1) / freqs.shape[1] >= min_mean_frequency)
+    corr = term_correlations(freqs[rows], growth)
+    lists = []
+    for sign in (1.0, -1.0):
+        score = sign * corr
+        hit = np.flatnonzero(score > 0)  # an undefined (NaN) score compares False
+        hit = hit[np.lexsort((rows[hit], -score[hit]))[:max_terms]]
+        lists.append(tuple((counts.terms[i], c)
+                           for i, c in zip(rows[hit].tolist(), corr[hit].tolist())))
+    return Lexicon(as_of=as_of, positive=lists[0], negative=lists[1])
 
 
 def occurrence_counts(tokens: Sequence[str], lexicon: Lexicon) -> tuple[int, int]:
@@ -274,7 +249,8 @@ def rolling_lexicons(
     months before its end if that is later. A target is feasible when its
     window holds at least two months, none past ``counts.months``, all
     with defined wage growth; infeasible targets are absent from the
-    result.
+    result. A feasible target's lexicon is :func:`select_lexicon` of its
+    window under the policy's frequency floor and list size.
     """
     growth_at = wages.yoy_map
     if not counts.months or not growth_at:
@@ -289,9 +265,8 @@ def rolling_lexicons(
         start = first if width is None else max(first, end - width)
         if end - start < 2 or end > len(growth) or None in growth[start:end]:
             continue
-        stats = build_term_stats(counts, slice(start, end), growth[start:end],
-                                 policy.min_mean_frequency)
-        lexicons[as_of] = select_lexicon(stats, as_of, max_terms=policy.max_terms)
+        lexicons[as_of] = select_lexicon(counts, slice(start, end), growth[start:end], as_of,
+                                         policy.min_mean_frequency, policy.max_terms)
     return lexicons
 
 

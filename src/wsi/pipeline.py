@@ -208,9 +208,10 @@ def _identity(entry) -> dict:
 
 
 def _keyword_rules(value, name: str) -> tuple | None:
-    """A list of [[keyword, ...], [u, v, w]] pairs, each keyword one token of
-    ``words`` (else it never fires) and each triple a valid probability
-    triple of numbers, as a tuple of (keywords, triple) tuples."""
+    """A list of [[keyword, ...], [u, v, w]] pairs, each with at least one
+    keyword, each keyword one token of ``words`` (else it never fires), and
+    each triple a valid probability triple of numbers, as a tuple of
+    (keywords, triple) tuples."""
     if value is None:
         return None
     for i, rule in enumerate(_typed(value, name, "list")):
@@ -219,6 +220,8 @@ def _keyword_rules(value, name: str) -> tuple | None:
             if not (isinstance(keywords, list) and all(isinstance(k, str) for k in keywords)
                     and isinstance(triple, list)):
                 raise TypeError("keywords and triple must be lists, keywords strings")
+            if not keywords:
+                raise ValueError("a rule needs at least one keyword")
             if not all(words(k) == [k.lower()] for k in keywords):
                 raise ValueError("each keyword must be one [a-z0-9]+ token")
             if not all(type(p) in _JSON_TYPES["float"][0] for p in triple):

@@ -68,6 +68,35 @@ def test_a_traced_run_feeds_the_ingest_metrics(tracing, tmp_path):
         assert tracer.calls[name] == 1, name
 
 
+def test_a_traced_lexicon_run_feeds_the_lexicon_metrics(tracing, tmp_path):
+    """The per-layer lexicon metrics read the rolling lexicons, the term
+    counts, the tokenizer and the baseline's classify_batch through the
+    names the tracer wraps. A call that bypassed one of those module
+    globals would read as zero time in that layer, not as an error."""
+    from wsi.lexicon import LexiconPolicy
+    from wsi.pipeline import BackendConfig, RunConfig, run
+    from wsi.synthetic import SyntheticSpec, generate_synthetic
+
+    generate_synthetic(SyntheticSpec(months=30, comments_per_month=20), 4, tmp_path / "data")
+    config = RunConfig(survey_paths=[str(tmp_path / "data" / "surveys")],
+                       wage_path=str(tmp_path / "data" / "wages.csv"),
+                       backends=[BackendConfig(backend_id="lex", kind="lexicon")],
+                       lexicon=LexiconPolicy(window="rolling:6", min_mean_frequency=1.0),
+                       max_lag=4, output_dir=str(tmp_path / "out"),
+                       cache_dir=str(tmp_path / "cache"))
+    tracer = tracing.Tracer(run_id="contract")
+    tracing.install(tracer)
+    try:
+        result = run(config)
+    finally:
+        tracer.close()
+    assert (result.out_dir / "stages" / "lexicon_audit.csv").read_text().count("\n") > 1
+    assert tracer.calls["lexicon.rolling_lexicons"] == 1
+    assert tracer.calls["lexicon.term_counts"] == 1
+    assert tracer.calls["lexicon.tokenize"] > 0
+    assert tracer.calls["lexicon.backend_classify"] == 1
+
+
 def test_a_traced_remote_run_reads_each_text_once_and_a_warm_one_calls_no_wire(
         tracing, tmp_path):
     """A ``subprocess`` classifier under the tracer, cold and then warm. The

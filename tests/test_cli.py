@@ -143,6 +143,7 @@ BAD_SETTINGS = {  # case: (config section, the setting that replaces it)
         "kind": "keyword", "rules": [[["raise"], [True, False, False]]]}),
     "rules_keyword_not_a_token": ("backends", {
         "kind": "keyword", "rules": [[["raise"], [1, 0, 0]], [["pay-cut"], [0, 1, 0]]]}),
+    "rules_empty_keywords": ("backends", {"kind": "keyword", "rules": [[[], [1, 0, 0]]]}),
     "max_terms_negative": ("lexicon", {"max_terms": -1}),
     "max_terms_zero": ("lexicon", {"max_terms": 0}),
     "min_mean_frequency_nan": ("lexicon", {"min_mean_frequency": float("nan")}),
@@ -208,6 +209,8 @@ BAD_SETTINGS = {  # case: (config section, the setting that replaces it)
                           "got [['raise'], [True, False, False]]"),
     ("rules_keyword_not_a_token", "backend mock: rules[1] must be [[keyword, ...], [u, v, w]], "
                                   "got [['pay-cut'], [0, 1, 0]]"),
+    ("rules_empty_keywords", "backend mock: rules[0] must be [[keyword, ...], [u, v, w]], "
+                             "got [[], [1, 0, 0]]"),
     ("max_terms_negative", "lexicon.max_terms must be >= 1, got -1"),
     ("max_terms_zero", "lexicon.max_terms must be >= 1, got 0"),
     ("min_mean_frequency_nan", "lexicon.min_mean_frequency must be finite and >= 0, got nan"),

@@ -37,8 +37,11 @@ class TestMonthKey:
         assert MonthKey.parse("200001") == MonthKey(2000, 1)
         assert MonthKey.parse("2000-01") == MonthKey(2000, 1)
         assert MonthKey.parse(" 2024-12 ") == MonthKey(2024, 12)
+        assert MonthKey.parse("9999-12") == MonthKey(9999, 12)
 
-    @pytest.mark.parametrize("bad", ["2000-13", "200013", "2000", "abc", "2000-0", ""])
+    # a five-digit year: ``str`` writes four year digits, so it would not read back
+    @pytest.mark.parametrize("bad", ["2000-13", "200013", "2000", "abc", "2000-0", "",
+                                     "12000-01", "10000-12"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             MonthKey.parse(bad)
@@ -98,6 +101,22 @@ class TestLoadSurvey:
         assert len(load.errors) == 1
         assert load.errors[0].reason == "invalid month"
         assert load.errors[0].line == 3
+
+    def test_five_digit_year_rejects_row_only(self, tmp_path):
+        path = tmp_path / "a.csv"
+        _write_csv(path, [
+            "2020-01,Kanto,retail,Good,fine",
+            "12020-01,Kanto,retail,Good,five-digit year",
+        ])
+        load = load_surveys([path])
+        assert [str(m) for m in load.corpus.months] == ["202001"]
+        assert load.errors == [RowError(str(path), 3, "invalid month")]
+
+    def test_five_digit_year_fails_the_wage_file(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("yyyymm,level\n12020-01,100\n12020-02,101\n")
+        with pytest.raises(LoadError, match="w.csv:2: invalid month: '12020-01'"):
+            load_wages(path)
 
     def test_unknown_judgment_rejects_row(self, tmp_path):
         path = tmp_path / "a.csv"

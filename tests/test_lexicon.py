@@ -1,9 +1,11 @@
 import math
 import random
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import wsi.lexicon
 from wsi.classify import LABELS, HardLabel, UNRELATED
@@ -14,9 +16,8 @@ from wsi.lexicon import (
     LexiconBackend,
     LexiconPolicy,
     STOP_WORDS,
-    TermStats,
+    TermCounts,
     audit_rows,
-    build_term_stats,
     monthly_term_counts,
     occurrence_counts,
     occurrence_probabilities,
@@ -46,15 +47,33 @@ def term_counts(grouped):
     return monthly_term_counts({m: [r.text for r in records] for m, records in grouped.items()})
 
 
-def term_stats(grouped, wages, window, min_mean_frequency=5.0):
-    """build_term_stats over the whole corpus's counts, for the span of its
+def select(grouped, wages, window, min_mean_frequency=5.0, max_terms=10):
+    """select_lexicon over the whole corpus's counts, for the span of its
     months that ``window`` lists, and the window's growth."""
     counts = term_counts(grouped)
     start = counts.months.index(window[0])
     span = slice(start, start + len(window))
     assert list(counts.months[span]) == list(window)
-    return build_term_stats(counts, span, list(map(wages.yoy_map.get, window)),
-                            min_mean_frequency)
+    return select_lexicon(counts, span, list(map(wages.yoy_map.get, window)),
+                          window[-1].plus(2), min_mean_frequency, max_terms)
+
+
+def select_rows(rows_by_term, growth, min_mean_frequency=0.0, max_terms=10):
+    """select_lexicon over a term matrix with the given rows (any term
+    order), its window every column."""
+    terms = sorted(rows_by_term)
+    width = len(growth)
+    counts = TermCounts(terms=tuple(terms), months=tuple(month_range(START, START.plus(width - 1))),
+                        matrix=np.array([rows_by_term[t] for t in terms],
+                                        dtype=np.int64).reshape(len(terms), width),
+                        tokens={})
+    return select_lexicon(counts, slice(0, width), growth, START.plus(width + 1),
+                          min_mean_frequency, max_terms)
+
+
+def selected(lexicon):
+    """{term: correlation} over both polarities."""
+    return dict(lexicon.positive + lexicon.negative)
 
 
 def corpus_from_counts(counts_by_term):
@@ -105,7 +124,7 @@ class TestTokenize:
         assert got == expected
 
 
-class TestBuildTermStats:
+class TestEligibility:
     def test_threshold_boundary_exactly_five_survives(self):
         window = month_range(START, START.plus(3))
         counts = {
@@ -115,19 +134,23 @@ class TestBuildTermStats:
         }
         grouped = corpus_from_counts(counts)
         wages = wages_with_growth({m: float(i) for i, m in enumerate(window)})
-        stats = term_stats(grouped, wages, window)
-        by_term = {s.term: s for s in stats}
-        assert "steady5" in by_term
-        assert "exactly5" in by_term          # mean 5.0 passes the >= 5 filter
-        assert by_term["exactly5"].correlation is None  # zero variance: unrankable
-        assert "justunder" not in by_term
+        lex = select(grouped, wages, window)
+        assert "steady5" in lex.positive_terms
+        # exactly5's mean 5.0 passes the >= 5 filter, but with zero variance
+        # it cannot be ranked
+        assert "exactly5" not in selected(lex)
+        assert "justunder" not in selected(lex)
+        # a floor of exactly its mean admits justunder, which ties steady5
+        lower = selected(select(grouped, wages, window, min_mean_frequency=4.5))
+        assert lower["justunder"] == lower["steady5"] == selected(lex)["steady5"]
 
-    def test_constant_frequency_has_no_correlation(self):
+    def test_constant_frequency_is_never_selected(self):
         window = month_range(START, START.plus(2))
         grouped = corpus_from_counts({"flatword": {m: 9 for m in window}})
         wages = wages_with_growth({m: float(i) for i, m in enumerate(window)})
-        stats = term_stats(grouped, wages, window)
-        assert stats[0].correlation is None
+        for threshold in (0.0, 9.0):
+            lex = select(grouped, wages, window, min_mean_frequency=threshold)
+            assert lex.positive == () and lex.negative == ()
 
     def test_constructed_bonus_correlation_exceeds_09(self):
         rng = random.Random(11)
@@ -138,9 +161,8 @@ class TestBuildTermStats:
         noise_counts = {m: rng.randint(5, 15) for m in window}
         grouped = corpus_from_counts({"bonus": bonus_counts, "shop": noise_counts})
         wages = wages_with_growth(growth)
-        stats = term_stats(grouped, wages, window)
-        bonus = next(s for s in stats if s.term == "bonus")
-        assert bonus.correlation is not None and bonus.correlation > 0.9
+        bonus = selected(select(grouped, wages, window))["bonus"]
+        assert bonus > 0.9
         # direct Pearson oracle
         xs = [bonus_counts[m] for m in window]
         ys = [growth[m] for m in window]
@@ -148,7 +170,7 @@ class TestBuildTermStats:
         mx, my = sum(xs) / n, sum(ys) / n
         num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
         den = math.sqrt(sum((x - mx) ** 2 for x in xs) * sum((y - my) ** 2 for y in ys))
-        assert bonus.correlation == pytest.approx(num / den, abs=1e-12)
+        assert bonus == pytest.approx(num / den, abs=1e-12)
 
 
 def pearson_or_nan(xs, ys):
@@ -274,92 +296,103 @@ def bare_corpus(counts_by_term):
     return grouped
 
 
-class TestTermStatsKernel:
-    def test_build_term_stats_matches_per_term_pearson_loop(self):
+class TestSelectionKernel:
+    def test_correlations_match_per_term_pearson_loop(self):
         for seed in range(6):
             grouped, wages, months = random_corpus(seed)
             window = months[2:15]
             for threshold in (0.0, 1.0, 2.5):
-                stats = term_stats(grouped, wages, window, min_mean_frequency=threshold)
+                lex = select(grouped, wages, window, min_mean_frequency=threshold,
+                             max_terms=100)
                 growth = list(map(wages.yoy_map.get, window))
-                expected = []
+                expected = {}
                 # every corpus term: one absent from the window has mean 0
                 for term in sorted({t for records in grouped.values() for r in records
                                     for t in tokenize(r.text)}):
                     freqs = [sum(tokenize(r.text).count(term) for r in grouped.get(m, []))
                              for m in window]
-                    mean = sum(freqs) / len(window)
-                    if mean >= threshold:
-                        expected.append((term, mean, pearson_or_nan(freqs, growth)))
-                assert [(s.term, s.mean_frequency) for s in stats] == \
-                    [(t, m) for t, m, _ in expected]
-                for s, (_, _, corr) in zip(stats, expected):
-                    if math.isnan(corr):
-                        assert s.correlation is None
-                    else:
-                        assert abs(s.correlation - corr) <= 1e-12
+                    corr = pearson_or_nan(freqs, growth)
+                    if sum(freqs) / len(window) >= threshold and corr != 0.0 \
+                            and not math.isnan(corr):
+                        expected[term] = corr
+                assert sorted(selected(lex)) == sorted(expected)
+                assert lex.positive_terms == {t for t, c in expected.items() if c > 0}
+                for term, corr in selected(lex).items():
+                    assert abs(corr - expected[term]) <= 1e-12
+                assert [c for _, c in lex.positive] == sorted((c for _, c in lex.positive),
+                                                               reverse=True)
+                assert [c for _, c in lex.negative] == sorted(c for _, c in lex.negative)
 
     def test_varying_row_with_mean_exactly_at_threshold_is_ranked(self):
         window = month_range(START, START.plus(3))
         counts = {"atfive": dict(zip(window, (4, 6, 3, 7))),   # mean exactly 5
                   "below": dict(zip(window, (4, 6, 3, 6)))}    # mean 4.75
-        stats = term_stats(bare_corpus(counts),
-                           wages_with_growth({m: float(i) for i, m in enumerate(window)}), window)
-        assert [s.term for s in stats] == ["atfive"]
-        assert stats[0].mean_frequency == 5.0
-        assert abs(stats[0].correlation - pearson([4, 6, 3, 7], [0.0, 1.0, 2.0, 3.0])) <= 1e-12
+        lex = select(bare_corpus(counts),
+                     wages_with_growth({m: float(i) for i, m in enumerate(window)}), window)
+        assert list(selected(lex)) == ["atfive"]
+        assert abs(lex.positive[0][1] - pearson([4, 6, 3, 7], [0.0, 1.0, 2.0, 3.0])) <= 1e-12
 
     def test_one_term_vocabulary(self):
         window = month_range(START, START.plus(5))
         grouped = bare_corpus({"solo": dict(zip(window, (5, 7, 6, 9, 8, 10)))})
         growth = {m: float(i) for i, m in enumerate(window)}
-        stats = term_stats(grouped, wages_with_growth(growth), window)
-        assert [s.term for s in stats] == ["solo"]
-        assert abs(stats[0].correlation
+        lex = select(grouped, wages_with_growth(growth), window)
+        assert [t for t, _ in lex.positive] == ["solo"] and lex.negative == ()
+        assert abs(lex.positive[0][1]
                    - pearson([5, 7, 6, 9, 8, 10], list(growth.values()))) <= 1e-12
 
 
-def stats_from(corrs):
-    return [
-        TermStats(term=t, mean_frequency=10.0, correlation=c)
-        for t, c in corrs.items()
-    ]
+def signed_rows(n_positive, n_negative, width=12, seed=2):
+    """Count rows and a growth series: the first ``n_positive`` rows
+    correlate positively with it, the rest negatively (each a drawn row or
+    its mirror ``30 - row``), no correlation zero or undefined."""
+    rng = np.random.default_rng(seed)
+    growth = rng.normal(size=width).tolist()
+    rows = []
+    while len(rows) < n_positive + n_negative:
+        row = rng.integers(0, 31, size=width)
+        corr = pearson_or_nan(row.tolist(), growth)
+        if corr != 0.0 and not math.isnan(corr):
+            rows.append(row if (corr > 0) == (len(rows) < n_positive) else 30 - row)
+    return [row.tolist() for row in rows], growth
 
 
 class TestSelectLexicon:
     def test_top_ten_of_25_candidates_matches_sort_oracle(self):
-        rng = random.Random(2)
-        corrs = {f"pos{i:02d}": rng.uniform(0.01, 0.99) for i in range(25)}
-        corrs.update({f"neg{i:02d}": rng.uniform(-0.99, -0.01) for i in range(25)})
-        lex = select_lexicon(stats_from(corrs), MonthKey(2020, 6))
+        rows, growth = signed_rows(25, 25)
+        names = [f"pos{i:02d}" for i in range(25)] + [f"neg{i:02d}" for i in range(25)]
+        corrs = {t: pearson(row, growth) for t, row in zip(names, rows)}
+        lex = select_rows(dict(zip(names, rows)), growth)
         oracle_pos = sorted((t for t in corrs if corrs[t] > 0),
                             key=lambda t: -corrs[t])[:10]
         oracle_neg = sorted((t for t in corrs if corrs[t] < 0),
                             key=lambda t: corrs[t])[:10]
         assert [t for t, _ in lex.positive] == oracle_pos
         assert [t for t, _ in lex.negative] == oracle_neg
-        assert not lex.degenerate
 
-    def test_four_candidates_marks_degenerate(self):
-        corrs = {f"p{i}": 0.5 + i / 100 for i in range(4)}
-        corrs.update({f"n{i}": -0.5 - i / 100 for i in range(11)})
-        lex = select_lexicon(stats_from(corrs), MonthKey(2020, 6))
+    def test_four_candidates_give_a_short_list(self):
+        rows, growth = signed_rows(4, 11)
+        names = [f"p{i}" for i in range(4)] + [f"n{i:02d}" for i in range(11)]
+        lex = select_rows(dict(zip(names, rows)), growth)
         assert len(lex.positive) == 4
         assert len(lex.negative) == 10
-        assert lex.degenerate
 
     def test_tie_at_rank_ten_prefers_alphabetical(self):
-        corrs = {f"top{i}": 0.9 - i * 0.05 for i in range(9)}  # ranks 1..9
-        corrs["zebra"] = 0.111
-        corrs["aardvark"] = 0.111  # exact tie at rank 10
-        corrs["neg"] = -0.5
-        lex = select_lexicon(stats_from(corrs), MonthKey(2020, 6))
-        chosen = [t for t, _ in lex.positive]
-        assert "aardvark" in chosen and "zebra" not in chosen
+        rows, growth = signed_rows(10, 1)
+        rows[:10] = sorted(rows[:10], key=lambda row: -pearson(row, growth))
+        by_term = {f"top{i}": row for i, row in enumerate(rows[:9])}  # ranks 1..9
+        by_term["zebra"] = by_term["aardvark"] = rows[9]  # exact tie at rank 10
+        by_term["neg"] = rows[10]
+        lex = select_rows(by_term, growth)
+        assert [t for t, _ in lex.positive] == [f"top{i}" for i in range(9)] + ["aardvark"]
+        assert "zebra" not in lex.positive_terms
+        assert select_rows(by_term, growth, max_terms=11).positive[-2:] == (
+            ("aardvark", lex.positive[-1][1]), ("zebra", lex.positive[-1][1]))
 
     def test_zero_correlation_terms_are_not_selected(self):
-        corrs = {"zero": 0.0, "pos": 0.4, "neg": -0.4}
-        lex = select_lexicon(stats_from(corrs), MonthKey(2020, 6))
+        growth = [0.0, 1.0, 2.0, 3.0]
+        lex = select_rows({"zero": [1, 0, 0, 1], "pos": [0, 1, 2, 3], "neg": [3, 2, 1, 0]},
+                          growth)
         assert [t for t, _ in lex.positive] == ["pos"]
         assert [t for t, _ in lex.negative] == ["neg"]
 
@@ -370,25 +403,105 @@ class TestSelectLexicon:
         assert lex.positive_terms == {"bonus", "raise"}
         assert lex.negative_terms == {"cut"}
 
-    def test_window_end_enforced(self):
-        with pytest.raises(ValueError):
-            Lexicon(as_of=MonthKey(2020, 6), window_end=MonthKey(2020, 5),
-                    positive=(), negative=(), degenerate=True)
-
     def test_unranked_terms_ignored(self):
-        stats = stats_from({"a": 0.5}) + [
-            TermStats(term="b", mean_frequency=10.0, correlation=None)
-        ]
-        lex = select_lexicon(stats, MonthKey(2020, 6))
-        assert [t for t, _ in lex.positive] == ["a"]
+        lex = select_rows({"a": [1, 2, 3], "b": [4, 4, 4]}, [0.0, 1.0, 3.0])
+        assert [t for t, _ in lex.positive] == ["a"] and lex.negative == ()
+
+    def test_overlapping_lists_rejected(self):
+        with pytest.raises(ValueError, match="overlap"):
+            lexicon_with(["bonus"], ["bonus"])
+
+
+@dataclass(frozen=True)
+class TermStats:
+    term: str
+    mean_frequency: float
+    correlation: float | None  # None when undefined (zero variance)
+
+
+def build_term_stats(counts: TermCounts, window: slice, growth: Sequence[float],
+                     min_mean_frequency: float) -> list[TermStats]:
+    """Frequency-filtered terms with their correlation against wage growth.
+
+    ``window`` is a span of ``counts.months`` and ``growth`` holds the wage
+    growth of each of its months. Terms must average at least
+    ``min_mean_frequency`` occurrences per window month. Correlation is None
+    for terms whose frequency does not vary within the window (they cannot
+    be ranked).
+    """
+    freqs = counts.matrix[:, window]
+    means = freqs.sum(axis=1) / freqs.shape[1]
+    eligible = np.flatnonzero(means >= min_mean_frequency)
+    correlations = term_correlations(freqs[eligible], growth)
+    return [
+        TermStats(term=counts.terms[i], mean_frequency=float(means[i]),
+                  correlation=None if np.isnan(c) else float(c))
+        for i, c in zip(eligible, correlations)
+    ]
+
+
+def select_lexicon_reference(counts, window, growth, as_of, min_mean_frequency, max_terms):
+    """The selection as it was before it became one array pass: one
+    ``TermStats`` per eligible term, then a Python sort per polarity keyed
+    on (correlation, term). Kept verbatim as the oracle of select_lexicon,
+    less the two Lexicon fields since removed."""
+    stats = build_term_stats(counts, window, growth, min_mean_frequency)
+    ranked = [(s.term, s.correlation) for s in stats if s.correlation is not None]
+    positive = sorted(
+        ((t, c) for t, c in ranked if c > 0), key=lambda tc: (-tc[1], tc[0])
+    )[:max_terms]
+    negative = sorted(
+        ((t, c) for t, c in ranked if c < 0), key=lambda tc: (tc[1], tc[0])
+    )[:max_terms]
+    return Lexicon(
+        as_of=as_of,
+        positive=tuple(positive),
+        negative=tuple(negative),
+    )
+
+
+@st.composite
+def selection_cases(draw):
+    """A term matrix of small counts (so exact ties and constant rows
+    occur), a window of at least two of its months, the window's growth on
+    a grid of eighths (so equal and constant growth occur), a frequency
+    floor and a list size."""
+    n_terms, n_months = draw(st.integers(0, 10)), draw(st.integers(2, 8))
+    matrix = draw(st.lists(st.lists(st.integers(0, 3), min_size=n_months, max_size=n_months),
+                           min_size=n_terms, max_size=n_terms))
+    start = draw(st.integers(0, n_months - 2))
+    end = draw(st.integers(start + 2, n_months))
+    growth = draw(st.lists(st.integers(-24, 24).map(lambda k: k / 8),
+                           min_size=end - start, max_size=end - start))
+    counts = TermCounts(terms=tuple(f"t{i}" for i in range(n_terms)),
+                        months=tuple(month_range(START, START.plus(n_months - 1))),
+                        matrix=np.array(matrix, dtype=np.int64).reshape(n_terms, n_months),
+                        tokens={})
+    return (counts, slice(start, end), growth, START.plus(end + 1),
+            draw(st.sampled_from([0.0, 0.5, 1.0, 4 / 3, 2.0, 3.5])), draw(st.integers(1, 5)))
+
+
+# three rows correlate exactly 1.0, and two make the list
+THREE_WAY_TIE = (TermCounts(terms=("t0", "t1", "t2"),
+                            months=tuple(month_range(START, START.plus(2))),
+                            matrix=np.array([[0, 1, 2], [1, 2, 3], [0, 2, 4]]), tokens={}),
+                 slice(0, 3), [0.0, 0.5, 1.0], START.plus(4), 0.0, 2)
+
+
+class TestSelectLexiconMatchesReference:
+    @given(selection_cases())
+    @example(THREE_WAY_TIE)
+    def test_equals_the_per_term_sort_exactly(self, case):
+        got = select_lexicon(*case)
+        assert got == select_lexicon_reference(*case)
+        assert all(type(c) is float for _, c in got.positive + got.negative)
 
 
 def lexicon_with(pos, neg, as_of=MonthKey(2020, 6)):
     return Lexicon(
-        as_of=as_of, window_end=as_of.minus(2),
+        as_of=as_of,
         positive=tuple((t, 0.5) for t in pos),
         negative=tuple((t, -0.5) for t in neg),
-        degenerate=False,
     )
 
 
@@ -523,8 +636,8 @@ class TestRollingLexicons:
         months = month_range(max(min(grouped), min(wages.yoy_map)), as_of.minus(2))
         surviving = {}
         for threshold in (1.0, 5.0, 9.0, 12.0):
-            stats = term_stats(grouped, wages, months, min_mean_frequency=threshold)
-            surviving[threshold] = {s.term for s in stats}
+            lex = select(grouped, wages, months, min_mean_frequency=threshold, max_terms=100)
+            surviving[threshold] = set(selected(lex))
         assert surviving[5.0] <= surviving[1.0]
         assert surviving[9.0] <= surviving[5.0]
         assert surviving[12.0] <= surviving[9.0]
@@ -563,11 +676,11 @@ class TestRollingLexicons:
         counts = term_counts(grouped)
         spans = []
 
-        def recording(counts, span, growth, min_mean_frequency):
+        def recording(counts, span, *args):
             spans.append(span)
-            return build_term_stats(counts, span, growth, min_mean_frequency)
+            return select_lexicon(counts, span, *args)
 
-        monkeypatch.setattr(wsi.lexicon, "build_term_stats", recording)
+        monkeypatch.setattr(wsi.lexicon, "select_lexicon", recording)
         targets = [window[20], window[4]]
         lexicons = rolling_lexicons(counts, wages, targets, LexiconPolicy(window="rolling:6"))
         assert sorted(lexicons) == sorted(targets)
