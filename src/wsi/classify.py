@@ -325,11 +325,13 @@ class RemoteClassifier:
             backend.endpoint, backend.timeout)
         self._sleep = sleep
 
-    def _call_model(self, comments: Sequence[str], model_id: str) -> tuple[list[ClassProbabilities] | None, int]:
-        """One model's bounded attempts on one batch; returns (probs, calls)."""
+    def _call_model(self, comments: Sequence[str], model_id: str
+                    ) -> wire.Attempts[tuple[list[ClassProbabilities] | None, int]]:
+        """One model's bounded attempts on one batch, as ``wire.retry``'s
+        generator; it returns (probs, calls)."""
         payload = {"model": model_id, "comments": list(comments), "labels": list(WIRE_LABELS)}
         return wire.retry(lambda: self._parse_response(self.transport(payload), len(comments)),
-                          self.backend.max_retries, self._sleep)
+                          self.backend.max_retries)
 
     @staticmethod
     def _parse_response(response: dict, expected: int) -> list[ClassProbabilities]:
@@ -359,15 +361,16 @@ class RemoteClassifier:
         return out
 
     def _classify_chunk(self, chunk: Sequence[str]
-                        ) -> tuple[list[tuple[str, ClassProbabilities]] | None, int]:
-        """One batch, primary model first: each answer with the model that
-        gave it, or None when every model failed, and the wire calls made."""
+                        ) -> wire.Attempts[tuple[list[tuple[str, ClassProbabilities]] | None, int]]:
+        """One batch's attempts, primary model first, as a generator that
+        returns each answer with the model that gave it, or None when every
+        model failed, and the wire calls made."""
         calls = 0
         for i, model_id in enumerate(self.models):
             if i > 0:
                 log.warning("model %s failed on a batch of %d comments; switching to "
                             "fallback model %s", self.models[i - 1], len(chunk), model_id)
-            probs, model_calls = self._call_model(chunk, model_id)
+            probs, model_calls = yield from self._call_model(chunk, model_id)
             calls += model_calls
             if probs is not None:
                 return [(model_id, p) for p in probs], calls
@@ -375,7 +378,8 @@ class RemoteClassifier:
 
     def classify_batch(self, comments: Sequence[str]) -> BatchResult:
         """``comments``, distinct texts, through ``wire.fetch_cached``: the cache
-        misses in batches of the backend's ``batch_size``, ``parallelism`` at a time."""
+        misses in batches of the backend's ``batch_size``, at most
+        ``parallelism`` wire attempts at a time."""
         if any(not c for c in comments):
             raise ValueError("comments must be non-empty")
         endpoint = self.backend.endpoint
@@ -387,7 +391,8 @@ class RemoteClassifier:
         answers, calls = wire.fetch_cached(
             comments, self._classify_chunk, self.backend.batch_size, self.parallelism,
             cache=self.cache, read=read,
-            write=lambda comment, answer: self.cache.put(comment, endpoint, *answer))
+            write=lambda comment, answer: self.cache.put(comment, endpoint, *answer),
+            sleep=self._sleep)
         return BatchResult([UNRELATED if a is None else a[1] for a in answers],
                            [a is None for a in answers], calls)
 

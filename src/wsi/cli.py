@@ -88,12 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _command(args: argparse.Namespace) -> list[str]:
     """Run the command ``args`` names; returns the lines it prints."""
     if args.command == "synth":
-        spec = SyntheticSpec(
-            months=args.months,
-            start=args.start,
-            comments_per_month=args.comments_per_month,
-            lead_months=args.lead,
-        )
+        try:
+            spec = SyntheticSpec(
+                months=args.months,
+                start=args.start,
+                comments_per_month=args.comments_per_month,
+                lead_months=args.lead,
+            )
+        except ValueError as exc:  # argparse checks each argument alone, the spec them together
+            raise ConfigError(str(exc)) from exc
         survey_paths, wage_path = generate_synthetic(spec, args.seed, args.out)
         return [f"wrote {len(survey_paths)} survey files and {wage_path}"]
 

@@ -52,6 +52,9 @@ _UNRELATED_TEMPLATES = (
 )
 
 
+LAST_MONTH = MonthKey(9999, 12)  # the last month ``MonthKey.parse`` takes
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Knobs of the generator; defaults give a clearly detectable lead."""
@@ -79,6 +82,9 @@ class SyntheticSpec:
             raise ValueError("months must be >= 1")
         if self.comments_per_month < 1:
             raise ValueError("comments_per_month must be >= 1")
+        last = self.start.plus(self.months - 1)
+        if last > LAST_MONTH:  # its files could not be read back
+            raise ValueError(f"the last month, {last}, is past {LAST_MONTH}")
 
 
 @dataclass

@@ -106,9 +106,9 @@ def translate_all(corpus: Corpus, backend: TranslationBackend,
     key = (backend.backend_id, source, target)
     answers, calls = wire.fetch_cached(
         texts, lambda batch: wire.retry(lambda: backend.translate(batch, source, target),
-                                        max_retries, sleep),
+                                        max_retries),
         batch_size, parallelism, cache=cache, read=lambda text: cache.get(text, *key),
-        write=lambda text, translated: cache.put(text, *key, translated))
+        write=lambda text, translated: cache.put(text, *key, translated), sleep=sleep)
     translations = dict(zip(texts, answers))
 
     failed_ids = {i for i, comment in enumerate(corpus.comments) if translations[comment] is None}

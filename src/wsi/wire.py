@@ -4,6 +4,12 @@ cache, and ``fetch_cached``, the one loop over them that every remote backend ru
 Every remote backend, classifier or translator, is reached through a
 transport: a callable ``payload -> dict`` that raises ``TransportError``
 on any failure, over HTTP or a line-JSON child process.
+
+A batch's attempts are a generator (``retry``) that makes one attempt per
+step and yields its backoff delay before each retry. ``map_batches``
+schedules those steps, not whole batches: ``parallelism`` bounds the
+attempts in flight, a batch waiting out its backoff is parked and holds no
+thread, and a retry that has fallen due goes before a batch not yet started.
 """
 
 from __future__ import annotations
@@ -20,10 +26,12 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, contextmanager
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from contextlib import closing, contextmanager, nullcontext
+from heapq import heappop, heappush
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence, TextIO, TypeVar
+from typing import Any, Callable, Generator, Iterator, Sequence, TextIO, TypeVar
 
 log = logging.getLogger("wsi")
 
@@ -176,19 +184,24 @@ def endpoint_identity(endpoint: str) -> str:
 
 RETRY_BASE_DELAY = 0.1  # seconds before the first retry; doubled before each further one
 
+# One batch's attempts: a generator that yields the seconds to wait before
+# each retry and returns the batch's outcome.
+Attempts = Generator[float, None, R]
 
-def retry(call: Callable[[], T], max_retries: int,
-          sleep: Callable[[float], None]) -> tuple[T | None, int]:
-    """Run ``call`` until it returns, at most ``max_retries + 1`` times.
 
-    A ``TransportError`` is logged with its cause and retried after
-    ``RETRY_BASE_DELAY * 2 ** (attempt - 1)`` seconds. Returns the result,
-    or None when every attempt failed, and the number of attempts made.
+def retry(call: Callable[[], T], max_retries: int) -> Attempts[tuple[T | None, int]]:
+    """Run ``call`` until it returns, at most ``max_retries + 1`` times, one
+    attempt per step of the generator.
+
+    A ``TransportError`` is logged with its cause, and the generator yields
+    ``RETRY_BASE_DELAY * 2 ** (attempt - 1)``, the seconds its driver waits
+    before the retry. It returns the result, or None when every attempt
+    failed, and the number of attempts made.
     """
     attempts = max_retries + 1
     for attempt in range(attempts):
         if attempt > 0:
-            sleep(RETRY_BASE_DELAY * 2 ** (attempt - 1))
+            yield RETRY_BASE_DELAY * 2 ** (attempt - 1)
         try:
             return call(), attempt + 1
         except TransportError as exc:
@@ -196,43 +209,108 @@ def retry(call: Callable[[], T], max_retries: int,
     return None, attempts
 
 
+def _step(run: Attempts[R]) -> tuple[bool, float | R]:
+    """Advance ``run`` by one step: (False, the delay it yields) or (True, its outcome)."""
+    try:
+        return False, next(run)
+    except StopIteration as stop:
+        return True, stop.value
+
+
+def _run_inline(fn: Callable[..., T], *args) -> Future[T]:
+    """``fn(*args)`` on the calling thread, as a finished future; what it
+    raises leaves at once."""
+    future: Future[T] = Future()
+    future.set_result(fn(*args))
+    return future
+
+
 def map_batches(items: Sequence[T], batch_size: int, parallelism: int,
-                call: Callable[[Sequence[T]], R]) -> list[tuple[Sequence[T], R]]:
-    """Cut ``items`` into consecutive batches of ``batch_size`` and run
-    ``call`` on each, at most ``parallelism`` at a time. Returns (batch,
-    outcome) pairs in batch order: the batches, and so the wire bodies,
-    depend only on ``items`` and ``batch_size``, never on thread timing.
+                attempts: Callable[[Sequence[T]], Attempts[R]],
+                sleep: Callable[[float], None] = time.sleep) -> list[tuple[Sequence[T], R]]:
+    """Cut ``items`` into consecutive batches of ``batch_size`` and drive
+    each batch's ``attempts`` generator (see ``retry``) to its outcome.
+
+    At most ``parallelism`` steps run at once, on as many threads, or on
+    the calling thread when ``parallelism`` is 1 or there is one batch. A
+    batch that yields a delay is parked and holds no thread until the delay
+    has passed since its step ended; then it runs before any batch not yet
+    started. ``sleep`` is called only when no step is running, for what is
+    left of the earliest delay. Returns (batch, outcome) pairs in batch
+    order: the batches, and so the wire bodies, depend only on ``items``
+    and ``batch_size``, never on thread timing. An exception from a step
+    leaves once every running step has ended, and every generator is closed.
     """
     if batch_size < 1 or parallelism < 1:
         raise ValueError("batch_size and parallelism must be >= 1")
     batches = [items[i: i + batch_size] for i in range(0, len(items), batch_size)]
-    if parallelism > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=min(parallelism, len(batches))) as pool:
-            return list(zip(batches, pool.map(call, batches)))
-    return [(batch, call(batch)) for batch in batches]
+    runs = [attempts(batch) for batch in batches]
+    outcomes: list[R] = [None] * len(runs)  # type: ignore[list-item]
+    unstarted = deque(range(len(runs)))  # in batch order
+    due: deque[int] = deque()  # retries whose delay has passed, in the order they fell due
+    parked: list[tuple[float, int, float, float]] = []  # heap of (due at, batch, parked at, delay)
+    running: dict[Future, int] = {}
+    threaded = parallelism > 1 and len(runs) > 1
+    pool = ThreadPoolExecutor(max_workers=min(parallelism, len(runs))) if threaded else None
+    submit = pool.submit if pool is not None else _run_inline
+    try:
+        with pool or nullcontext():
+            now = time.monotonic()
+            while unstarted or due or parked or running:
+                while parked and parked[0][0] <= now:
+                    due.append(heappop(parked)[1])
+                while len(running) < parallelism and (due or unstarted):
+                    i = due.popleft() if due else unstarted.popleft()
+                    running[submit(_step, runs[i])] = i
+                if running:
+                    done, _ = wait(running, return_when=FIRST_COMPLETED)
+                    now = time.monotonic()
+                    for future in done:
+                        i = running.pop(future)
+                        finished, value = future.result()
+                        if finished:
+                            outcomes[i] = value
+                        else:
+                            heappush(parked, (now + value, i, now, value))
+                elif parked:  # nothing runs: wait out what is left of the earliest delay
+                    _, i, parked_at, delay = heappop(parked)
+                    sleep(max(0.0, delay - (now - parked_at)))
+                    due.append(i)
+                    now = time.monotonic()
+    finally:
+        for run in runs:
+            run.close()
+    return list(zip(batches, outcomes))
 
 
-def fetch_cached(texts: Sequence[str], fetch: Callable[[Sequence[str]], tuple[list[T] | None, int]],
+def fetch_cached(texts: Sequence[str],
+                 fetch: Callable[[Sequence[str]], Attempts[tuple[list[T] | None, int]]],
                  batch_size: int, parallelism: int, *, cache: ContentCache | None = None,
                  read: Callable[[str], T | None] | None = None,
-                 write: Callable[[str, T], None] | None = None) -> tuple[list[T | None], int]:
+                 write: Callable[[str, T], None] | None = None,
+                 sleep: Callable[[float], None] = time.sleep) -> tuple[list[T | None], int]:
     """Each text's answer, from ``cache`` where it holds one, else from ``fetch``.
 
     ``read`` looks each text up once. The misses go to ``fetch`` in
-    ``map_batches``' batches of ``batch_size``, ``parallelism`` at a time; a
-    fetch returns its batch's answers, or None when it failed, and the
-    attempts it made. The fresh answers are stored through ``write`` in one
-    ``cache.transaction()``, opened only when there is one to store, so a
-    warm run takes no write lock; a failure is never stored. A cache that
-    cannot be written (locked past ``BUSY_TIMEOUT_S``, read-only, disk full)
-    is logged once and rolled back, and the fresh answers are still
-    returned, so a later run fetches and stores them. Returns the
-    answers in ``texts``' order, None where a batch failed, and the attempts
-    summed. Without a cache every text is fetched.
+    ``map_batches``' batches of ``batch_size``, with at most ``parallelism``
+    attempts in flight; a batch waiting out its backoff holds none, and
+    ``sleep`` is called only when none is in flight. A fetch returns a
+    generator like ``retry``'s, which returns its batch's answers, or None
+    when it failed, and the attempts it made. An exception that is not a
+    ``TransportError`` leaves here, once every attempt in flight has ended
+    and every batch's generator is closed. The fresh answers are stored
+    through ``write`` in one ``cache.transaction()``, opened only when
+    there is one to store, so a warm run takes no write lock; a failure is
+    never stored. A cache that cannot be written (locked past
+    ``BUSY_TIMEOUT_S``, read-only, disk full) is logged once and rolled
+    back, and the fresh answers are still returned, so a later run fetches
+    and stores them. Returns the answers in ``texts``' order, None where a
+    batch failed, and the attempts summed. Without a cache every text is
+    fetched.
     """
     answers = [read(text) for text in texts] if cache is not None else [None] * len(texts)
     misses = [i for i, answer in enumerate(answers) if answer is None]
-    outcomes = map_batches([texts[i] for i in misses], batch_size, parallelism, fetch)
+    outcomes = map_batches([texts[i] for i in misses], batch_size, parallelism, fetch, sleep)
     fetched = [answer for batch, (outcome, _) in outcomes
                for answer in outcome or [None] * len(batch)]
     for i, answer in zip(misses, fetched):

@@ -37,6 +37,12 @@ def test_synth_writes_corpus(tmp_path, capsys):
     assert len(list((tmp_path / "s" / "surveys").glob("*.csv"))) == 8
 
 
+def test_synth_past_december_9999_is_one_error_line_and_writes_nothing(tmp_path):
+    proc = run_cli("synth", "--start", "999901", "--months", "24", "--out", str(tmp_path / "s"))
+    assert_error_line(proc, "the last month, 1000012, is past 999912")
+    assert not (tmp_path / "s").exists()
+
+
 def test_stage_commands_in_sequence(workspace, capsys):
     tmp_path, config_path = workspace
     for command in ("ingest", "classify", "index", "granger", "report"):

@@ -133,6 +133,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             SyntheticSpec(comments_per_month=0)
 
+    def test_a_spec_ending_past_december_9999_is_rejected(self):
+        assert synthesize(SyntheticSpec(months=12, start=MonthKey(9999, 1),
+                                        comments_per_month=1), 1).records[-1].month \
+            == MonthKey(9999, 12)
+        with pytest.raises(ValueError, match="the last month, 1000012, is past 999912"):
+            SyntheticSpec(months=24, start=MonthKey(9999, 1))
+
     def test_all_comments_parse_back(self, tmp_path):
         spec = SyntheticSpec(months=6, comments_per_month=40)
         survey_paths, _ = generate_synthetic(spec, seed=12, out_dir=tmp_path)

@@ -5,8 +5,10 @@ import shlex
 import sqlite3
 import subprocess
 import sys
+import threading
 import time
 from contextlib import closing, contextmanager
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -30,16 +32,31 @@ def flaky(failures, value="ok"):
     return call, calls
 
 
-def test_retry_backs_off_exponentially_and_counts_attempts():
-    sleeps = []
-    call, calls = flaky(failures=1)
-    assert retry(call, max_retries=3, sleep=sleeps.append) == ("ok", 2)
-    assert sleeps == [0.1]
+def drive(run):
+    """Step a ``retry`` generator to its end: (the delays it yielded, its outcome)."""
+    delays = []
+    while True:
+        try:
+            delays.append(next(run))
+        except StopIteration as stop:
+            return delays, stop.value
 
-    sleeps.clear()
+
+def test_retry_backs_off_exponentially_and_counts_attempts():
+    call, calls = flaky(failures=1)
+    run = retry(call, max_retries=3)
+    assert next(run) == 0.1 and len(calls) == 1  # one attempt per step
+    assert drive(run) == ([], ("ok", 2))
+
     call, calls = flaky(failures=10)
-    assert retry(call, max_retries=2, sleep=sleeps.append) == (None, 3)
+    assert drive(retry(call, max_retries=2)) == ([0.1, 0.2], (None, 3))
     assert len(calls) == 3
+
+    # one batch: the sleep sees each whole delay
+    sleeps = []
+    call, calls = flaky(failures=10)
+    assert map_batches(["b"], 1, 1, lambda batch: retry(call, 2), sleeps.append) == [
+        (["b"], (None, 3))]
     assert sleeps == [0.1, 0.2]
 
 
@@ -48,26 +65,137 @@ def test_retry_lets_other_errors_through():
         raise KeyError("a bug, not a wire failure")
 
     with pytest.raises(KeyError):
-        retry(call, max_retries=2, sleep=lambda s: None)
+        next(retry(call, max_retries=2))
+
+    # batch 0 is parked in its backoff and batch 2 still running when batch 1 raises
+    lock, running, ended, closed = threading.Lock(), [0], [], []
+
+    def attempts(batch):
+        def call():
+            with lock:
+                running[0] += 1
+            try:
+                time.sleep({0: 0.0, 1: 0.05, 2: 0.2}.get(batch[0], 0.0))
+                if batch[0] == 0:
+                    raise TransportError("backs off")
+                if batch[0] == 1:
+                    raise KeyError("a bug")
+                return batch[0]
+            finally:
+                with lock:
+                    running[0] -= 1
+                    ended.append(batch[0])
+        try:
+            return (yield from retry(call, 2))
+        finally:
+            closed.append(batch[0])
+
+    threads = threading.active_count()
+    with pytest.raises(KeyError):
+        map_batches([0, 1, 2, 3], 1, 2, attempts)
+    assert running == [0] and sorted(ended) == [0, 1, 2]
+    assert sorted(closed) == [0, 1, 2]  # batch 3 never started
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("parallelism", [1, 3, 8])
 def test_map_batches_keeps_batch_order_whatever_finishes_first(parallelism):
     items = list(range(10))
 
-    def call(batch):
-        time.sleep(0.01 * (10 - batch[0]) / 10)  # later batches finish first
-        return sum(batch)
+    def attempts(batch):
+        def call():
+            time.sleep(0.01 * (10 - batch[0]) / 10)  # later batches finish first
+            return sum(batch)
+        return retry(call, 0)
 
-    assert map_batches(items, 4, parallelism, call) == [
-        ([0, 1, 2, 3], 6), ([4, 5, 6, 7], 22), ([8, 9], 17)]
-    assert map_batches([], 4, parallelism, call) == []
+    assert map_batches(items, 4, parallelism, attempts) == [
+        ([0, 1, 2, 3], (6, 1)), ([4, 5, 6, 7], (22, 1)), ([8, 9], (17, 1))]
+    assert map_batches([], 4, parallelism, attempts) == []
 
 
 @pytest.mark.parametrize("batch_size, parallelism", [(0, 1), (1, 0), (-2, 4)])
 def test_map_batches_rejects_sizes_below_one(batch_size, parallelism):
     with pytest.raises(ValueError):
-        map_batches([1, 2], batch_size, parallelism, len)
+        map_batches([1, 2], batch_size, parallelism, lambda batch: retry(len, 0))
+
+
+@dataclass
+class Attempt:
+    batch: int
+    start: float
+    in_flight: int  # attempts in flight as this one started, itself included
+    thread: threading.Thread
+    end: float = 0.0
+
+
+def recording_attempts(failures, durations=None):
+    """Batches of one number ``n`` that fail their first ``failures[n]``
+    attempts, each attempt taking ``durations[n]`` seconds; returns the
+    ``attempts`` for ``map_batches`` and the ``Attempt`` log, in start order."""
+    lock, in_flight, log = threading.Lock(), [0], []
+
+    def attempts(batch):
+        (n,), tries = batch, []
+
+        def call():
+            with lock:
+                in_flight[0] += 1
+                attempt = Attempt(n, time.monotonic(), in_flight[0], threading.current_thread())
+                log.append(attempt)
+            time.sleep((durations or {}).get(n, 0.0))
+            tries.append(None)
+            with lock:
+                in_flight[0] -= 1
+                attempt.end = time.monotonic()
+            if len(tries) <= failures.get(n, 0):
+                raise TransportError(f"batch {n} fails")
+            return n
+
+        return retry(call, 3)
+
+    return attempts, log
+
+
+def assert_backoff_kept(log):
+    """Each retry starts at least its backoff delay after the attempt before it ended."""
+    for n in {attempt.batch for attempt in log}:
+        tries = [attempt for attempt in log if attempt.batch == n]
+        for k, (before, after) in enumerate(zip(tries, tries[1:])):
+            assert after.start - before.end >= 0.1 * 2 ** k
+
+
+def test_a_batch_waiting_out_its_backoff_holds_no_slot():
+    attempts, log = recording_attempts({0: 1})
+    sleeps = []
+    outcomes = map_batches([0, 1, 2], 1, 1, attempts, sleeps.append)
+    assert [attempt.batch for attempt in log] == [0, 1, 2, 0]
+    assert [outcome for _, outcome in outcomes] == [(0, 2), (1, 1), (2, 1)]
+    assert len(sleeps) == 1 and 0.0 < sleeps[0] <= 0.1  # what is left of batch 0's delay
+    assert {attempt.thread for attempt in log} == {threading.main_thread()}  # run inline
+
+
+def test_a_due_retry_starts_before_a_batch_not_yet_started():
+    # batch 0 fails at once; batches 1 and 2 hold both slots past its 0.1 s delay
+    attempts, log = recording_attempts({0: 1}, {1: 0.25, 2: 0.25})
+    sleeps = []
+    outcomes = map_batches([0, 1, 2, 3, 4], 1, 2, attempts, sleeps.append)
+    starts = [attempt.batch for attempt in log]
+    assert sorted(starts[:3]) == [0, 1, 2] and starts[3:] == [0, 3, 4]
+    assert [outcome for _, outcome in outcomes] == [(0, 2), (1, 1), (2, 1), (3, 1), (4, 1)]
+    assert sleeps == []  # an attempt was always in flight
+    assert_backoff_kept(log)
+
+
+@pytest.mark.parametrize("parallelism", [2, 3])
+def test_attempts_in_flight_never_exceed_parallelism(parallelism):
+    failures = {n: 1 for n in range(0, 12, 3)} | {4: 2}
+    attempts, log = recording_attempts(failures, dict.fromkeys(range(12), 0.02))
+    outcomes = map_batches(list(range(12)), 1, parallelism, attempts)
+    assert [outcome for _, outcome in outcomes] == [
+        (n, failures.get(n, 0) + 1) for n in range(12)]
+    assert len(log) == 12 + sum(failures.values())
+    assert max(attempt.in_flight for attempt in log) == parallelism
+    assert_backoff_kept(log)
 
 
 # any code point, lone surrogates included, with the ones JSON escapes drawn often
@@ -212,10 +340,12 @@ def test_fetch_cached_fetches_the_misses_in_batches_and_stores_fresh_answers(
     def fetch(batch):
         fetched.append(list(batch))
         k = misses.index(batch[0]) // batch_size
-        return (None if failed[k] else [f"fetched {t}" for t in batch]), attempts[k]
+        # a failed batch fails every attempt, any other all but its last
+        call, _ = flaky(attempts[k] - (0 if failed[k] else 1), [f"fetched {t}" for t in batch])
+        return retry(call, attempts[k] - 1)
 
     answers, calls = fetch_cached(texts, fetch, batch_size, parallelism, cache=cache,
-                                  read=cache.read, write=cache.write)
+                                  read=cache.read, write=cache.write, sleep=lambda s: None)
     lost = {t for batch, f in zip(batches, failed) if f for t in batch}
     assert answers == [f"cached {t}" if hit else None if t in lost else f"fetched {t}"
                        for t, hit in zip(texts, cached)]
