@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus with a known lead")
     p.add_argument("--months", type=_at_least(1), default=120)
     p.add_argument("--lead", type=_at_least(0), default=2, help="months sentiment leads wages")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--comments-per-month", type=_at_least(1), default=120)
     p.add_argument("--start", type=_month, default="200001", help="first month, yyyymm")
     p.add_argument("--out", default="synthetic", help="output directory")

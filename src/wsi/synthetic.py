@@ -6,6 +6,14 @@ later (plus noise), so the resulting sentiment index Granger-causes wage
 growth at the configured lag by construction. Wage levels carry a bonus
 season (June, July, December) as a stable multiplicative pattern, which
 leaves year-on-year growth untouched.
+
+Each month's random numbers come in batches: one array call for the
+comments' template and keyword picks, and for the records' region,
+industry and judgment one block of raw PCG64 words, split as numpy's
+scalar calls would split them. A month where numpy would reject a bounded
+draw and draw again falls back to those scalar calls. Either way a
+(spec, seed) pair gives the same corpus, and the same files, as one call
+per number did.
 """
 
 from __future__ import annotations
@@ -82,6 +90,12 @@ class SyntheticSpec:
             raise ValueError("months must be >= 1")
         if self.comments_per_month < 1:
             raise ValueError("comments_per_month must be >= 1")
+        for name in ("unrelated_share", "neutral_share"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # also NaN
+                raise ValueError(f"{name} must lie in [0, 1]")
+        for name in ("positive_keywords", "negative_keywords", "neutral_keywords"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         last = self.start.plus(self.months - 1)
         if last > LAST_MONTH:  # its files could not be read back
             raise ValueError(f"the last month, {last}, is past {LAST_MONTH}")
@@ -112,6 +126,73 @@ def _draw_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
+_JUDGMENT_VALUES = tuple(j for j, _ in _JUDGMENTS)
+_JUDGMENT_CDF = _choice_cdf(np.array([w for _, w in _JUDGMENTS]))
+# the bounds of a record's two integer draws, region then industry
+_RECORD_BOUNDS = np.array([len(_REGIONS), len(_INDUSTRIES)], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _comment_texts(rng: np.random.Generator, counts: list[int],
+                   tables: list[tuple[tuple[str, ...], ...]]) -> list[str]:
+    """One month's comments: ``counts[kind]`` of each kind, in kind order.
+
+    A comment picks a template ``t``, then a keyword ``k``, and reads
+    ``tables[kind][t][k]``. The picks come from one ``integers`` call over
+    the list of their bounds, which numpy draws as it would the scalar
+    calls in turn. A bound of 1, as for an unrelated comment's keyword,
+    gives 0 without a draw either way.
+    """
+    bounds = np.repeat([(len(table), len(table[0])) for table in tables], counts, axis=0)
+    rows = [table for table, count in zip(tables, counts) for _ in range(count)]
+    return [table[t][k] for table, (t, k) in zip(rows, rng.integers(0, bounds).tolist())]
+
+
+def _lemire(halves: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw ``integers(bound)`` from uint32 ``halves`` (held
+    as uint64): the values, and where numpy would reject the half and draw
+    another one in its place."""
+    m = halves * bounds
+    threshold = (np.uint64(1 << 32) - bounds) % bounds  # 2**32 % bound
+    return m >> np.uint64(32), (m & _LOW32) < threshold
+
+
+def _record_draws(rng: np.random.Generator, n: int) -> list[list[int]]:
+    """``n`` records' [region, industry, judgment] indices.
+
+    These are the numbers, and the generator state after, of ``n`` rounds of
+    ``integers(len(_REGIONS))``, ``integers(len(_INDUSTRIES))`` and
+    ``_draw_index(rng, _JUDGMENT_CDF)``. A round takes two 64-bit words of
+    PCG64: the integers come from the uint32 halves of the first word, low
+    half first, after a half the generator kept from before; the uniform
+    comes from the second word. Where numpy would reject a half and draw
+    again (about once in 10**9 halves), the rounds run one call at a time.
+    """
+    if n == 0:
+        return []
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    words = bit_generator.random_raw(2 * n)
+    pairs = words[0::2]
+    halves = np.stack([pairs & _LOW32, pairs >> np.uint64(32)], axis=1).ravel()
+    kept = state["has_uint32"]
+    if kept:
+        halves = np.concatenate([[np.uint64(state["uinteger"])], halves])
+    values, rejected = _lemire(halves[:2 * n].reshape(n, 2), _RECORD_BOUNDS)
+    if rejected.any():
+        bit_generator.state = state
+        return [[int(rng.integers(len(_REGIONS))), int(rng.integers(len(_INDUSTRIES))),
+                 _draw_index(rng, _JUDGMENT_CDF)] for _ in range(n)]
+    after = bit_generator.state
+    # the last half is kept for the next uint32 if one was left over; spent,
+    # it stays in ``uinteger`` as numpy leaves it
+    after["has_uint32"], after["uinteger"] = kept, int(halves[-1])
+    bit_generator.state = after
+    uniforms = (words[1::2] >> np.uint64(11)) * 2.0 ** -53
+    judgments = _JUDGMENT_CDF.searchsorted(uniforms, side="right")
+    return np.column_stack([values.astype(np.int64), judgments]).tolist()
+
+
 def synthesize(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
     """Deterministic in-memory corpus for a (spec, seed) pair."""
     rng = np.random.default_rng(seed)
@@ -140,9 +221,12 @@ def synthesize(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
             levels[month] = levels[months[i - 12]] * (1.0 + growth[i] / 100.0)
 
     directional = max(0.0, 1.0 - spec.unrelated_share - spec.neutral_share)
+    tables = [tuple(tuple(t.format(kw=kw) for kw in keywords) for t in templates)
+              for templates, keywords in ((_POSITIVE_TEMPLATES, spec.positive_keywords),
+                                          (_NEGATIVE_TEMPLATES, spec.negative_keywords),
+                                          (_NEUTRAL_TEMPLATES, spec.neutral_keywords))]
+    tables.append(tuple((t,) for t in _UNRELATED_TEMPLATES))
     records: list[SurveyRecord] = []
-    judgment_values = [j for j, _ in _JUDGMENTS]
-    judgment_cdf = _choice_cdf(np.array([w for _, w in _JUDGMENTS]))
     for i, month in enumerate(months):
         pos_frac = 0.5 * (1.0 + np.tanh(spec.polarity_swing * sentiment[i]))
         shares = np.array([
@@ -152,34 +236,15 @@ def synthesize(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
             spec.unrelated_share,
         ])
         shares = shares / shares.sum()
-        counts = rng.multinomial(spec.comments_per_month, shares)
-        month_rows: list[tuple[int, str]] = []
-        pools = (
-            (_POSITIVE_TEMPLATES, spec.positive_keywords),
-            (_NEGATIVE_TEMPLATES, spec.negative_keywords),
-            (_NEUTRAL_TEMPLATES, spec.neutral_keywords),
-            (_UNRELATED_TEMPLATES, None),
-        )
-        for kind, (templates, keywords) in enumerate(pools):
-            for _ in range(counts[kind]):
-                template = templates[rng.integers(len(templates))]
-                if keywords is None:
-                    text = template
-                else:
-                    text = template.format(kw=keywords[rng.integers(len(keywords))])
-                month_rows.append((kind, text))
-        order = rng.permutation(len(month_rows))
-        for j in order:
-            _, text = month_rows[j]
-            records.append(
-                SurveyRecord(
-                    month=month,
-                    region=_REGIONS[rng.integers(len(_REGIONS))],
-                    industry=_INDUSTRIES[rng.integers(len(_INDUSTRIES))],
-                    judgment=judgment_values[_draw_index(rng, judgment_cdf)],
-                    comment=text,
-                )
-            )
+        counts = rng.multinomial(spec.comments_per_month, shares).tolist()
+        texts = _comment_texts(rng, counts, tables)
+        order = rng.permutation(len(texts)).tolist()
+        draws = _record_draws(rng, len(texts))
+        for j, (region, industry, judgment) in zip(order, draws):
+            records.append(SurveyRecord(month=month, region=_REGIONS[region],
+                                        industry=_INDUSTRIES[industry],
+                                        judgment=_JUDGMENT_VALUES[judgment],
+                                        comment=texts[j]))
     return SyntheticCorpus(records=records, wage_levels=levels,
                            sentiment=list(map(float, sentiment)))
 

@@ -406,7 +406,7 @@ def test_run_reports_missing_inputs_like_ingest(workspace, missing):
 
 @pytest.mark.parametrize("flag, value", [
     ("--start", "2000x1"), ("--months", "x"), ("--months", "0"),
-    ("--comments-per-month", "0"), ("--lead", "-1"),
+    ("--comments-per-month", "0"), ("--lead", "-1"), ("--seed", "-1"),
 ])
 def test_synth_rejects_a_malformed_argument_with_usage(tmp_path, flag, value):
     proc = run_cli("synth", flag, value, "--out", str(tmp_path / "s"))
