@@ -237,14 +237,9 @@ def scalar_triples(rng, n):
 def lemire_step(x, n):
     """numpy's ``buffered_bounded_lemire_uint32``, one uint32 ``x``, bound
     ``n``: the value and whether the loop rejects ``x`` and draws again."""
-    rng_excl = n
-    m = x * rng_excl
+    m = x * n
     leftover = m & 0xFFFFFFFF
-    rejected = False
-    if leftover < rng_excl:
-        threshold = (0xFFFFFFFF - (n - 1)) % rng_excl
-        rejected = leftover < threshold
-    return m >> 32, rejected
+    return m >> 32, leftover < n and leftover < (0xFFFFFFFF - (n - 1)) % n
 
 
 def words_with_leftover(n, leftover):
